@@ -96,9 +96,8 @@ def cmd_simulate(cfg, args):
 
     _front_csv(os.path.join(out, "front.csv"), sol.front)
     trace = sol.trace_function()
-    f_vals = np.array([sol.trace_value(s) for s in trace.xs])
     _write_csv(os.path.join(out, "trace.csv"), ["s", "f", "fprime"],
-               [trace.xs, f_vals, trace.vs])
+               [trace.xs, sol.trace_value(trace.xs), trace.vs])
     grid, u_vals, up_vals = _control_columns(control)
     _write_csv(os.path.join(out, "control.csv"), ["t", "u", "uprime"],
                [grid, u_vals, up_vals])
@@ -342,6 +341,9 @@ def main(argv=None) -> int:
         return EXIT_CONTINUITY
     except (DebondError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_SOLVER
+    except (RecursionError, FloatingPointError, OverflowError) as err:
+        print(f"error: numerical failure ({type(err).__name__}): {err}", file=sys.stderr)
         return EXIT_SOLVER
     return code
 

@@ -47,6 +47,8 @@ def _number(mapping, key, path, default=None):
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}{key}", "expected a decimal number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}{key}", f"expected a finite number, got {value}")
     return float(value)
 
 

@@ -24,12 +24,13 @@ u(0) = y0(0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import BranchPolicy, static_branch
+from .branch import static_branch
 from .errors import (
     ConstraintViolated,
     ContinuityFailure,
@@ -39,7 +40,7 @@ from .errors import (
     InfeasibleTime,
 )
 from .forward import SolverConfig, solve_front, solve_initial_branch
-from .func1d import SampledFunction
+from .func1d import SampledFunction, lerp
 from .model import (
     BranchResult,
     ControlSignal,
@@ -171,20 +172,31 @@ def fprime_for_prescribed_front(
     return s_nodes, vals
 
 
-def uprime_from_fprime(fprime, front: FrontCurve, initial: InitialState, s: float) -> float:
-    """Boundary rate making the trace relation hold at coordinate s.
+def uprime_from_fprime(fprime, front: FrontCurve, initial: InitialState, s):
+    """Boundary rate making the trace relation hold at coordinate(s) s.
 
-    ``fprime`` is a callable returning the (designed or solved) trace slope.
-    Below ell0 the relation involves only the initial data; above it the echo
-    term is subtracted with the reflection factor of the prescribed front.
+    ``fprime`` is a callable returning the (designed or solved) trace slope;
+    it is called with arrays shaped like ``s`` (0-d for a float s).  Below
+    ell0 the relation involves only the initial data; above it the echo term
+    is subtracted with the reflection factor of the prescribed front.  A
+    float gives a float, an array an array.
     """
-    s = float(s)
-    if s <= initial.ell0:
-        return fprime(s) + 0.5 * (initial.y0_prime(s) + initial.y1(s))
-    echo = front.echo(s)
-    if echo < -initial.ell0 * (1.0 + 1e-9) - 1e-12:
-        raise DomainError(f"echo point {echo:g} precedes -ell0")
-    return fprime(s) - fprime(max(echo, -initial.ell0)) * front.reflection_factor(s)
+    s = np.asarray(s, dtype=float)
+    ell0 = initial.ell0
+    inside = s <= ell0
+    fp_s = fprime(s)
+    x = np.minimum(s, ell0)
+    data = fp_s + 0.5 * (initial.y0_prime(x) + initial.y1(x))
+    # Points inside the data region take the reflection branch at the front's
+    # first echo coordinate, where every map is defined; np.where drops them.
+    r = np.where(inside, front.tau_plus.range_lo, s)
+    echo = front.echo(r)
+    early = ~inside & (echo < -ell0 * (1.0 + 1e-9) - 1e-12)
+    if np.any(early):
+        raise DomainError(f"echo point {np.extract(early, echo)[0]:g} precedes -ell0")
+    reflected = fp_s - fprime(np.maximum(echo, -ell0)) * front.reflection_factor(r)
+    out = np.where(inside, data, reflected)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +373,6 @@ def _designed_trace_nodes(initial, stages, T, c1_mode, ctol):
     return s[keep], v[keep]
 
 
-def _trace_evaluator(s_nodes, values):
-    def fp(q):
-        i = np.searchsorted(s_nodes, q)
-        if i <= 0:
-            return float(values[0])
-        if i >= s_nodes.shape[0]:
-            return float(values[-1])
-        x0 = s_nodes[i - 1]
-        w = (q - x0) / (s_nodes[i] - x0)
-        return float(values[i - 1] * (1.0 - w) + values[i] * w)
-
-    return fp
-
-
 def _echo_images(front, seeds, T, generations=6):
     """Forward images s -> tau_plus(tau_minus^-1(s)) of trace breakpoints."""
     out = []
@@ -545,7 +543,7 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
         c1_mode,
         ctol,
     )
-    fp_design = _trace_evaluator(trace_s, trace_v)
+    fp_design = functools.partial(lerp, trace_s, trace_v)
 
     # Stage-3 junction identity (the proof's linchpin computation)
     stage2_limit = float(s2_vals[-1])
@@ -576,7 +574,7 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
     keep = np.concatenate(([True], np.diff(grid) > max(1e-12 * T, 1e-14)))
     grid = grid[keep]
 
-    up_vals = np.array([uprime_from_fprime(fp_design, front, initial, s) for s in grid])
+    up_vals = uprime_from_fprime(fp_design, front, initial, grid)
     du = np.diff(grid)
     u_vals = initial.y0(0.0) + np.concatenate(
         ([0.0], np.cumsum(0.5 * (up_vals[1:] + up_vals[:-1]) * du))

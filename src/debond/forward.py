@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonExceeded, IncompatibleData, StepTooLarge
-from .func1d import SampledFunction, definite_integral
+from .func1d import SampledFunction, definite_integral, lerp
 from .model import (
     ControlSignal,
     FrontCurve,
@@ -57,16 +57,9 @@ class SolverConfig:
             raise ValueError("speed clamp must lie in (0, 1e-3)")
 
 
-def _interp(xs, vs, q):
-    """Scalar linear interpolation on sorted xs, clamped at the ends."""
-    i = np.searchsorted(xs, q)
-    if i <= 0:
-        return float(vs[0])
-    if i >= xs.shape[0]:
-        return float(vs[-1])
-    x0 = xs[i - 1]
-    w = (q - x0) / (xs[i] - x0)
-    return float(vs[i - 1] * (1.0 - w) + vs[i] * w)
+# Echo-chain values ``trace_value`` holds at once (about one per point and
+# reflection); deeper or larger queries are walked in batches.
+_CHAIN_BUDGET = 1 << 20
 
 
 def _merged_eval(fn_a: SampledFunction, fn_b: SampledFunction, combine):
@@ -118,54 +111,86 @@ class _March:
         return self.kappa(x)
 
     def _uprime(self, s):
-        return _interp(self.up_xs, self.up_vs, s)
+        return lerp(self.up_xs, self.up_vs, s)
 
     def _clamp(self, v):
         hi = 1.0 - self.cfg.speed_clamp_eps
         return 0.0 if v < 0.0 else (hi if v > hi else v)
 
-    def fprime(self, q, n=None):
-        """Trace slope at coordinate q, using nodes 0..n-1 for reflections."""
+    def fprime(self, q, n):
+        """Trace slope at a float q, using nodes 0..n-1 for reflections.
+
+        The march's per-step query; ``fprime_array`` is the same relation
+        evaluated over an array with every committed node.
+        """
         if q <= 0.0:
-            return _interp(self.seed.minus_xs, self.seed.minus_vs, q)
+            return lerp(self.seed.minus_xs, self.seed.minus_vs, q)
         if q <= self.seed.ell0:
-            return self._uprime(q) - _interp(self.seed.plus_xs, self.seed.plus_vs, q)
-        n = self.n + 1 if n is None else n
+            return self._uprime(q) - lerp(self.seed.plus_xs, self.seed.plus_vs, q)
         sp = self.sp[:n]
-        ell_at = _interp(sp, self.ell[:n], q)
-        v_at = _interp(sp, self.ellp[:n], q)
+        ell_at = lerp(sp, self.ell[:n], q)
+        v_at = lerp(sp, self.ellp[:n], q)
         echo = q - 2.0 * ell_at
         if echo < -self.seed.ell0:
             echo = -self.seed.ell0
         if echo <= self.seed.ell0:
             fp_echo = self.fprime(echo, n)
         else:
-            fp_echo = _interp(self.sm[:n], self.fp[:n], echo)
+            fp_echo = lerp(self.sm[:n], self.fp[:n], echo)
         return self._uprime(q) + fp_echo * (1.0 - v_at) / (1.0 + v_at)
 
+    def seed_fprime_array(self, q):
+        """Trace slope on an array q <= ell0: the data and the control alone."""
+        seed = self.seed
+        return np.where(
+            q <= 0.0,
+            lerp(seed.minus_xs, seed.minus_vs, q),
+            self._uprime(q) - lerp(seed.plus_xs, seed.plus_vs, q),
+        )
+
+    def fprime_array(self, q):
+        """``fprime`` over an array q, reflecting through every committed node."""
+        seed = self.seed
+        n = self.n + 1
+        sp = self.sp[:n]
+        ell_at = lerp(sp, self.ell[:n], q)
+        v_at = lerp(sp, self.ellp[:n], q)
+        echo = np.maximum(q - 2.0 * ell_at, -seed.ell0)
+        fp_echo = np.where(
+            echo <= seed.ell0, self.seed_fprime_array(echo), lerp(self.sm[:n], self.fp[:n], echo)
+        )
+        reflected = self._uprime(q) + fp_echo * (1.0 - v_at) / (1.0 + v_at)
+        return np.where(q <= seed.ell0, self.seed_fprime_array(q), reflected)
+
+    # _commit and step read array elements as Python floats (``item``): the
+    # arithmetic rounds the same and runs faster than on numpy scalars.
+
     def _commit(self, n, ell_n):
+        t = self.t.item(n)
+        sm = t - ell_n
         self.ell[n] = ell_n
-        self.sm[n] = self.t[n] - ell_n
-        self.sp[n] = self.t[n] + ell_n
-        if n > 0 and self.sm[n] <= self.sm[n - 1]:
-            raise StepTooLarge(
-                f"tau_minus lost monotonicity at t = {self.t[n]:.6g}; reduce the step"
-            )
-        self.fp[n] = self.fprime(self.sm[n], n)
-        self.ellp[n] = self._clamp(griffith_speed(self.fp[n], self._kappa_at(ell_n)))
+        self.sm[n] = sm
+        self.sp[n] = t + ell_n
+        if n > 0 and sm <= self.sm.item(n - 1):
+            raise StepTooLarge(f"tau_minus lost monotonicity at t = {t:.6g}; reduce the step")
+        fp = self.fprime(sm, n)
+        self.fp[n] = fp
+        self.ellp[n] = self._clamp(griffith_speed(fp, self._kappa_at(ell_n)))
         self.n = n
 
     def step(self):
         n = self.n
-        h = self.t[n + 1] - self.t[n]
-        v0 = self.ellp[n]
+        t1 = self.t.item(n + 1)
+        h = t1 - self.t.item(n)
+        v0 = self.ellp.item(n)
+        ell = self.ell.item(n)
         if self.cfg.scheme == "euler":
-            self._commit(n + 1, self.ell[n] + h * v0)
+            self._commit(n + 1, ell + h * v0)
             return
-        ell_pred = self.ell[n] + h * v0
-        fp_pred = self.fprime(self.t[n + 1] - ell_pred, n + 1)
+        ell_pred = ell + h * v0
+        fp_pred = self.fprime(t1 - ell_pred, n + 1)
         v1 = self._clamp(griffith_speed(fp_pred, self._kappa_at(ell_pred)))
-        self._commit(n + 1, self.ell[n] + 0.5 * h * (v0 + v1))
+        self._commit(n + 1, ell + 0.5 * h * (v0 + v1))
 
     def run(self):
         for _ in range(self.t.shape[0] - 1):
@@ -195,7 +220,7 @@ class SolutionRecord:
         if tail_lo < T:
             count = max(int(np.ceil((T - tail_lo) / march.cfg.h)), 1)
             tail = np.linspace(tail_lo, T, count + 1)[1:]
-            tail_fp = np.array([march.fprime(s) for s in tail])
+            tail_fp = march.fprime_array(tail)
             self._store_s = np.concatenate([march.sm[: march.n + 1], tail])
             self._store_fp = np.concatenate([march.fp[: march.n + 1], tail_fp])
         else:
@@ -204,29 +229,58 @@ class SolutionRecord:
 
     # -- trace queries ------------------------------------------------------
 
-    def trace_slope(self, s) -> float:
-        """f'(s): exact data formulas below ell0, stored march samples above."""
-        s = float(s)
-        ell0 = self.initial.ell0
-        m = self._march
-        if s <= ell0:
-            return m.fprime(s)
-        return _interp(self._store_s, self._store_fp, s)
+    def trace_slope(self, s):
+        """f'(s): exact data formulas below ell0, stored march samples above.
 
-    def trace_value(self, s) -> float:
-        """f(s), anchored at f(0) = 0, via the iterative trace relation."""
-        s = float(s)
+        A float gives a float, an array an array of the same shape.
+        """
+        s = np.asarray(s, dtype=float)
+        out = np.where(
+            s <= self.initial.ell0,
+            self._march.seed_fprime_array(s),
+            lerp(self._store_s, self._store_fp, s),
+        )
+        return float(out) if out.ndim == 0 else out
+
+    def trace_value(self, s):
+        """f(s), anchored at f(0) = 0, via the trace relation f(s) = u(s) + f(echo(s)).
+
+        A float gives a float, an array an array of the same shape.  Each
+        point follows its echo chain down to [-ell0, ell0] in a loop, so the
+        number of reflections (about s / (2 ell0)) is not bounded by the
+        recursion limit; the u terms are then added back from the deepest
+        level out, in the order of the recursive definition.
+        """
+        q = np.asarray(s, dtype=float)
+        flat = q.ravel()
         ell0 = self.initial.ell0
-        if s <= 0.0:
-            # f(s) = integral_0^{-s} (y0' - y1)/2 = -integral of the seed slope
-            return -definite_integral(self._seed_minus_fn(), 0.0, -s)
-        if s <= ell0:
-            half = 0.5 * (
-                definite_integral(self.initial.y0_prime, 0.0, s)
-                + definite_integral(self.initial.y1, 0.0, s)
-            )
-            return self.control.u(s) - self.control.u(0.0) - half
-        return self.control.u(s) + self.trace_value(self.front.echo(s))
+        chain = flat.size + np.sum(np.maximum(flat - ell0, 0.0)) / (2.0 * ell0)
+        batches = np.array_split(flat, 1 + int(chain // _CHAIN_BUDGET))
+        out = np.concatenate([self._echo_chain(b) for b in batches]).reshape(q.shape)
+        return float(out) if out.ndim == 0 else out
+
+    def _echo_chain(self, q):
+        ell0 = self.initial.ell0
+        q = q.copy()
+        levels = []
+        active = np.flatnonzero(q > ell0)
+        while active.size:
+            levels.append((active, self.control.u(q[active])))
+            q[active] = self.front.echo(q[active])
+            active = active[q[active] > ell0]
+        f = np.empty_like(q)
+        neg = q <= 0.0
+        # f(s <= 0) = integral_0^{-s} (y0' - y1)/2 = -integral of the seed slope
+        f[neg] = -definite_integral(self._seed_minus_fn(), 0.0, -q[neg])
+        mid = q[~neg]
+        half = 0.5 * (
+            definite_integral(self.initial.y0_prime, 0.0, mid)
+            + definite_integral(self.initial.y1, 0.0, mid)
+        )
+        f[~neg] = self.control.u(mid) - self.control.u(0.0) - half
+        for active, u in reversed(levels):
+            f[active] = u + f[active]
+        return f
 
     def _seed_minus_fn(self) -> SampledFunction:
         # (y1 - y0')/2 on [0, ell0]; f(s <= 0) = -integral_0^{-s} of this.
@@ -249,8 +303,7 @@ class SolutionRecord:
         s = np.concatenate(nodes)
         s = np.unique(s)
         s = s[np.concatenate(([True], np.diff(s) > eps / 2))]
-        vals = np.array([self.trace_slope(q) for q in s])
-        return SampledFunction(s, vals)
+        return SampledFunction(s, self.trace_slope(s))
 
     # -- reconstruction -----------------------------------------------------
 
@@ -268,41 +321,39 @@ class SolutionRecord:
         x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
         if np.any(x_grid < -1e-12) or np.any(x_grid > ell_t * (1 + 1e-12) + 1e-12):
             raise DomainError(f"reconstruction point beyond the front ell({t:g}) = {ell_t:g}")
-        ell0 = self.initial.ell0
-        y = np.empty_like(x_grid)
-        dty = np.empty_like(x_grid)
-        dxy = np.empty_like(x_grid)
-        for i, x in enumerate(x_grid):
-            x = min(x, ell_t)
-            fp_back = self.trace_slope(t - x)
-            if t + x >= ell0 * (1.0 - 1e-14):
-                s_out = t + x
-                y[i] = self.trace_value(t - x) - self.trace_value(self.front.echo(s_out))
-                a_out = -self.trace_slope(self.front.echo(s_out)) * self.front.reflection_factor(s_out)
-            else:
-                if t <= x:
-                    y[i] = 0.5 * (
-                        self.initial.y0(x + t)
-                        + self.initial.y0(x - t)
-                        + definite_integral(self.initial.y1, x - t, x + t)
-                    )
-                else:
-                    y[i] = self.control.u(t - x) + 0.5 * (
-                        definite_integral(self.initial.y0_prime, t - x, t + x)
-                        + definite_integral(self.initial.y1, t - x, t + x)
-                    )
-                a_out = 0.5 * (self.initial.y0_prime(t + x) + self.initial.y1(t + x))
-            dty[i] = fp_back + a_out
-            dxy[i] = -fp_back + a_out
-        return y, dty, dxy
+        init = self.initial
+        x = np.minimum(x_grid, ell_t)
+        fp_back = self.trace_slope(t - x)
+        y = np.empty_like(x)
+        a_out = np.empty_like(x)
+        outside = t + x >= init.ell0 * (1.0 - 1e-14)
+        xo = x[outside]
+        s_out = t + xo
+        echo = self.front.echo(s_out)
+        y[outside] = self.trace_value(t - xo) - self.trace_value(echo)
+        a_out[outside] = -self.trace_slope(echo) * self.front.reflection_factor(s_out)
+        # Data cone: d'Alembert from the initial data, plus the control once
+        # the backward characteristic reaches the boundary (t > x).
+        early = ~outside & (t <= x)
+        xe = x[early]
+        y[early] = 0.5 * (
+            init.y0(xe + t) + init.y0(xe - t) + definite_integral(init.y1, xe - t, xe + t)
+        )
+        late = ~outside & (t > x)
+        xl = x[late]
+        y[late] = self.control.u(t - xl) + 0.5 * (
+            definite_integral(init.y0_prime, t - xl, t + xl)
+            + definite_integral(init.y1, t - xl, t + xl)
+        )
+        xc = x[~outside]
+        a_out[~outside] = 0.5 * (init.y0_prime(t + xc) + init.y1(t + xc))
+        return y, fp_back + a_out, -fp_back + a_out
 
     def griffith_residuals(self) -> np.ndarray:
         """Per-node gap between stored speeds and the Griffith value."""
         f = self.front
-        res = np.empty(f.times.shape[0])
-        for i, (tn, ln, vn) in enumerate(zip(f.times, f.positions, f.speeds)):
-            res[i] = abs(vn - griffith_speed(self.trace_slope(tn - ln), self.toughness(ln)))
-        return res
+        fp = self.trace_slope(f.times - f.positions)
+        return np.abs(f.speeds - griffith_speed(fp, self.toughness(f.positions)))
 
 
 def _control_arrays(control: ControlSignal):
@@ -330,12 +381,11 @@ def seed_trace(initial: InitialState, control: ControlSignal):
     if right.size == 0 or right[-1] < initial.ell0 - eps:
         right = np.append(right, initial.ell0)
     s_nodes = np.concatenate([seed.minus_xs, [eps], right])
-    vals = np.empty_like(s_nodes)
     k = seed.minus_xs.shape[0]
-    vals[:k] = seed.minus_vs
-    for j in range(k, s_nodes.shape[0]):
-        q = s_nodes[j]
-        vals[j] = _interp(up_xs, up_vs, q) - _interp(seed.plus_xs, seed.plus_vs, q)
+    q = s_nodes[k:]
+    vals = np.concatenate(
+        [seed.minus_vs, lerp(up_xs, up_vs, q) - lerp(seed.plus_xs, seed.plus_vs, q)]
+    )
     fprime = SampledFunction(s_nodes, vals)
     dx = np.diff(s_nodes)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * dx)))

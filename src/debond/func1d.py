@@ -68,18 +68,28 @@ class SampledFunction:
     def span(self) -> float:
         return float(self.xs[-1] - self.xs[0])
 
+    def _domain_error(self, bad) -> DomainError:
+        return DomainError(
+            f"evaluation at {bad:.17g} outside domain [{self.lo:.17g}, {self.hi:.17g}]"
+        )
+
     def _clip(self, x):
         slack = _DOMAIN_SLACK * max(self.span, 1.0)
         x = np.asarray(x, dtype=float)
         if np.any(x < self.xs[0] - slack) or np.any(x > self.xs[-1] + slack):
             bad = x[(x < self.xs[0] - slack) | (x > self.xs[-1] + slack)]
-            raise DomainError(
-                f"evaluation at {np.atleast_1d(bad)[0]:.17g} outside "
-                f"domain [{self.lo:.17g}, {self.hi:.17g}]"
-            )
+            raise self._domain_error(np.atleast_1d(bad)[0])
         return np.clip(x, self.xs[0], self.xs[-1])
 
     def __call__(self, x):
+        if isinstance(x, float):
+            # Scalar fast path (per-step queries of the forward march): the
+            # same domain check and clamp in plain float comparisons.
+            lo, hi = self.xs.item(0), self.xs.item(-1)
+            slack = _DOMAIN_SLACK * max(hi - lo, 1.0)
+            if x < lo - slack or x > hi + slack:
+                raise self._domain_error(x)
+            return float(np.interp(min(max(x, lo), hi), self.xs, self.vs))
         x = self._clip(x)
         out = np.interp(x, self.xs, self.vs)
         return float(out) if out.ndim == 0 else out
@@ -102,6 +112,35 @@ class SampledFunction:
 
     def scaled(self, c: float) -> "SampledFunction":
         return SampledFunction(self.xs, c * self.vs)
+
+
+def lerp(xs: np.ndarray, vs: np.ndarray, q):
+    """Linear interpolation of samples on strictly increasing ``xs``, clamped at the ends.
+
+    Evaluates ``v0 * (1 - w) + v1 * w`` on the segment found by
+    ``searchsorted``.  This rounds differently from ``np.interp``; the trace
+    store and the designed trace are read through it so their outputs stay
+    bit-stable.  A Python number ``q`` takes a scalar path (the forward march
+    asks for one point per call); anything else is evaluated as an array.
+    """
+    n = xs.shape[0]
+    if isinstance(q, (float, int)):
+        # Python floats round like float64 array elements and cost less.
+        i = int(xs.searchsorted(q))
+        if i <= 0:
+            return vs.item(0)
+        if i >= n:
+            return vs.item(-1)
+        x0 = xs.item(i - 1)
+        w = (q - x0) / (xs.item(i) - x0)
+        return vs.item(i - 1) * (1.0 - w) + vs.item(i) * w
+    q = np.asarray(q, dtype=float)
+    i = np.searchsorted(xs, q)
+    j = np.clip(i, 1, n - 1)
+    x0 = xs[j - 1]
+    w = (q - x0) / (xs[j] - x0)
+    inner = vs[j - 1] * (1.0 - w) + vs[j] * w
+    return np.where(i <= 0, vs[0], np.where(i >= n, vs[-1], inner))
 
 
 def evaluate(fn: SampledFunction, x: float) -> float:

@@ -33,12 +33,19 @@ VALID_REGULARITY = ("C01", "C1")
 # Pointwise kernel
 # ---------------------------------------------------------------------------
 
-def griffith_speed(fprime_at_trace: float, kappa_at_front: float) -> float:
-    """Front speed selected by the energy criterion; always in [0, 1)."""
-    if kappa_at_front <= 0.0:
+def griffith_speed(fprime_at_trace, kappa_at_front):
+    """Front speed selected by the energy criterion; always in [0, 1).
+
+    Scalars give a float (the march's per-step query); arrays give an array.
+    """
+    if isinstance(kappa_at_front, np.ndarray):
+        if np.any(kappa_at_front <= 0.0):
+            raise InvalidToughness(f"toughness must be positive, got {np.min(kappa_at_front)}")
+    elif kappa_at_front <= 0.0:
         raise InvalidToughness(f"toughness must be positive, got {kappa_at_front}")
     twice_sq = 2.0 * fprime_at_trace * fprime_at_trace
-    return max((twice_sq - kappa_at_front) / (twice_sq + kappa_at_front), 0.0)
+    speed = (twice_sq - kappa_at_front) / (twice_sq + kappa_at_front)
+    return np.maximum(speed, 0.0) if isinstance(speed, np.ndarray) else max(speed, 0.0)
 
 
 def speed_to_fprime_magnitude(v: float, kappa_at_front: float) -> float:

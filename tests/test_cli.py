@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from debond import cli
 from debond.cli import main
 from debond.config import emit_config, load_config, parse_config
 
@@ -119,6 +120,31 @@ def test_missing_T_names_field(tmp_path, capsys):
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "T" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("T: 3.0", "T: .nan", "'T'"),
+        ("T: 3.0", "T: .inf", "'T'"),
+        ("{h: 1.0e-3,", "{h: .nan,", "'solver.h'"),
+    ],
+)
+def test_non_finite_number_names_field(tmp_path, capsys, old, new, field):
+    code, _ = run(tmp_path, STATIC_ZERO.replace(old, new, 1), "simulate")
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def overflow(cfg, args):
+        raise OverflowError("cannot convert float infinity to integer")
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate", overflow)
+    code, _ = run(tmp_path, STATIC_ZERO, "simulate")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "OverflowError" in err
 
 
 def test_incompatible_data_exits_3(tmp_path):

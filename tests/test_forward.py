@@ -16,6 +16,7 @@ from debond import (
     solve_front,
     solve_initial_branch,
 )
+from debond.control import uprime_from_fprime
 from debond.forward import reconstruct_state
 
 
@@ -306,3 +307,45 @@ def test_damping_bound_at_horizon():
             [kappa(sol.front.ell(sol.front.tau_plus.invert(x + T))) for x in xs]
         )
         assert np.max(w_sq - 2.0 * kap_along) <= 20 * h
+
+
+# -- array queries ---------------------------------------------------------------
+
+def test_array_queries_equal_pointwise_queries():
+    # Sampled toughness, non-zero data and a stepwise control: every array
+    # query must give exactly the values of the same query point by point.
+    T = 4.0
+    xs = np.linspace(0.0, 8.0, 65)
+    kappa = Toughness(SampledFunction(xs, 0.8 * (1.0 + 0.3 * np.sin(1.3 * xs + 0.2))))
+    st = make_state(1.0, lambda x: 0.2 * x * (1.0 - x), lambda x: 0.5 * math.cos(3.0 * x))
+    ctrl = stepwise_control(T, np.random.default_rng(5))
+    sol = solve_front(st, ctrl, kappa, SolverConfig(h=1e-3, T=T))
+
+    s = np.concatenate([np.linspace(-1.0, T, 157), sol.trace_function().xs[::37]])
+    for query in (sol.trace_value, sol.trace_slope):
+        assert isinstance(query(1.5), float)
+        assert np.all(query(s) == np.array([query(q) for q in s]))
+
+    s_up = s[s >= 0.0]
+    up = uprime_from_fprime(sol.trace_slope, sol.front, st, s_up)
+    assert np.all(up == np.array([uprime_from_fprime(sol.trace_slope, sol.front, st, q)
+                                  for q in s_up]))
+
+    for t in (0.3, 2.2, T):
+        xg = np.linspace(0.0, sol.front.ell(t), 41)
+        whole = np.array(sol.reconstruct(t, xg))
+        single = np.array([sol.reconstruct(t, [x]) for x in xg])[:, :, 0].T
+        assert np.all(whole == single)
+
+
+def test_deep_reflection_chain_beyond_recursion_limit():
+    # With ell0 = 0.004 a trace point near T = 9 lies over 1000 reflections
+    # deep, past CPython's default recursion limit.
+    T = 9.0
+    sol = solve_front(
+        zero_state(ell0=0.004), ControlSignal.zero(T), Toughness(1.0), SolverConfig(h=4e-4, T=T)
+    )
+    y, dty, dxy = sol.reconstruct(T, np.linspace(0.0, sol.front.ell(T), 65))
+    assert np.all(y == 0.0) and np.all(dty == 0.0) and np.all(dxy == 0.0)
+    f = sol.trace_value(sol.trace_function().xs)
+    assert np.all(np.isfinite(f)) and np.all(f == 0.0)

@@ -13,6 +13,7 @@ from debond import (
     from_callable,
     invert,
 )
+from debond.func1d import lerp
 
 
 def test_evaluate_constant():
@@ -28,6 +29,24 @@ def test_evaluate_identity_interpolation():
 def test_evaluate_midpoint_of_segment():
     fn = SampledFunction([0.0, 2.0], [0.0, 4.0])
     assert evaluate(fn, 1.0) == 2.0
+
+
+def test_scalar_and_array_evaluation_agree():
+    fn = SampledFunction([0.0, 0.3, 1.0], [1.0, -2.0, 0.5])
+    for x in (0.0, 0.1, 0.3, 0.77, 1.0, -1e-12, 1.0 + 1e-12, np.float64(0.42)):
+        assert fn(x) == fn(np.array([x]))[0]
+        assert isinstance(fn(x), float)
+    for x in (-0.5, 1.5):
+        with pytest.raises(DomainError, match="outside domain"):
+            fn(x)
+
+
+def test_lerp_array_path_matches_scalar_path():
+    rng = np.random.default_rng(3)
+    xs = np.sort(rng.uniform(-1.0, 2.0, 40))
+    vs = rng.normal(size=40)
+    q = np.concatenate([rng.uniform(-1.5, 2.5, 200), xs])
+    assert np.all(lerp(xs, vs, q) == np.array([lerp(xs, vs, float(x)) for x in q]))
 
 
 def test_evaluate_rejects_extrapolation():
