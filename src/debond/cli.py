@@ -52,13 +52,19 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+# Rows formatted per write: bounds the memory of the Python-float lists.
+_CSV_CHUNK = 1024
+
+
 def _write_csv(path, header, columns):
+    # "%.17g" on a Python float prints exactly what _fmt prints.
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     rows = len(columns[0])
-    lines = [",".join(header)]
-    for i in range(rows):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, rows, _CSV_CHUNK):
+            cols = [np.asarray(col[lo:lo + _CSV_CHUNK], dtype=float).tolist() for col in columns]
+            fh.write("".join([row % values for values in zip(*cols)]))
 
 
 def _write_keyvals(path, pairs):

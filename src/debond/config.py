@@ -63,7 +63,13 @@ def _normalize_function(spec, path):
         for i, row in enumerate(rows):
             if not isinstance(row, (list, tuple)) or len(row) != 2:
                 raise ConfigError(f"{path}.samples[{i}]", "expected [x, value]")
-            table.append([float(row[0]), float(row[1])])
+            try:
+                x, v = float(row[0]), float(row[1])
+            except (TypeError, ValueError):
+                raise ConfigError(f"{path}.samples[{i}]", "expected two numbers") from None
+            if not (math.isfinite(x) and math.isfinite(v)):
+                raise ConfigError(f"{path}.samples[{i}]", f"expected finite numbers, got {row}")
+            table.append([x, v])
         return {"samples": table}
     preset = _require(spec, "preset", f"{path}.")
     if preset not in _PRESETS:
@@ -227,6 +233,8 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("(document)", "top level must be a mapping")
 
     T = _number(doc, "T", "")
+    if T <= 0.0:
+        raise ConfigError("T", f"horizon must be positive, got {T}")
     solver_in = doc.get("solver", {})
     if not isinstance(solver_in, dict):
         raise ConfigError("solver", "expected a mapping")
@@ -234,6 +242,8 @@ def parse_config(text: str) -> ScenarioConfig:
         "h": _number(solver_in, "h", "solver.", default=1e-3),
         "scheme": solver_in.get("scheme", "heun"),
     }
+    if solver["h"] <= 0.0:
+        raise ConfigError("solver.h", f"time step must be positive, got {solver['h']}")
     if solver["scheme"] not in ("euler", "heun"):
         raise ConfigError("solver.scheme", "must be 'euler' or 'heun'")
     if "speed_clamp_eps" in solver_in:

@@ -126,20 +126,12 @@ def fprime_for_prescribed_front(
 
     vals = np.empty(n)
     moving = vs > _SPEED_TOL
-    for i in range(n):
-        if moving[i]:
-            mag = speed_to_fprime_magnitude(min(vs[i], 1.0 - 1e-12), kappa(Ls[i]))
-            vals[i] = math.copysign(mag, sign_at(ts[i]))
+    mags = speed_to_fprime_magnitude(np.minimum(vs[moving], 1.0 - 1e-12), kappa(Ls[moving]))
+    vals[moving] = np.copysign(mags, [sign_at(t) for t in ts[moving].tolist()])
 
-    i = 0
-    while i < n:
-        if moving[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and not moving[j + 1]:
-            j += 1
-        # anchors for the static run [i, j]
+    # Static runs [i, j]: edges of the runs of non-moving nodes.
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], (~moving).astype(np.int8), [0]))))
+    for i, j in zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()):
         if i > 0:
             sa, va = s_nodes[i - 1], vals[i - 1]
         elif left_value is not None:
@@ -159,16 +151,11 @@ def fprime_for_prescribed_front(
             va, sa = vb, s_nodes[i]
         elif vb is None:
             vb, sb = va, s_nodes[j]
-        for k in range(i, j + 1):
-            if sb > sa:
-                w = (s_nodes[k] - sa) / (sb - sa)
-                w = min(max(w, 0.0), 1.0)
-            else:
-                w = 0.0
-            raw = va * (1.0 - w) + vb * w
-            band = math.sqrt(0.5 * kappa(Ls[k]))
-            vals[k] = min(max(raw, -band), band)
-        i = j + 1
+        run = slice(i, j + 1)
+        w = np.clip((s_nodes[run] - sa) / (sb - sa), 0.0, 1.0) if sb > sa else 0.0
+        raw = va * (1.0 - w) + vb * w
+        band = np.sqrt(0.5 * kappa(Ls[run]))
+        vals[run] = np.clip(raw, -band, band)
     return s_nodes, vals
 
 

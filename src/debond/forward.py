@@ -19,6 +19,7 @@ reflection relation queries them), with linear interpolation between.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,10 @@ class SolverConfig:
     speed_clamp_eps: float = 1e-9
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError("time step must be positive")
-        if self.T <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"time step must be positive and finite, got {self.h}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.T}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
         if not 0.0 < self.speed_clamp_eps < 1e-3:
@@ -83,7 +84,11 @@ class _SeedData:
 
 
 class _March:
-    """Shared marching core for the forward solve and the initial branch."""
+    """Shared marching core for the forward solve and the initial branch.
+
+    ``fprime``, ``_commit`` and ``step`` work through memoryviews of the arrays
+    ``SolutionRecord`` reads: Python floats, rounded like float64 elements.
+    """
 
     def __init__(self, initial, kappa, cfg, uprime_xs, uprime_vs):
         if cfg.h > initial.ell0 / 10.0 + 1e-15:
@@ -102,6 +107,15 @@ class _March:
         self.sp = np.empty(n_steps + 1)  # tau_plus(t_n)
         self.fp = np.empty(n_steps + 1)  # f'(sm[n])
         self.n = 0
+        seed, mv = self.seed, memoryview
+        self._t, self._ell, self._ellp = mv(self.t), mv(self.ell), mv(self.ellp)
+        self._sm, self._sp, self._fp = mv(self.sm), mv(self.sp), mv(self.fp)
+        self._up_xs, self._up_vs = mv(uprime_xs), mv(uprime_vs)
+        self._minus_xs, self._minus_vs = mv(seed.minus_xs), mv(seed.minus_vs)
+        self._plus_xs, self._plus_vs = mv(seed.plus_xs), mv(seed.plus_vs)
+        self._ell0 = seed.ell0
+        self._clamp_hi = 1.0 - cfg.speed_clamp_eps
+        self._euler = cfg.scheme == "euler"
         self._kconst = kappa.kappa if kappa.is_constant else None
         self._commit(0, initial.ell0)
 
@@ -110,11 +124,8 @@ class _March:
             return self._kconst
         return self.kappa(x)
 
-    def _uprime(self, s):
-        return lerp(self.up_xs, self.up_vs, s)
-
     def _clamp(self, v):
-        hi = 1.0 - self.cfg.speed_clamp_eps
+        hi = self._clamp_hi
         return 0.0 if v < 0.0 else (hi if v > hi else v)
 
     def fprime(self, q, n):
@@ -123,21 +134,22 @@ class _March:
         The march's per-step query; ``fprime_array`` is the same relation
         evaluated over an array with every committed node.
         """
+        ell0 = self._ell0
         if q <= 0.0:
-            return lerp(self.seed.minus_xs, self.seed.minus_vs, q)
-        if q <= self.seed.ell0:
-            return self._uprime(q) - lerp(self.seed.plus_xs, self.seed.plus_vs, q)
-        sp = self.sp[:n]
-        ell_at = lerp(sp, self.ell[:n], q)
-        v_at = lerp(sp, self.ellp[:n], q)
+            return lerp(self._minus_xs, self._minus_vs, q)
+        if q <= ell0:
+            return lerp(self._up_xs, self._up_vs, q) - lerp(self._plus_xs, self._plus_vs, q)
+        sp = self._sp
+        ell_at = lerp(sp, self._ell, q, n)
+        v_at = lerp(sp, self._ellp, q, n)
         echo = q - 2.0 * ell_at
-        if echo < -self.seed.ell0:
-            echo = -self.seed.ell0
-        if echo <= self.seed.ell0:
+        if echo < -ell0:
+            echo = -ell0
+        if echo <= ell0:
             fp_echo = self.fprime(echo, n)
         else:
-            fp_echo = lerp(self.sm[:n], self.fp[:n], echo)
-        return self._uprime(q) + fp_echo * (1.0 - v_at) / (1.0 + v_at)
+            fp_echo = lerp(self._sm, self._fp, echo, n)
+        return lerp(self._up_xs, self._up_vs, q) + fp_echo * (1.0 - v_at) / (1.0 + v_at)
 
     def seed_fprime_array(self, q):
         """Trace slope on an array q <= ell0: the data and the control alone."""
@@ -145,7 +157,7 @@ class _March:
         return np.where(
             q <= 0.0,
             lerp(seed.minus_xs, seed.minus_vs, q),
-            self._uprime(q) - lerp(seed.plus_xs, seed.plus_vs, q),
+            lerp(self.up_xs, self.up_vs, q) - lerp(seed.plus_xs, seed.plus_vs, q),
         )
 
     def fprime_array(self, q):
@@ -159,32 +171,29 @@ class _March:
         fp_echo = np.where(
             echo <= seed.ell0, self.seed_fprime_array(echo), lerp(self.sm[:n], self.fp[:n], echo)
         )
-        reflected = self._uprime(q) + fp_echo * (1.0 - v_at) / (1.0 + v_at)
+        reflected = lerp(self.up_xs, self.up_vs, q) + fp_echo * (1.0 - v_at) / (1.0 + v_at)
         return np.where(q <= seed.ell0, self.seed_fprime_array(q), reflected)
 
-    # _commit and step read array elements as Python floats (``item``): the
-    # arithmetic rounds the same and runs faster than on numpy scalars.
-
     def _commit(self, n, ell_n):
-        t = self.t.item(n)
+        t = self._t[n]
         sm = t - ell_n
-        self.ell[n] = ell_n
-        self.sm[n] = sm
-        self.sp[n] = t + ell_n
-        if n > 0 and sm <= self.sm.item(n - 1):
+        self._ell[n] = ell_n
+        self._sm[n] = sm
+        self._sp[n] = t + ell_n
+        if n > 0 and sm <= self._sm[n - 1]:
             raise StepTooLarge(f"tau_minus lost monotonicity at t = {t:.6g}; reduce the step")
         fp = self.fprime(sm, n)
-        self.fp[n] = fp
-        self.ellp[n] = self._clamp(griffith_speed(fp, self._kappa_at(ell_n)))
+        self._fp[n] = fp
+        self._ellp[n] = self._clamp(griffith_speed(fp, self._kappa_at(ell_n)))
         self.n = n
 
     def step(self):
         n = self.n
-        t1 = self.t.item(n + 1)
-        h = t1 - self.t.item(n)
-        v0 = self.ellp.item(n)
-        ell = self.ell.item(n)
-        if self.cfg.scheme == "euler":
+        t1 = self._t[n + 1]
+        h = t1 - self._t[n]
+        v0 = self._ellp[n]
+        ell = self._ell[n]
+        if self._euler:
             self._commit(n + 1, ell + h * v0)
             return
         ell_pred = ell + h * v0

@@ -9,6 +9,7 @@ consistent with functions whose derivative exists only almost everywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,8 @@ class SampledFunction:
             raise ValueError("abscissae and values must be 1-D arrays of equal length")
         if xs.size < 2:
             raise ValueError("need at least two samples")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+            raise ValueError("abscissae and values must be finite")
         span = xs[-1] - xs[0]
         dx = np.diff(xs)
         if span <= 0.0 or np.any(dx < _MIN_SPACING * span):
@@ -55,6 +58,8 @@ class SampledFunction:
         for name, arr in (("xs", xs), ("vs", vs), ("_cum", cum)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # Python-float views for the scalar path of ``__call__``.
+        object.__setattr__(self, "_views", (memoryview(xs), memoryview(vs)))
 
     @property
     def lo(self) -> float:
@@ -83,13 +88,20 @@ class SampledFunction:
 
     def __call__(self, x):
         if isinstance(x, float):
-            # Scalar fast path (per-step queries of the forward march): the
-            # same domain check and clamp in plain float comparisons.
-            lo, hi = self.xs.item(0), self.xs.item(-1)
+            # Scalar path (per-step queries of the marches): the same domain
+            # check and clamp, then np.interp's arithmetic on Python floats
+            # (after the clamp, the last node is found only at x == hi).
+            xs, vs = self._views
+            lo, hi = xs[0], xs[-1]
             slack = _DOMAIN_SLACK * max(hi - lo, 1.0)
-            if x < lo - slack or x > hi + slack:
+            if not lo - slack <= x <= hi + slack:
                 raise self._domain_error(x)
-            return float(np.interp(min(max(x, lo), hi), self.xs, self.vs))
+            x = min(max(x, lo), hi)
+            j = bisect_right(xs, x) - 1
+            x0 = xs[j]
+            if x == x0:
+                return vs[j]
+            return (vs[j + 1] - vs[j]) / (xs[j + 1] - x0) * (x - x0) + vs[j]
         x = self._clip(x)
         out = np.interp(x, self.xs, self.vs)
         return float(out) if out.ndim == 0 else out
@@ -114,26 +126,29 @@ class SampledFunction:
         return SampledFunction(self.xs, c * self.vs)
 
 
-def lerp(xs: np.ndarray, vs: np.ndarray, q):
+def lerp(xs, vs, q, n=None):
     """Linear interpolation of samples on strictly increasing ``xs``, clamped at the ends.
 
-    Evaluates ``v0 * (1 - w) + v1 * w`` on the segment found by
-    ``searchsorted``.  This rounds differently from ``np.interp``; the trace
+    Evaluates ``v0 * (1 - w) + v1 * w`` on the segment found by a left-sided
+    binary search.  This rounds differently from ``np.interp``; the trace
     store and the designed trace are read through it so their outputs stay
-    bit-stable.  A Python number ``q`` takes a scalar path (the forward march
-    asks for one point per call); anything else is evaluated as an array.
+    bit-stable.  A Python number ``q`` takes a scalar path on any float
+    sequence (the march passes memoryviews and asks for one point per call)
+    over the first ``n`` samples, all by default; anything else is evaluated
+    as an array over all of ``xs``.
     """
-    n = xs.shape[0]
     if isinstance(q, (float, int)):
-        # Python floats round like float64 array elements and cost less.
-        i = int(xs.searchsorted(q))
+        n = len(xs) if n is None else n
+        # bisect_left is searchsorted(side="left") on sorted, NaN-free data.
+        i = bisect_left(xs, q, 0, n)
         if i <= 0:
-            return vs.item(0)
+            return vs[0]
         if i >= n:
-            return vs.item(-1)
-        x0 = xs.item(i - 1)
-        w = (q - x0) / (xs.item(i) - x0)
-        return vs.item(i - 1) * (1.0 - w) + vs.item(i) * w
+            return vs[n - 1]
+        x0 = xs[i - 1]
+        w = (q - x0) / (xs[i] - x0)
+        return vs[i - 1] * (1.0 - w) + vs[i] * w
+    n = xs.shape[0]
     q = np.asarray(q, dtype=float)
     i = np.searchsorted(xs, q)
     j = np.clip(i, 1, n - 1)

@@ -48,17 +48,22 @@ def griffith_speed(fprime_at_trace, kappa_at_front):
     return np.maximum(speed, 0.0) if isinstance(speed, np.ndarray) else max(speed, 0.0)
 
 
-def speed_to_fprime_magnitude(v: float, kappa_at_front: float) -> float:
+def speed_to_fprime_magnitude(v, kappa_at_front):
     """Trace-slope magnitude that produces front speed ``v`` (0 < v < 1).
 
     Right inverse of :func:`griffith_speed`; as v -> 0+ the magnitude tends
-    to the threshold sqrt(kappa / 2).
+    to the threshold sqrt(kappa / 2).  Scalars give a float, arrays an array
+    (``np.sqrt`` is correctly rounded, like ``math.sqrt``).
     """
-    if not 0.0 < v < 1.0:
-        raise SpeedOutOfRange(f"speed must lie in (0, 1), got {v}")
-    if kappa_at_front <= 0.0:
-        raise InvalidToughness(f"toughness must be positive, got {kappa_at_front}")
-    return math.sqrt(kappa_at_front * (1.0 + v) / (2.0 * (1.0 - v)))
+    v = np.asarray(v, dtype=float)
+    kappa_at_front = np.asarray(kappa_at_front, dtype=float)
+    outside = ~((v > 0.0) & (v < 1.0))
+    if np.any(outside):
+        raise SpeedOutOfRange(f"speed must lie in (0, 1), got {v[outside].flat[0]}")
+    if np.any(kappa_at_front <= 0.0):
+        raise InvalidToughness(f"toughness must be positive, got {np.min(kappa_at_front)}")
+    out = np.sqrt(kappa_at_front * (1.0 + v) / (2.0 * (1.0 - v)))
+    return float(out) if out.ndim == 0 else out
 
 
 def energy_release_rate(speed: float, slope_at_front: float) -> float:

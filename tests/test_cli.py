@@ -136,6 +136,28 @@ def test_non_finite_number_names_field(tmp_path, capsys, old, new, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("  y1: {preset: constant, value: 0.0}\ncontrol",
+         "  y1: {samples: [[0.0, 0.0], [0.5, .nan], [1.0, 0.0]]}\ncontrol",
+         "'initial.y1.samples[1]'"),
+        ("  y1: {preset: constant, value: 0.0}\ncontrol",
+         "  y1: {samples: [[0.0, 0.0], [1.0, zero]]}\ncontrol", "'initial.y1.samples[1]'"),
+        ("T: 3.0", "T: -1.0", "'T'"),
+        ("T: 3.0", "T: 0.0", "'T'"),
+        ("{h: 1.0e-3,", "{h: -1.0e-3,", "'solver.h'"),
+    ],
+)
+def test_invalid_input_exits_2_naming_field(tmp_path, capsys, old, new, field):
+    doc = STATIC_ZERO.replace(old, new, 1)
+    assert doc != STATIC_ZERO
+    code, out = run(tmp_path, doc, "simulate")
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "front.csv").exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     def overflow(cfg, args):
         raise OverflowError("cannot convert float infinity to integer")

@@ -83,6 +83,60 @@ def test_fprime_sign_change_through_plateau():
     assert np.any(np.diff(np.sign(v[np.abs(v) > 0])) != 0)
 
 
+def _prescribed_front_by_node(front, kappa, sign_at, left_value, right_value):
+    # Node-by-node reference: math.sqrt and scalar toughness queries.
+    ts, Ls, vs = front.times.tolist(), front.positions.tolist(), front.speeds.tolist()
+    s_nodes = [t - L for t, L in zip(ts, Ls)]
+    n = len(ts)
+    moving = [v > 1e-12 for v in vs]
+    vals = [0.0] * n
+    for i in range(n):
+        if moving[i]:
+            v = min(vs[i], 1.0 - 1e-12)
+            mag = math.sqrt(kappa(Ls[i]) * (1.0 + v) / (2.0 * (1.0 - v)))
+            vals[i] = math.copysign(mag, sign_at(ts[i]))
+    i = 0
+    while i < n:
+        if moving[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and not moving[j + 1]:
+            j += 1
+        sa, va = (s_nodes[i - 1], vals[i - 1]) if i > 0 else (s_nodes[i], left_value)
+        sb, vb = (s_nodes[j + 1], vals[j + 1]) if j + 1 < n else (s_nodes[j], right_value)
+        if va is None and vb is None:
+            va = vb = 0.0
+        elif va is None:
+            va = vb
+        elif vb is None:
+            vb = va
+        for k in range(i, j + 1):
+            w = min(max((s_nodes[k] - sa) / (sb - sa), 0.0), 1.0) if sb > sa else 0.0
+            band = math.sqrt(0.5 * kappa(Ls[k]))
+            vals[k] = min(max(va * (1.0 - w) + vb * w, -band), band)
+        i = j + 1
+    return np.array(s_nodes), np.array(vals)
+
+
+@pytest.mark.parametrize("ends", [(0.3, -0.2), (None, 0.4), (0.1, None), (None, None)])
+def test_fprime_prescribed_front_matches_node_by_node(ends):
+    rng = np.random.default_rng(17)
+    ts = np.linspace(1.0, 4.0, 601)
+    speeds = np.where(np.sin(5.0 * ts) > 0.2, rng.uniform(0.05, 0.9, ts.size), 0.0)
+    speeds[:40] = 0.0  # a static run at each end
+    speeds[-25:] = 0.0
+    ells = 1.0 + np.concatenate(([0.0], np.cumsum(0.5 * (speeds[1:] + speeds[:-1]) * np.diff(ts))))
+    front = FrontCurve(ts, ells, speeds)
+    kx = np.linspace(0.0, 8.0, 65)
+    for kappa in (Toughness(1.3), Toughness(SampledFunction(kx, 1.0 + 0.2 * np.sin(1.7 * kx)))):
+        sign_at = lambda t: 1.0 if t < 2.5 else -1.0
+        s, v = fprime_for_prescribed_front(front, kappa, sign_at, *ends)
+        s_ref, v_ref = _prescribed_front_by_node(front, kappa, sign_at, *ends)
+        assert np.all(s == s_ref)
+        assert np.all(v == v_ref)
+
+
 def test_uprime_inside_data_region():
     st = make_initial(1.0, lambda x: 0.0, lambda x: 2.0)
     seg = static_front(1.0, 0.0, 3.0)

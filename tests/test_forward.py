@@ -349,3 +349,11 @@ def test_deep_reflection_chain_beyond_recursion_limit():
     assert np.all(y == 0.0) and np.all(dty == 0.0) and np.all(dxy == 0.0)
     f = sol.trace_value(sol.trace_function().xs)
     assert np.all(np.isfinite(f)) and np.all(f == 0.0)
+
+
+@pytest.mark.parametrize(
+    "h, T", [(math.nan, 3.0), (math.inf, 3.0), (-1e-3, 3.0), (1e-3, math.nan), (1e-3, math.inf)]
+)
+def test_solver_config_rejects_non_finite_or_non_positive(h, T):
+    with pytest.raises(ValueError, match="positive and finite"):
+        SolverConfig(h=h, T=T)

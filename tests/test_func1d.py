@@ -178,3 +178,51 @@ def test_evaluate_monotone_between_samples():
     q = np.sort(rng.uniform(0.0, 1.0, 200))
     out = fn(q)
     assert np.all(np.diff(out) >= -1e-14)
+
+
+def _float_path_queries(xs, rng):
+    lo, hi = xs[0], xs[-1]
+    slack = 1e-9 * max(hi - lo, 1.0)
+    inner = rng.uniform(lo, hi, 400)
+    edges = [lo, hi, lo - 0.5 * slack, hi + 0.5 * slack]
+    edges += [np.nextafter(lo, hi), np.nextafter(hi, lo)]
+    return np.concatenate([xs, inner, edges]).tolist()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
+def test_sampled_function_float_path_matches_np_interp(scale):
+    # The float path reproduces np.interp's arithmetic bit for bit: at nodes,
+    # at both endpoints, inside the clamp slack just outside the domain, and
+    # at magnitudes from 1e-300 to 1e300.
+    rng = np.random.default_rng(int(np.log10(scale)) + 400)
+    for _ in range(20):
+        n = int(rng.integers(2, 60))
+        xs = np.sort(rng.uniform(-1.0, 1.0, n)) * scale
+        xs[1:] = np.maximum(xs[1:], xs[:-1] + 1e-6 * scale)  # spacing check holds
+        vs = rng.normal(size=n) * scale * 10.0 ** rng.uniform(-3, 3)
+        with np.errstate(over="ignore", invalid="ignore"):  # the node antiderivative
+            fn = SampledFunction(xs, vs)
+        q = _float_path_queries(fn.xs, rng)
+        scalar = np.array([fn(x) for x in q])
+        assert np.all(scalar == fn(np.array(q)))
+
+
+def test_sampled_function_rejects_non_finite_samples_and_queries():
+    for xs, vs in (([0.0, np.nan], [0.0, 1.0]), ([0.0, 1.0], [np.inf, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            SampledFunction(xs, vs)
+    with pytest.raises(DomainError):
+        SampledFunction([0.0, 1.0], [0.0, 1.0])(float("nan"))
+
+
+def test_lerp_scalar_prefix_on_memoryview_matches_array_path():
+    # The march reads its arrays through memoryviews and only the first n
+    # samples; that must equal the array path on the slices xs[:n], vs[:n].
+    rng = np.random.default_rng(11)
+    xs = np.cumsum(rng.uniform(1e-3, 0.1, 300))
+    vs = rng.normal(size=300)
+    xv, vv = memoryview(xs), memoryview(vs)
+    for n in (2, 7, 150, 300):
+        q = np.concatenate([rng.uniform(xs[0] - 1.0, xs[n - 1] + 1.0, 200), xs[:n]])
+        scalar = np.array([lerp(xv, vv, x, n) for x in q.tolist()])
+        assert np.all(scalar == lerp(xs[:n], vs[:n], q))
