@@ -4,13 +4,14 @@
     python3 scripts/compare_outputs.py REV        # e.g. HEAD~ or a commit id
 
 Extracts REV's ``src/`` with ``git archive`` into a temporary directory and
-runs ``simulate``, ``initial-branch``, ``final-branch``, ``synthesize`` and
-``verify`` on three fixed scenarios, once with this checkout's ``src/`` and
-once with REV's.  Every exit code and every file the commands write (CSV and
-key=value) must match.  Exit status: 0 when all are identical, 1 at the
-first difference (the file and byte offset are named), 2 when REV cannot be
-extracted.  Needs only the standard library plus the package's own
-dependencies (numpy, PyYAML).
+runs ``simulate``, ``initial-branch``, ``final-branch``, ``check-admissible``,
+``synthesize`` and ``verify`` on three fixed scenarios, then ``verify
+--control-csv`` replaying the ``control.csv`` that ``synthesize`` wrote for the
+same scenario, once with this checkout's ``src/`` and once with REV's.  Every
+exit code and every file the commands write (CSV and key=value) must match.
+Exit status: 0 when all are identical, 1 at the first difference (the file
+and byte offset are named), 2 when REV cannot be extracted.  Needs only the
+standard library plus the package's own dependencies (numpy, PyYAML).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COMMANDS = ("simulate", "initial-branch", "final-branch", "synthesize", "verify")
+COMMANDS = ("simulate", "initial-branch", "final-branch", "check-admissible", "synthesize",
+            "verify")
 ZERO = "{preset: constant, value: 0.0}"
 
 
@@ -96,14 +98,18 @@ def run_all(src, config_dir, out_dir):
     env = dict(os.environ, PYTHONPATH=str(src))
     codes = {}
     for name in SCENARIOS:
-        for command in COMMANDS:
-            out = out_dir / name / command
+        # (output label, command, extra arguments); the replay reads synthesize's output.
+        replay = ["--control-csv", str(out_dir / name / "synthesize" / "control.csv")]
+        runs = [(command, command, []) for command in COMMANDS]
+        runs.append(("verify-replay", "verify", replay))
+        for label, command, extra in runs:
             proc = subprocess.run(
                 [sys.executable, "-m", "debond.cli", command,
-                 "--config", str(config_dir / f"{name}.yaml"), "--out", str(out)],
+                 "--config", str(config_dir / f"{name}.yaml"),
+                 "--out", str(out_dir / name / label), *extra],
                 env=env, capture_output=True, text=True,
             )
-            codes[name, command] = proc.returncode
+            codes[name, label] = proc.returncode
     return codes
 
 

@@ -67,6 +67,7 @@ from .control import (
     synthesize_static_c01,
     synthesize_static_c1,
     uprime_from_fprime,
+    verify_control,
     verify_synthesis,
 )
 

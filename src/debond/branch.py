@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import C1SwitchViolation, DeadEnd, NoTermination
 from .model import (
+    SPEED_CAP,
     BranchResult,
     FrontCurve,
     TargetState,
@@ -71,10 +72,6 @@ def branch_speed_options(Y: float, K: float):
     return (0.0, root)
 
 
-def _coincident(root: float, tol: float) -> bool:
-    return root <= tol
-
-
 class _BackwardMarch:
     def __init__(self, target, kappa, T, policy):
         self.w = target.w_plus()
@@ -88,7 +85,7 @@ class _BackwardMarch:
         wv = self.w(x)
         return branch_speed_options(wv * wv, 2.0 * self.kappa(L))
 
-    def choose(self, t, L, moving_mode, at_terminal=False, forced=None):
+    def choose(self, t, L, moving_mode, forced=None):
         """Pick a speed at (t, L); returns (speed, new_moving_mode, alt_flag)."""
         opts = self._options(t, L)
         root = opts[-1]
@@ -98,7 +95,7 @@ class _BackwardMarch:
             # terminal node of a C1 branch: speed pinned to alpha
             want_moving = forced > self.switch_tol
             prefer_moving = self.policy.mode == "prefer_moving"
-            if want_moving != prefer_moving and not _coincident(root, self.switch_tol):
+            if want_moving != prefer_moving and root > self.switch_tol:
                 raise C1SwitchViolation(
                     f"policy {self.policy.mode} demands a speed jump at t = T away "
                     f"from a coincidence point (terminal speed {forced:.6g}, "
@@ -111,14 +108,14 @@ class _BackwardMarch:
             return 0.0, False, alt
         # C1 rules: stay on the current branch unless the options coincide.
         if moving_mode:
-            if self.policy.mode == "prefer_static" and _coincident(root, self.switch_tol):
+            if self.policy.mode == "prefer_static" and root <= self.switch_tol:
                 return 0.0, False, alt
             if not has_moving:
                 # root collapsed to zero: the branches merge
                 return 0.0, False, alt
             return root, True, alt
         if self.policy.mode == "prefer_moving" and has_moving:
-            if _coincident(root, self.switch_tol):
+            if root <= self.switch_tol:
                 return root, True, alt
             return 0.0, False, alt  # would need a jump; keep the static branch
         return 0.0, False, alt
@@ -188,8 +185,7 @@ def solve_final_branch(
         ts[-1], Ls[-1], vs[-1] = t_bar, ell_bar, v_bar
 
     order = slice(None, None, -1)
-    clamp = 1.0 - 1e-9
-    front = FrontCurve(ts[order].copy(), Ls[order].copy(), np.minimum(vs[order], clamp))
+    front = FrontCurve(ts[order].copy(), Ls[order].copy(), np.minimum(vs[order], SPEED_CAP))
     return BranchResult(
         front_segment=front,
         t_bar_star=float(t_bar),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .branch import solve_final_branch
 from .config import ConfigError, emit_config, load_config
-from .control import synthesize_c01, synthesize_c1, verify_synthesis
+from .control import synthesize_c01, synthesize_c1, verify_control, verify_synthesis
 from .errors import (
     C1SwitchViolation,
     ConstraintViolated,
@@ -67,10 +67,9 @@ def _write_csv(path, header, columns):
             fh.write("".join([row % values for values in zip(*cols)]))
 
 
-def _write_keyvals(path, pairs):
+def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in pairs:
-            fh.write(f"{key}={value}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _outdir(cfg, args):
@@ -79,13 +78,16 @@ def _outdir(cfg, args):
     return directory
 
 
-def _control_columns(control):
+def _control_csv(path, control):
     grid = np.union1d(control.u.xs, control.uprime.xs)
-    return grid, control.u(grid), control.uprime(grid)
+    _write_csv(path, ["t", "u", "uprime"], [grid, control.u(grid), control.uprime(grid)])
 
 
-def _front_csv(path, front):
-    _write_csv(path, ["t", "ell", "ellprime"], [front.times, front.positions, front.speeds])
+_BRANCH_HEADER = ("t", "scriptL", "scriptLprime")
+
+
+def _front_csv(path, front, header=("t", "ell", "ellprime")):
+    _write_csv(path, header, [front.times, front.positions, front.speeds])
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +106,7 @@ def cmd_simulate(cfg, args):
     trace = sol.trace_function()
     _write_csv(os.path.join(out, "trace.csv"), ["s", "f", "fprime"],
                [trace.xs, sol.trace_value(trace.xs), trace.vs])
-    grid, u_vals, up_vals = _control_columns(control)
-    _write_csv(os.path.join(out, "control.csv"), ["t", "u", "uprime"],
-               [grid, u_vals, up_vals])
+    _control_csv(os.path.join(out, "control.csv"), control)
     n = cfg.output.get("state_points", 512)
     xs = np.linspace(0.0, sol.front.ell(scfg.T), n + 1)
     y, dty, dxy = sol.reconstruct(scfg.T, xs)
@@ -121,13 +121,13 @@ def cmd_initial_branch(cfg, args):
     res = solve_initial_branch(initial, kappa, cfg.solver_config())
     out = _outdir(cfg, args)
     _front_csv(os.path.join(out, "initial_branch.csv"), res.front)
-    _write_keyvals(
+    _write_lines(
         os.path.join(out, "initial_branch.txt"),
         [
-            ("t_star", _fmt(res.t_star)),
-            ("ell_star", _fmt(res.ell_star)),
-            ("ell_star_prime", _fmt(res.ell_star_prime)),
-            ("slope_authoritative", str(res.slope_authoritative).lower()),
+            f"t_star={_fmt(res.t_star)}",
+            f"ell_star={_fmt(res.ell_star)}",
+            f"ell_star_prime={_fmt(res.ell_star_prime)}",
+            f"slope_authoritative={str(res.slope_authoritative).lower()}",
         ],
     )
     return EXIT_OK
@@ -138,16 +138,14 @@ def cmd_final_branch(cfg, args):
     kappa = cfg.build_toughness()
     res = solve_final_branch(target, kappa, cfg.T, cfg.branch_policy())
     out = _outdir(cfg, args)
-    f = res.front_segment
-    _write_csv(os.path.join(out, "branch.csv"), ["t", "scriptL", "scriptLprime"],
-               [f.times, f.positions, f.speeds])
-    _write_keyvals(
+    _front_csv(os.path.join(out, "branch.csv"), res.front_segment, _BRANCH_HEADER)
+    _write_lines(
         os.path.join(out, "final_branch.txt"),
         [
-            ("t_bar_star", _fmt(res.t_bar_star)),
-            ("ell_bar_star", _fmt(res.ell_bar_star)),
-            ("ell_bar_star_prime", _fmt(res.ell_bar_star_prime)),
-            ("alpha", _fmt(res.alpha)),
+            f"t_bar_star={_fmt(res.t_bar_star)}",
+            f"ell_bar_star={_fmt(res.ell_bar_star)}",
+            f"ell_bar_star_prime={_fmt(res.ell_bar_star_prime)}",
+            f"alpha={_fmt(res.alpha)}",
         ],
     )
     return EXIT_OK
@@ -179,8 +177,7 @@ def cmd_check_admissible(cfg, args):
     lines = ["check,passed,residual,tol"]
     for name, passed, residual, tol in rows:
         lines.append(f"{name},{str(passed).lower()},{_fmt(residual)},{_fmt(tol)}")
-    with open(os.path.join(out, "admissibility.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(os.path.join(out, "admissibility.csv"), lines)
     return EXIT_OK if all(r[1] for r in rows) else EXIT_VERIFY_FAILED
 
 
@@ -197,31 +194,27 @@ def _synthesize(cfg):
 
 
 def _emit_synthesis(report, out):
-    grid, u_vals, up_vals = _control_columns(report.control)
-    _write_csv(os.path.join(out, "control.csv"), ["t", "u", "uprime"],
-               [grid, u_vals, up_vals])
-    f = report.branch.front_segment
-    _write_csv(os.path.join(out, "branch.csv"), ["t", "scriptL", "scriptLprime"],
-               [f.times, f.positions, f.speeds])
+    _control_csv(os.path.join(out, "control.csv"), report.control)
+    _front_csv(os.path.join(out, "branch.csv"), report.branch.front_segment, _BRANCH_HEADER)
     plan = report.plan
     s1, s2, s3 = report.stage_boundaries
-    _write_keyvals(
+    _write_lines(
         os.path.join(out, "plan.txt"),
         [
-            ("case", plan.case),
-            ("v", _fmt(plan.v)),
-            ("delta", _fmt(plan.delta)),
-            ("t_circ", _fmt(plan.t_circ)),
-            ("t_star", _fmt(plan.t_star)),
-            ("ell_star", _fmt(plan.ell_star)),
-            ("ell_star_prime", _fmt(plan.ell_star_prime)),
-            ("t_bar_star", _fmt(plan.t_bar_star)),
-            ("ell_bar_star", _fmt(plan.ell_bar_star)),
-            ("ell_bar_star_prime", _fmt(plan.ell_bar_star_prime)),
-            ("alpha", _fmt(report.branch.alpha)),
-            ("stage_s1", _fmt(s1)),
-            ("stage_s2", _fmt(s2)),
-            ("stage_s3", _fmt(s3)),
+            f"case={plan.case}",
+            f"v={_fmt(plan.v)}",
+            f"delta={_fmt(plan.delta)}",
+            f"t_circ={_fmt(plan.t_circ)}",
+            f"t_star={_fmt(plan.t_star)}",
+            f"ell_star={_fmt(plan.ell_star)}",
+            f"ell_star_prime={_fmt(plan.ell_star_prime)}",
+            f"t_bar_star={_fmt(plan.t_bar_star)}",
+            f"ell_bar_star={_fmt(plan.ell_bar_star)}",
+            f"ell_bar_star_prime={_fmt(plan.ell_bar_star_prime)}",
+            f"alpha={_fmt(report.branch.alpha)}",
+            f"stage_s1={_fmt(s1)}",
+            f"stage_s2={_fmt(s2)}",
+            f"stage_s3={_fmt(s3)}",
         ],
     )
 
@@ -250,34 +243,21 @@ def cmd_verify(cfg, args):
         kappa = cfg.build_toughness()
         scfg = cfg.solver_config()
         control = _load_control_csv(args.control_csv, initial.regularity)
-        sol = solve_front(initial, control, kappa, scfg)
-        ell_T = sol.front.ell(scfg.T)
-        hi = min(ell_T, target.ellbar0)
-        xs = np.linspace(0.0, hi, 401)
-        y, dty, _ = sol.reconstruct(scfg.T, xs)
-        margin = max(4.0 * scfg.h, 1e-3 * hi)
-        inner = (xs >= margin) & (xs <= hi - margin)
-        front_err = abs(ell_T - target.ellbar0)
-        disp_err = float(np.max(np.abs(y - target.ybar0(xs))))
-        vel_err = float(np.max(np.abs(dty[inner] - target.ybar1(xs[inner]))))
+        result = verify_control(control, initial, target, kappa, scfg)
     else:
         report, initial, target, kappa, scfg = _synthesize(cfg)
         _emit_synthesis(report, out)
         result = verify_synthesis(report, initial, target, kappa, scfg)
-        front_err = result.front_error
-        disp_err = result.displacement_error
-        vel_err = result.velocity_error
 
     rows = [
-        ("front_error", front_err, tol_front),
-        ("displacement_sup_error", disp_err, tol_disp),
-        ("velocity_sup_interior_error", vel_err, tol_vel),
+        ("front_error", result.front_error, tol_front),
+        ("displacement_sup_error", result.displacement_error, tol_disp),
+        ("velocity_sup_interior_error", result.velocity_error, tol_vel),
     ]
     lines = ["metric,value,tolerance,passed"]
     for name, value, tol in rows:
         lines.append(f"{name},{_fmt(value)},{_fmt(tol)},{str(value <= tol).lower()}")
-    with open(os.path.join(out, "verify.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(os.path.join(out, "verify.csv"), lines)
     return EXIT_OK if all(v <= t for _, v, t in rows) else EXIT_VERIFY_FAILED
 
 
@@ -330,10 +310,7 @@ def main(argv=None) -> int:
         if args.policy is not None:
             cfg.branch["policy"] = args.policy
         code = _COMMANDS[args.command](cfg, args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as err:
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleTime as err:

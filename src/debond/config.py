@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
+from .errors import InvalidToughness
 from .func1d import SampledFunction, derivative
 from .model import ControlSignal, InitialState, TargetState, Toughness
 
@@ -29,17 +30,13 @@ class ConfigError(ValueError):
         self.field = fieldpath
 
 
-def _require(mapping, key, path, kind=None):
+def _require(mapping, key, path):
     if not isinstance(mapping, dict) or key not in mapping:
-        raise ConfigError(f"{path}{key}" if path.endswith(".") or not path else key,
-                          "missing required field")
-    value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{path}{key}", f"expected {kind}, got {type(value).__name__}")
-    return value
+        raise ConfigError(f"{path}{key}", "missing required field")
+    return mapping[key]
 
 
-def _number(mapping, key, path, default=None):
+def _number(mapping, key, path, default=None, positive=False):
     if key not in mapping:
         if default is not None:
             return default
@@ -49,6 +46,8 @@ def _number(mapping, key, path, default=None):
         raise ConfigError(f"{path}{key}", "expected a decimal number")
     if not math.isfinite(value):
         raise ConfigError(f"{path}{key}", f"expected a finite number, got {value}")
+    if positive and value <= 0:
+        raise ConfigError(f"{path}{key}", f"expected a positive number, got {value}")
     return float(value)
 
 
@@ -74,7 +73,8 @@ def _normalize_function(spec, path):
     preset = _require(spec, "preset", f"{path}.")
     if preset not in _PRESETS:
         raise ConfigError(f"{path}.preset", f"unknown preset {preset!r}; use one of {_PRESETS}")
-    out = {"preset": preset, "resolution": int(spec.get("resolution", _DEFAULT_RESOLUTION))}
+    resolution = _number(spec, "resolution", f"{path}.", default=_DEFAULT_RESOLUTION)
+    out = {"preset": preset, "resolution": int(resolution)}
     if out["resolution"] < 1:
         raise ConfigError(f"{path}.resolution", "resolution must be at least 1")
     if preset == "constant":
@@ -164,10 +164,14 @@ class ScenarioConfig:
         c2 = spec.pop("c2", None)
         x_max = spec.pop("x_max", None)
         if spec.get("preset") == "constant":
-            return Toughness(spec["value"], c1, c2)
-        hi = x_max if x_max is not None else self._default_x_max()
-        fn, _ = build_function(spec, 0.0, hi, "toughness")
-        return Toughness(fn, c1, c2)
+            kappa = spec["value"]
+        else:
+            hi = x_max if x_max is not None else self._default_x_max()
+            kappa, _ = build_function(spec, 0.0, hi, "toughness")
+        try:
+            return Toughness(kappa, c1, c2)
+        except InvalidToughness as err:
+            raise ConfigError("toughness", str(err)) from err
 
     def _default_x_max(self):
         hi = self.T
@@ -191,7 +195,6 @@ class ScenarioConfig:
             h=self.solver["h"],
             T=self.T,
             scheme=self.solver["scheme"],
-            speed_clamp_eps=self.solver.get("speed_clamp_eps", 1e-9),
         )
 
     def branch_policy(self):
@@ -213,7 +216,7 @@ class ScenarioConfig:
 
 
 def _normalize_state(section, name, length_key):
-    ell = _number(section, length_key, f"{name}.")
+    ell = _number(section, length_key, f"{name}.", positive=True)
     reg = section.get("regularity", "C01")
     if reg not in ("C01", "C1"):
         raise ConfigError(f"{name}.regularity", "must be 'C01' or 'C1'")
@@ -232,27 +235,22 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("(document)", "top level must be a mapping")
 
-    T = _number(doc, "T", "")
-    if T <= 0.0:
-        raise ConfigError("T", f"horizon must be positive, got {T}")
+    for name in ("solver", "initial", "target", "control", "branch", "verify", "output"):
+        if not isinstance(doc.get(name, {}), dict):
+            raise ConfigError(name, "expected a mapping")
+    T = _number(doc, "T", "", positive=True)
     solver_in = doc.get("solver", {})
-    if not isinstance(solver_in, dict):
-        raise ConfigError("solver", "expected a mapping")
     solver = {
-        "h": _number(solver_in, "h", "solver.", default=1e-3),
+        "h": _number(solver_in, "h", "solver.", default=1e-3, positive=True),
         "scheme": solver_in.get("scheme", "heun"),
     }
-    if solver["h"] <= 0.0:
-        raise ConfigError("solver.h", f"time step must be positive, got {solver['h']}")
     if solver["scheme"] not in ("euler", "heun"):
         raise ConfigError("solver.scheme", "must be 'euler' or 'heun'")
-    if "speed_clamp_eps" in solver_in:
-        solver["speed_clamp_eps"] = _number(solver_in, "speed_clamp_eps", "solver.")
 
     toughness = _normalize_function(_require(doc, "toughness", ""), "toughness")
     for extra in ("c1", "c2", "x_max"):
         if isinstance(doc["toughness"], dict) and extra in doc["toughness"]:
-            toughness[extra] = _number(doc["toughness"], extra, "toughness.")
+            toughness[extra] = _number(doc["toughness"], extra, "toughness.", positive=True)
 
     cfg = ScenarioConfig(T=T, solver=solver, toughness=toughness)
 
@@ -270,7 +268,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 raise ConfigError("branch.policy", "must be 'prefer_static' or 'prefer_moving'")
             cfg.branch["policy"] = section["policy"]
         if "h" in section:
-            cfg.branch["h"] = _number(section, "h", "branch.")
+            cfg.branch["h"] = _number(section, "h", "branch.", positive=True)
     if "verify" in doc:
         section = doc["verify"]
         cfg.verify = {
@@ -284,7 +282,8 @@ def parse_config(text: str) -> ScenarioConfig:
         if "directory" in section:
             cfg.output["directory"] = str(section["directory"])
         if "state_points" in section:
-            cfg.output["state_points"] = int(section["state_points"])
+            points = _number(section, "state_points", "output.", positive=True)
+            cfg.output["state_points"] = int(points)
     return cfg
 
 

@@ -39,9 +39,10 @@ from .errors import (
     IncompatibleTarget,
     InfeasibleTime,
 )
-from .forward import SolverConfig, solve_front, solve_initial_branch
-from .func1d import SampledFunction, lerp
+from .forward import SolverConfig, _SeedData, solve_front, solve_initial_branch
+from .func1d import SampledFunction, cumulative_trapezoid, lerp
 from .model import (
+    SPEED_CAP,
     BranchResult,
     ControlSignal,
     FrontCurve,
@@ -225,11 +226,6 @@ def _speed_profile(p, q, va, vb, gain, h):
     return ts, sigma
 
 
-def _integrate_speeds(ts, sigma, ell_start):
-    dx = np.diff(ts)
-    return ell_start + np.concatenate(([0.0], np.cumsum(0.5 * (sigma[1:] + sigma[:-1]) * dx)))
-
-
 def _stage1_case(dl_zero, a_moving, b_moving):
     if dl_zero:
         return "static_match"
@@ -285,7 +281,7 @@ def _build_stage1_c1(t0, ell0_, v0, t1, ell1, v1, h):
 
     ts = np.concatenate([p[0] if i == 0 else p[0][1:] for i, p in enumerate(pieces)])
     sigma = np.concatenate([p[1] if i == 0 else p[1][1:] for i, p in enumerate(pieces)])
-    ells = _integrate_speeds(ts, sigma, ell0_)
+    ells = ell0_ + cumulative_trapezoid(ts, sigma)
     # pin the endpoint exactly; the profile integrals put us within float noise
     ells[-1] = ell1
     return ts, ells, sigma, t_mid, delta
@@ -333,11 +329,9 @@ def _designed_trace_nodes(initial, stages, T, c1_mode, ctol):
     internal error.
     """
     eps = max(2e-12 * (T + initial.ell0), 1e-13)
-    seed_grid = np.union1d(initial.y1.xs, initial.y0_prime.xs)
-    seed_s = -seed_grid[::-1]
-    seed_v = 0.5 * (initial.y1(seed_grid) - initial.y0_prime(seed_grid))[::-1]
-    s_parts = [seed_s]
-    v_parts = [seed_v]
+    seed = _SeedData(initial)
+    s_parts = [seed.minus_xs]
+    v_parts = [seed.minus_vs]
     for s_nodes, vals in stages:
         s_prev = s_parts[-1][-1]
         v_prev = v_parts[-1][-1]
@@ -452,13 +446,13 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
             t_star, ell_star, t_bar, ell_bar, cfg.h
         )
     case = _stage1_case(equal_len, v_star > _SLOPE_TOL, v_bar > _SLOPE_TOL)
-    stage1_front = FrontCurve(ts1, ells1, np.minimum(sig1, 1.0 - 1e-9))
+    stage1_front = FrontCurve(ts1, ells1, np.minimum(sig1, SPEED_CAP))
 
     # Composite prescribed front on [0, T]
     front = _compose_front(
         [
             (ib.front.times, ib.front.positions, ib.front.speeds),
-            (ts1, ells1, np.minimum(sig1, 1.0 - 1e-9)),
+            (ts1, ells1, stage1_front.speeds),
             (
                 branch.front_segment.times,
                 branch.front_segment.positions,
@@ -562,10 +556,7 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
     grid = grid[keep]
 
     up_vals = uprime_from_fprime(fp_design, front, initial, grid)
-    du = np.diff(grid)
-    u_vals = initial.y0(0.0) + np.concatenate(
-        ([0.0], np.cumsum(0.5 * (up_vals[1:] + up_vals[:-1]) * du))
-    )
+    u_vals = initial.y0(0.0) + cumulative_trapezoid(grid, up_vals)
     control = ControlSignal(
         SampledFunction(grid, u_vals),
         SampledFunction(grid, up_vals),
@@ -707,14 +698,26 @@ def verify_synthesis(
     cfg: SolverConfig,
     n_grid: int = 400,
 ) -> VerificationResult:
-    """Simulate forward under the emitted control and compare against the target.
+    """Simulate forward under the emitted control and compare against the target."""
+    return verify_control(report.control, initial, target, kappa, cfg, n_grid)
+
+
+def verify_control(
+    control: ControlSignal,
+    initial: InitialState,
+    target: TargetState,
+    kappa: Toughness,
+    cfg: SolverConfig,
+    n_grid: int = 400,
+) -> VerificationResult:
+    """Simulate forward under ``control``; front, displacement and velocity errors at T.
 
     The velocity comparison skips a thin margin at both domain ends: for
     Lipschitz controls the designed trace jumps map exactly onto the target
     endpoints, where the terminal velocity is only defined almost everywhere.
     """
     T = cfg.T
-    sol = solve_front(initial, report.control, kappa, cfg)
+    sol = solve_front(initial, control, kappa, cfg)
     ell_T = sol.front.ell(T)
     front_err = abs(ell_T - target.ellbar0)
     hi = min(ell_T, target.ellbar0)

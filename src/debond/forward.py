@@ -19,14 +19,16 @@ reflection relation queries them), with linear interpolation between.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, HorizonExceeded, IncompatibleData, StepTooLarge
-from .func1d import SampledFunction, definite_integral, lerp
+from .func1d import SampledFunction, cumulative_trapezoid, definite_integral, lerp, merged_eval
 from .model import (
+    SPEED_CAP,
     ControlSignal,
     FrontCurve,
     InitialBranchResult,
@@ -45,7 +47,6 @@ class SolverConfig:
     h: float
     T: float
     scheme: str = "heun"
-    speed_clamp_eps: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 < self.h < math.inf:
@@ -54,19 +55,11 @@ class SolverConfig:
             raise ValueError(f"horizon must be positive and finite, got {self.T}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
-        if not 0.0 < self.speed_clamp_eps < 1e-3:
-            raise ValueError("speed clamp must lie in (0, 1e-3)")
 
 
 # Echo-chain values ``trace_value`` holds at once (about one per point and
 # reflection); deeper or larger queries are walked in batches.
 _CHAIN_BUDGET = 1 << 20
-
-
-def _merged_eval(fn_a: SampledFunction, fn_b: SampledFunction, combine):
-    """Sample ``combine(a, b)`` on the union grid of two functions."""
-    grid = np.union1d(fn_a.xs, fn_b.xs)
-    return grid, combine(fn_a(grid), fn_b(grid))
 
 
 class _SeedData:
@@ -76,11 +69,24 @@ class _SeedData:
         self.ell0 = initial.ell0
         y0p, y1 = initial.y0_prime, initial.y1
         # f'(s) = (y1 - y0')(-s)/2 on [-ell0, 0], stored directly in s.
-        grid, diff = _merged_eval(y1, y0p, lambda a, b: 0.5 * (a - b))
+        grid, diff = merged_eval(y1, y0p, lambda a, b: 0.5 * (a - b))
         self.minus_xs = np.ascontiguousarray(-grid[::-1])
         self.minus_vs = np.ascontiguousarray(diff[::-1])
         # Outgoing data combination (y0' + y1)/2 on [0, ell0], queried by line 2.
-        self.plus_xs, self.plus_vs = _merged_eval(y0p, y1, lambda a, b: 0.5 * (a + b))
+        self.plus_xs, self.plus_vs = merged_eval(y0p, y1, lambda a, b: 0.5 * (a + b))
+
+    @functools.cached_property
+    def minus_fn(self) -> SampledFunction:
+        """(y1 - y0')/2 on [0, ell0]; f(s <= 0) is minus its integral from 0 to -s."""
+        return SampledFunction(-self.minus_xs[::-1], self.minus_vs[::-1])
+
+
+def _require_matching_endpoint(initial: InitialState, control: ControlSignal):
+    if abs(initial.y0(0.0) - control.u(0.0)) > 1e-6:
+        raise IncompatibleData(
+            f"control endpoint u(0) = {control.u(0.0):g} does not match y0(0) = "
+            f"{initial.y0(0.0):g}"
+        )
 
 
 class _March:
@@ -114,7 +120,6 @@ class _March:
         self._minus_xs, self._minus_vs = mv(seed.minus_xs), mv(seed.minus_vs)
         self._plus_xs, self._plus_vs = mv(seed.plus_xs), mv(seed.plus_vs)
         self._ell0 = seed.ell0
-        self._clamp_hi = 1.0 - cfg.speed_clamp_eps
         self._euler = cfg.scheme == "euler"
         self._kconst = kappa.kappa if kappa.is_constant else None
         self._commit(0, initial.ell0)
@@ -123,10 +128,6 @@ class _March:
         if self._kconst is not None:
             return self._kconst
         return self.kappa(x)
-
-    def _clamp(self, v):
-        hi = self._clamp_hi
-        return 0.0 if v < 0.0 else (hi if v > hi else v)
 
     def fprime(self, q, n):
         """Trace slope at a float q, using nodes 0..n-1 for reflections.
@@ -184,7 +185,9 @@ class _March:
             raise StepTooLarge(f"tau_minus lost monotonicity at t = {t:.6g}; reduce the step")
         fp = self.fprime(sm, n)
         self._fp[n] = fp
-        self._ellp[n] = self._clamp(griffith_speed(fp, self._kappa_at(ell_n)))
+        # Inline compare, several times cheaper than min(); a NaN passes through.
+        v = griffith_speed(fp, self._kappa_at(ell_n))
+        self._ellp[n] = SPEED_CAP if v > SPEED_CAP else v
         self.n = n
 
     def step(self):
@@ -198,7 +201,8 @@ class _March:
             return
         ell_pred = ell + h * v0
         fp_pred = self.fprime(t1 - ell_pred, n + 1)
-        v1 = self._clamp(griffith_speed(fp_pred, self._kappa_at(ell_pred)))
+        v1 = griffith_speed(fp_pred, self._kappa_at(ell_pred))
+        v1 = SPEED_CAP if v1 > SPEED_CAP else v1
         self._commit(n + 1, ell + 0.5 * h * (v0 + v1))
 
     def run(self):
@@ -221,7 +225,6 @@ class SolutionRecord:
         self.config = march.cfg
         self.front = FrontCurve(march.t, march.ell, march.ellp)
         self._march = march
-        self._seed_minus_cache = None
         # Extend the slope store over (tau_minus(T), T]: reconstruction at
         # time T queries f'(T - x) all the way up to s = T.
         T = march.cfg.T
@@ -280,7 +283,7 @@ class SolutionRecord:
         f = np.empty_like(q)
         neg = q <= 0.0
         # f(s <= 0) = integral_0^{-s} (y0' - y1)/2 = -integral of the seed slope
-        f[neg] = -definite_integral(self._seed_minus_fn(), 0.0, -q[neg])
+        f[neg] = -definite_integral(self._march.seed.minus_fn, 0.0, -q[neg])
         mid = q[~neg]
         half = 0.5 * (
             definite_integral(self.initial.y0_prime, 0.0, mid)
@@ -290,15 +293,6 @@ class SolutionRecord:
         for active, u in reversed(levels):
             f[active] = u + f[active]
         return f
-
-    def _seed_minus_fn(self) -> SampledFunction:
-        # (y1 - y0')/2 on [0, ell0]; f(s <= 0) = -integral_0^{-s} of this.
-        if self._seed_minus_cache is None:
-            grid, vals = _merged_eval(
-                self.initial.y1, self.initial.y0_prime, lambda a, b: 0.5 * (a - b)
-            )
-            self._seed_minus_cache = SampledFunction(grid, vals)
-        return self._seed_minus_cache
 
     def trace_function(self) -> SampledFunction:
         """The trace slope assembled into one sampled function on [-ell0, T]."""
@@ -365,10 +359,6 @@ class SolutionRecord:
         return np.abs(f.speeds - griffith_speed(fp, self.toughness(f.positions)))
 
 
-def _control_arrays(control: ControlSignal):
-    return control.uprime.xs, control.uprime.vs
-
-
 def seed_trace(initial: InitialState, control: ControlSignal):
     """Data-determined trace on [-ell0, ell0]: slope and integral (f(0) = 0).
 
@@ -377,13 +367,9 @@ def seed_trace(initial: InitialState, control: ControlSignal):
     """
     if control.t_end < initial.ell0 * (1 - 1e-12):
         raise IncompatibleData("control must cover [0, ell0] to seed the trace")
-    if abs(initial.y0(0.0) - control.u(0.0)) > 1e-6:
-        raise IncompatibleData(
-            f"control endpoint u(0) = {control.u(0.0):g} does not match y0(0) = "
-            f"{initial.y0(0.0):g}"
-        )
+    _require_matching_endpoint(initial, control)
     seed = _SeedData(initial)
-    up_xs, up_vs = _control_arrays(control)
+    up_xs, up_vs = control.uprime.xs, control.uprime.vs
     eps = max(2e-12 * 2 * initial.ell0, 1e-13)
     right = np.union1d(seed.plus_xs, up_xs[(up_xs > 0) & (up_xs <= initial.ell0)])
     right = right[right > eps]
@@ -396,8 +382,7 @@ def seed_trace(initial: InitialState, control: ControlSignal):
         [seed.minus_vs, lerp(up_xs, up_vs, q) - lerp(seed.plus_xs, seed.plus_vs, q)]
     )
     fprime = SampledFunction(s_nodes, vals)
-    dx = np.diff(s_nodes)
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * dx)))
+    cum = cumulative_trapezoid(s_nodes, vals)
     cum -= cum[k - 1]  # anchor f(0) = 0 at the left node of the kink pair
     f = SampledFunction(s_nodes, cum)
     return fprime, f
@@ -414,13 +399,8 @@ def solve_front(
         raise DomainError(
             f"control defined up to {control.t_end:g} but horizon is {cfg.T:g}"
         )
-    if abs(initial.y0(0.0) - control.u(0.0)) > 1e-6:
-        raise IncompatibleData(
-            f"control endpoint u(0) = {control.u(0.0):g} does not match y0(0) = "
-            f"{initial.y0(0.0):g}"
-        )
-    up_xs, up_vs = _control_arrays(control)
-    march = _March(initial, kappa, cfg, up_xs, up_vs)
+    _require_matching_endpoint(initial, control)
+    march = _March(initial, kappa, cfg, control.uprime.xs, control.uprime.vs)
     march.run()
     return SolutionRecord(march, control)
 

@@ -50,11 +50,10 @@ class SampledFunction:
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
             raise ValueError("abscissae and values must be finite")
         span = xs[-1] - xs[0]
-        dx = np.diff(xs)
-        if span <= 0.0 or np.any(dx < _MIN_SPACING * span):
+        if span <= 0.0 or np.any(np.diff(xs) < _MIN_SPACING * span):
             raise ValueError("abscissae must increase with spacing >= 1e-12 * span")
         # Exact trapezoid antiderivative at the nodes, anchored at xs[0].
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * dx)))
+        cum = cumulative_trapezoid(xs, vs)
         for name, arr in (("xs", xs), ("vs", vs), ("_cum", cum)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -81,9 +80,10 @@ class SampledFunction:
     def _clip(self, x):
         slack = _DOMAIN_SLACK * max(self.span, 1.0)
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.xs[0] - slack) or np.any(x > self.xs[-1] + slack):
-            bad = x[(x < self.xs[0] - slack) | (x > self.xs[-1] + slack)]
-            raise self._domain_error(np.atleast_1d(bad)[0])
+        # Written as a negated in-range test so that NaN counts as outside.
+        outside = ~((x >= self.xs[0] - slack) & (x <= self.xs[-1] + slack))
+        if np.any(outside):
+            raise self._domain_error(np.atleast_1d(x[outside])[0])
         return np.clip(x, self.xs[0], self.xs[-1])
 
     def __call__(self, x):
@@ -117,13 +117,9 @@ class SampledFunction:
         slope = (self.vs[idx + 1] - v0) / (self.xs[idx + 1] - x0)
         d = x - x0
         out = self._cum[idx] + v0 * d + 0.5 * slope * d * d
+        if not np.all(np.isfinite(out)):
+            raise OverflowError(f"integral of the interpolant from {self.lo:.17g} overflows")
         return float(out[0]) if scalar else out
-
-    def shifted(self, dx: float) -> "SampledFunction":
-        return SampledFunction(self.xs + dx, self.vs)
-
-    def scaled(self, c: float) -> "SampledFunction":
-        return SampledFunction(self.xs, c * self.vs)
 
 
 def lerp(xs, vs, q, n=None):
@@ -156,6 +152,17 @@ def lerp(xs, vs, q, n=None):
     w = (q - x0) / (xs[j] - x0)
     inner = vs[j - 1] * (1.0 - w) + vs[j] * w
     return np.where(i <= 0, vs[0], np.where(i >= n, vs[-1], inner))
+
+
+def cumulative_trapezoid(xs, vs):
+    """Trapezoid-rule integral of the samples from ``xs[0]`` to every node."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(xs))))
+
+
+def merged_eval(fn_a: SampledFunction, fn_b: SampledFunction, combine):
+    """Sample ``combine(a, b)`` on the union grid of two functions."""
+    grid = np.union1d(fn_a.xs, fn_b.xs)
+    return grid, combine(fn_a(grid), fn_b(grid))
 
 
 def evaluate(fn: SampledFunction, x: float) -> float:
@@ -230,7 +237,7 @@ class MonotoneMap:
         vs, xs = self.fn.vs, self.fn.xs
         slack = _DOMAIN_SLACK * max(vs[-1] - vs[0], 1.0)
         s = np.asarray(s, dtype=float)
-        if np.any(s < vs[0] - slack) or np.any(s > vs[-1] + slack):
+        if np.any(~((s >= vs[0] - slack) & (s <= vs[-1] + slack))):  # NaN is outside
             raise RangeError(
                 f"inversion target outside range [{vs[0]:.17g}, {vs[-1]:.17g}]"
             )

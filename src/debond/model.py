@@ -24,9 +24,13 @@ from .errors import (
     InvalidToughness,
     SpeedOutOfRange,
 )
-from .func1d import MonotoneMap, SampledFunction, derivative
+from .func1d import MonotoneMap, SampledFunction, derivative, merged_eval
 
 VALID_REGULARITY = ("C01", "C1")
+
+# Largest front speed a front curve stores: it keeps t - ell(t) strictly
+# increasing in floating point, so tau_minus stays invertible.
+SPEED_CAP = 1.0 - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +187,11 @@ class TargetState:
 
     def w_plus(self) -> SampledFunction:
         """The outgoing terminal combination ybar1 + ybar0' on a merged grid."""
-        grid = np.union1d(self.ybar1.xs, self.ybar0_prime.xs)
-        return SampledFunction(grid, self.ybar1(grid) + self.ybar0_prime(grid))
+        return SampledFunction(*merged_eval(self.ybar1, self.ybar0_prime, np.add))
 
     def w_minus(self) -> SampledFunction:
         """The incoming terminal combination ybar1 - ybar0' on a merged grid."""
-        grid = np.union1d(self.ybar1.xs, self.ybar0_prime.xs)
-        return SampledFunction(grid, self.ybar1(grid) - self.ybar0_prime(grid))
+        return SampledFunction(*merged_eval(self.ybar1, self.ybar0_prime, np.subtract))
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +232,6 @@ class FrontCurve:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "tau_plus", MonotoneMap.from_samples(t, t + p))
         object.__setattr__(self, "tau_minus", MonotoneMap.from_samples(t, t - p))
-
-    @property
-    def t_start(self) -> float:
-        return float(self.times[0])
 
     @property
     def t_end(self) -> float:

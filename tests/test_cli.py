@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
 from debond import cli
 from debond.cli import main
@@ -305,3 +306,116 @@ def test_h_override(tmp_path):
     assert code == 0
     front = read_csv(out / "front.csv")
     assert front["t"].size == 301
+
+
+def test_verify_replay_of_own_control_is_identical(tmp_path):
+    # Replaying the control that verify synthesized goes through the same
+    # metric, so verify.csv comes out byte for byte the same.
+    code, out = run(tmp_path, EXPANSION, "verify")
+    assert code == 0
+    replay = tmp_path / "replay"
+    code = main([
+        "verify", "--config", str(tmp_path / "scenario.yaml"), "--out", str(replay),
+        "--control-csv", str(out / "control.csv"),
+    ])
+    assert code == 0
+    assert (replay / "verify.csv").read_bytes() == (out / "verify.csv").read_bytes()
+
+
+def test_removed_speed_clamp_key_is_ignored(tmp_path):
+    doc = STATIC_ZERO.replace("scheme: heun}", "scheme: heun, speed_clamp_eps: 1.0e-6}")
+    assert parse_config(doc).solver == parse_config(STATIC_ZERO).solver
+    code, _ = run(tmp_path, doc, "simulate")
+    assert code == 0
+
+
+def _fuzz_scenario(rng):
+    """A small valid scenario: random data, toughness and sine control with u(0) = 0."""
+    zero = {"preset": "constant", "value": 0.0, "resolution": 4}
+    return {
+        "T": float(rng.uniform(1.0, 2.5)),
+        "solver": {"h": 0.02, "scheme": str(rng.choice(["euler", "heun"]))},
+        "toughness": {"preset": "constant", "value": float(rng.uniform(0.3, 2.0))},
+        "initial": {
+            "ell0": float(rng.uniform(0.3, 1.0)),
+            "regularity": "C01",
+            "y0": dict(zero),
+            "y1": {"preset": "linear", "intercept": float(rng.uniform(-1.0, 1.0)),
+                   "slope": 0.0, "resolution": 4},
+        },
+        "control": {"u": {"preset": "sine", "amplitude": float(rng.uniform(-1.0, 1.0)),
+                          "omega": float(rng.uniform(0.5, 4.0)),
+                          "phase": float(rng.choice([0.0, np.pi])), "resolution": 64}},
+        "target": {"ellbar0": 1.5, "regularity": "C01", "ybar0": dict(zero), "ybar1": dict(zero)},
+        "branch": {"policy": "prefer_static", "h": 0.02},
+        "verify": {"tol_front": 0.01},
+        "output": {"state_points": 8},
+    }
+
+
+# (field, the field named when a value <= 0 is rejected or None when any sign
+# is valid, required).  A non-positive toughness is reported for the whole
+# toughness function, which may also be a table or a preset.
+_FUZZ_FIELDS = [
+    ("T", "T", True),
+    ("solver", None, False),
+    ("solver.h", "solver.h", False),
+    ("solver.scheme", None, False),
+    ("toughness", None, True),
+    ("toughness.value", "toughness", True),
+    ("initial", None, True),
+    ("initial.ell0", "initial.ell0", True),
+    ("initial.y0", None, True),
+    ("initial.y0.value", None, True),
+    ("initial.y0.resolution", "initial.y0.resolution", False),
+    ("initial.y1.intercept", None, True),
+    ("control", None, True),
+    ("control.u", None, True),
+    ("control.u.amplitude", None, True),
+    ("control.u.omega", None, True),
+    ("control.u.phase", None, False),
+    ("control.u.resolution", "control.u.resolution", False),
+    ("target", None, False),
+    ("target.ellbar0", "target.ellbar0", True),
+    ("target.ybar1.value", None, True),
+    ("branch.policy", None, False),
+    ("branch.h", "branch.h", False),
+    ("verify.tol_front", None, False),
+    ("output.state_points", "output.state_points", False),
+]
+
+
+def test_fuzz_exit_code_contract(tmp_path, capsys):
+    """Each invalid field exits 2 naming it; unmutated draws exit 0 with finite CSVs."""
+    rng = np.random.default_rng(2024)
+    cfg = tmp_path / "scenario.yaml"
+    for field, nonpositive_names, required in _FUZZ_FIELDS:
+        *parents, key = field.split(".")
+        mutations = [(float("nan"), field), (float("inf"), field), (-float("inf"), field),
+                     (f"x{rng.integers(1000)}", field)]
+        if nonpositive_names:
+            mutations += [(0.0, nonpositive_names),
+                          (-float(rng.uniform(0.1, 10.0)), nonpositive_names)]
+        if required:
+            mutations.append((None, field))
+        for value, named in mutations:
+            doc = _fuzz_scenario(rng)
+            section = doc
+            for name in parents:
+                section = section[name]
+            if value is None:
+                del section[key]
+            else:
+                section[key] = value
+            cfg.write_text(yaml.safe_dump(doc))
+            code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")])
+            err = capsys.readouterr().err
+            assert code == 2, (field, value, err)
+            assert f"'{named}'" in err and err.count("\n") == 1, (field, value, err)
+    assert not (tmp_path / "bad").exists()
+    for draw in range(6):
+        out = tmp_path / f"ok{draw}"
+        cfg.write_text(yaml.safe_dump(_fuzz_scenario(rng)))
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("front.csv", "trace.csv", "control.csv", "state_at_T.csv"):
+            assert all(np.all(np.isfinite(col)) for col in read_csv(out / name).values())

@@ -13,7 +13,7 @@ from debond import (
     from_callable,
     invert,
 )
-from debond.func1d import lerp
+from debond.func1d import cumulative_trapezoid, lerp
 
 
 def test_evaluate_constant():
@@ -226,3 +226,41 @@ def test_lerp_scalar_prefix_on_memoryview_matches_array_path():
         q = np.concatenate([rng.uniform(xs[0] - 1.0, xs[n - 1] + 1.0, 200), xs[:n]])
         scalar = np.array([lerp(xv, vv, x, n) for x in q.tolist()])
         assert np.all(scalar == lerp(xs[:n], vs[:n], q))
+
+
+def test_array_queries_reject_nan():
+    # The array paths treat NaN as outside the domain, like the float path.
+    fn = SampledFunction([0.0, 1.0], [0.0, 1.0])
+    for query in (fn, fn.antiderivative_at):
+        with pytest.raises(DomainError, match="nan"):
+            query(np.array([0.5, np.nan]))
+    with pytest.raises(RangeError):
+        MonotoneMap(fn).invert(np.array([np.nan]))
+
+
+@pytest.mark.parametrize(
+    "xs, vs, x",
+    [
+        ([0.0, 1.0, 2.0], [1e308, 1e308, -1e308], 1.5),  # the node antiderivative overflows
+        ([0.0, 1.0], [-1e308, 1e308], 0.5),  # only the segment slope overflows
+    ],
+)
+def test_antiderivative_overflow_raises(xs, vs, x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        fn = SampledFunction(xs, vs)  # construction still succeeds
+        with pytest.raises(OverflowError):
+            fn.antiderivative_at(x)
+        with pytest.raises(OverflowError):
+            fn.antiderivative_at(np.array([x]))
+        with pytest.raises(OverflowError):
+            definite_integral(fn, xs[0], x)
+
+
+def test_cumulative_trapezoid_matches_running_sum():
+    rng = np.random.default_rng(5)
+    xs = np.cumsum(rng.uniform(0.01, 0.5, 30)).tolist()
+    vs = rng.normal(size=30).tolist()
+    running = [0.0]
+    for i in range(29):
+        running.append(running[-1] + 0.5 * (vs[i + 1] + vs[i]) * (xs[i + 1] - xs[i]))
+    assert cumulative_trapezoid(np.array(xs), np.array(vs)).tolist() == running
