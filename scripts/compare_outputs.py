@@ -5,13 +5,16 @@
 
 Extracts REV's ``src/`` with ``git archive`` into a temporary directory and
 runs ``simulate``, ``initial-branch``, ``final-branch``, ``check-admissible``,
-``synthesize`` and ``verify`` on three fixed scenarios, then ``verify
+``synthesize`` and ``verify`` on four fixed scenarios, then ``verify
 --control-csv`` replaying the ``control.csv`` that ``synthesize`` wrote for the
 same scenario, once with this checkout's ``src/`` and once with REV's.  Every
 exit code and every file the commands write (CSV and key=value) must match.
-Exit status: 0 when all are identical, 1 at the first difference (the file
-and byte offset are named), 2 when REV cannot be extracted.  Needs only the
-standard library plus the package's own dependencies (numpy, PyYAML).
+One scenario takes the moving final branch (``prefer_moving``), the others
+the static one.  Every differing exit code and file is listed (a file with
+its first differing byte, or as present on one side only).  Exit status: 0
+when all are identical, 1 when anything differs, 2 when REV cannot be
+extracted.  Needs only the standard library plus the package's own
+dependencies (numpy, PyYAML).
 """
 
 from __future__ import annotations
@@ -79,6 +82,22 @@ control:
   u: {{preset: sine, amplitude: 0.4, omega: 3.0, resolution: 1500}}
 target: {{ellbar0: 0.3, regularity: C01, ybar0: {ZERO}, ybar1: {ZERO}}}
 """,
+    # Constant ybar1 + ybar0' = sqrt(2/3) on the sampled toughness: the backward
+    # branch takes the moving root everywhere (the final-branch oracle's target).
+    "moving-sampled": f"""\
+T: 6.0
+solver: {{h: 1.0e-3, scheme: heun}}
+toughness: {{samples: {_sampled_toughness()}, x_max: 8.0}}
+initial: {{ell0: 1.0, regularity: C01, y0: {ZERO}, y1: {ZERO}}}
+control:
+  u: {{preset: sine, amplitude: 0.5, omega: 2.0, resolution: 6000}}
+target:
+  ellbar0: 2.0
+  regularity: C01
+  ybar0: {ZERO}
+  ybar1: {{preset: constant, value: {math.sqrt(2.0 / 3.0)!r}}}
+branch: {{policy: prefer_moving}}
+""",
 }
 
 
@@ -113,20 +132,21 @@ def run_all(src, config_dir, out_dir):
     return codes
 
 
-def first_difference(a, b):
-    """First differing (relative path, byte offset or None), or None if identical."""
-    files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-    files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
-    one_side = sorted(set(files_a) ^ set(files_b))
-    if one_side:
-        return one_side[0], None
-    for rel in files_a:
+def differences(a, b):
+    """Every differing file as (relative path, first differing byte or None if on one side)."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    out = []
+    for rel in sorted(files_a | files_b):
+        if rel not in files_a or rel not in files_b:
+            out.append((rel, None))
+            continue
         da, db = (a / rel).read_bytes(), (b / rel).read_bytes()
         if da != db:
             offset = next((i for i, (x, y) in enumerate(zip(da, db)) if x != y),
                           min(len(da), len(db)))
-            return rel, offset
-    return None
+            out.append((rel, offset))
+    return out
 
 
 def main(argv):
@@ -146,16 +166,17 @@ def main(argv):
             (configs / f"{name}.yaml").write_text(text, encoding="utf-8")
         codes_here = run_all(ROOT / "src", configs, tmp / "here")
         codes_rev = run_all(rev_src, configs, tmp / "rev-out")
+        same = True
         for key, code in codes_here.items():
             if code != codes_rev[key]:
                 print(f"DIFFER {key[0]} {key[1]}: exit {code} here, {codes_rev[key]} "
                       f"at {argv[0]}")
-                return 1
-        diff = first_difference(tmp / "here", tmp / "rev-out")
-        if diff is not None:
-            rel, offset = diff
+                same = False
+        for rel, offset in differences(tmp / "here", tmp / "rev-out"):
             where = "on one side only" if offset is None else f"first differs at byte {offset}"
             print(f"DIFFER {rel}: {where}")
+            same = False
+        if not same:
             return 1
         files = sum(1 for p in (tmp / "here").rglob("*") if p.is_file())
         summary = ", ".join(f"{s} {c}={code}" for (s, c), code in codes_here.items())

@@ -276,6 +276,9 @@ def parse_config(text: str) -> ScenarioConfig:
             for key in ("tol_front", "tol_displacement", "tol_velocity")
             if key in section
         }
+        for key, value in cfg.verify.items():
+            if value < 0.0:
+                raise ConfigError(f"verify.{key}", f"expected a non-negative number, got {value}")
     if "output" in doc:
         section = doc["output"]
         cfg.output = {}

@@ -50,6 +50,7 @@ from .model import (
     InitialState,
     TargetState,
     Toughness,
+    check_damping_bound,
     check_initial_compatibility,
     classify_final_state,
     griffith_speed,
@@ -127,7 +128,7 @@ def fprime_for_prescribed_front(
 
     vals = np.empty(n)
     moving = vs > _SPEED_TOL
-    mags = speed_to_fprime_magnitude(np.minimum(vs[moving], 1.0 - 1e-12), kappa(Ls[moving]))
+    mags = speed_to_fprime_magnitude(np.minimum(vs[moving], SPEED_CAP), kappa(Ls[moving]))
     vals[moving] = np.copysign(mags, [sign_at(t) for t in ts[moving].tolist()])
 
     # Static runs [i, j]: edges of the runs of non-moving nodes.
@@ -612,14 +613,34 @@ def synthesize_c1(
     return _synthesize(initial, target, kappa, T, branch, cfg, c1_mode=True)
 
 
-def _static_constraint(target: TargetState, kappa: Toughness):
-    w = target.w_plus()
-    excess = float(np.max(w.vs**2)) - 2.0 * kappa(target.ellbar0)
-    if excess > 1e-9 * max(1.0, 2.0 * kappa(target.ellbar0)):
+def _synthesize_static(initial, target, kappa, T, cfg, c1_mode):
+    """Static-final-branch shortcut: constraint and feasibility checks, then synthesis."""
+    check = check_damping_bound(target, kappa(target.ellbar0)).worst
+    if not check.passed:
         raise ConstraintViolated(
-            f"sup |ybar1 + ybar0'|^2 exceeds 2 kappa(ellbar0) by {excess:.6g}",
-            excess=excess,
+            f"sup |ybar1 + ybar0'|^2 exceeds 2 kappa(ellbar0) by {check.residual:.6g}",
+            excess=check.residual,
         )
+    if c1_mode and abs(target.ybar1(target.ellbar0)) > 1e-6:
+        raise IncompatibleTarget(
+            "a static C1 branch needs a passive target: ybar1(ellbar0) must vanish"
+        )
+    if T <= 2.0 * target.ellbar0:
+        raise InfeasibleTime(f"need T > 2 ellbar0 = {2 * target.ellbar0:g}, got {T:g}")
+    ib = solve_initial_branch(initial, kappa, cfg)
+    strict = ib.ell_star_prime > _SLOPE_TOL
+    if target.ellbar0 < ib.ell_star - 1e-9 or (
+        c1_mode and strict and target.ellbar0 <= ib.ell_star + 1e-9
+    ):
+        raise InfeasibleTime(
+            f"target front {target.ellbar0:g} too small for the initial branch end "
+            f"{ib.ell_star:.6g} (strict: {strict})"
+            if c1_mode
+            else f"target front {target.ellbar0:g} lies left of the initial branch end "
+            f"{ib.ell_star:.6g}"
+        )
+    branch = static_branch(target, kappa, T)
+    return _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=ib)
 
 
 def synthesize_static_c01(
@@ -630,17 +651,7 @@ def synthesize_static_c01(
     cfg: SolverConfig,
 ) -> SynthesisReport:
     """Static-final-branch shortcut: constraint check, then plain synthesis."""
-    _static_constraint(target, kappa)
-    if T <= 2.0 * target.ellbar0:
-        raise InfeasibleTime(f"need T > 2 ellbar0 = {2 * target.ellbar0:g}, got {T:g}")
-    ib = solve_initial_branch(initial, kappa, cfg)
-    if target.ellbar0 < ib.ell_star - 1e-9:
-        raise InfeasibleTime(
-            f"target front {target.ellbar0:g} lies left of the initial branch end "
-            f"{ib.ell_star:.6g}"
-        )
-    branch = static_branch(target, kappa, T)
-    return _synthesize(initial, target, kappa, T, branch, cfg, c1_mode=False, initial_branch=ib)
+    return _synthesize_static(initial, target, kappa, T, cfg, c1_mode=False)
 
 
 def synthesize_static_c1(
@@ -651,24 +662,7 @@ def synthesize_static_c1(
     cfg: SolverConfig,
 ) -> SynthesisReport:
     """C1 variant of the static shortcut; the target must be passive."""
-    _static_constraint(target, kappa)
-    if abs(target.ybar1(target.ellbar0)) > 1e-6:
-        raise IncompatibleTarget(
-            "a static C1 branch needs a passive target: ybar1(ellbar0) must vanish"
-        )
-    if T <= 2.0 * target.ellbar0:
-        raise InfeasibleTime(f"need T > 2 ellbar0 = {2 * target.ellbar0:g}, got {T:g}")
-    ib = solve_initial_branch(initial, kappa, cfg)
-    strict = ib.ell_star_prime > _SLOPE_TOL
-    if target.ellbar0 < ib.ell_star - 1e-9 or (
-        strict and target.ellbar0 <= ib.ell_star + 1e-9
-    ):
-        raise InfeasibleTime(
-            f"target front {target.ellbar0:g} too small for the initial branch end "
-            f"{ib.ell_star:.6g} (strict: {strict})"
-        )
-    branch = static_branch(target, kappa, T)
-    return _synthesize(initial, target, kappa, T, branch, cfg, c1_mode=True, initial_branch=ib)
+    return _synthesize_static(initial, target, kappa, T, cfg, c1_mode=True)
 
 
 # ---------------------------------------------------------------------------

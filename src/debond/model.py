@@ -135,6 +135,28 @@ def _require_domain(fn: SampledFunction, hi: float, name: str):
         raise ValueError(f"{name} must be sampled on [0, {hi:g}], got [{fn.lo:g}, {fn.hi:g}]")
 
 
+def _check_state(state, names):
+    """Checks shared by the initial and target states; returns the displacement slope.
+
+    ``names`` gives the attribute names of the front position, the
+    displacement and the velocity profile.
+    """
+    length_name, disp_name, vel_name = names
+    length = getattr(state, length_name)
+    disp = getattr(state, disp_name)
+    if length <= 0.0:
+        raise ValueError(f"{length_name} must be positive")
+    if state.regularity not in VALID_REGULARITY:
+        raise ValueError(f"regularity must be one of {VALID_REGULARITY}")
+    _require_domain(disp, length, disp_name)
+    _require_domain(getattr(state, vel_name), length, vel_name)
+    if abs(disp(length)) > state.tol:
+        raise ValueError(
+            f"{disp_name} must vanish at the front: {disp_name}({length:g}) = {disp(length):g}"
+        )
+    return derivative(disp)
+
+
 @dataclass(frozen=True)
 class InitialState:
     """Initial front position and displacement/velocity profiles on [0, ell0]."""
@@ -147,17 +169,8 @@ class InitialState:
     y0_prime: SampledFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.ell0 <= 0.0:
-            raise ValueError("ell0 must be positive")
-        if self.regularity not in VALID_REGULARITY:
-            raise ValueError(f"regularity must be one of {VALID_REGULARITY}")
-        _require_domain(self.y0, self.ell0, "y0")
-        _require_domain(self.y1, self.ell0, "y1")
-        if abs(self.y0(self.ell0)) > self.tol:
-            raise ValueError(
-                f"y0 must vanish at the front: y0({self.ell0:g}) = {self.y0(self.ell0):g}"
-            )
-        object.__setattr__(self, "y0_prime", derivative(self.y0))
+        slope = _check_state(self, ("ell0", "y0", "y1"))
+        object.__setattr__(self, "y0_prime", slope)
 
 
 @dataclass(frozen=True)
@@ -172,18 +185,8 @@ class TargetState:
     ybar0_prime: SampledFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.ellbar0 <= 0.0:
-            raise ValueError("ellbar0 must be positive")
-        if self.regularity not in VALID_REGULARITY:
-            raise ValueError(f"regularity must be one of {VALID_REGULARITY}")
-        _require_domain(self.ybar0, self.ellbar0, "ybar0")
-        _require_domain(self.ybar1, self.ellbar0, "ybar1")
-        if abs(self.ybar0(self.ellbar0)) > self.tol:
-            raise ValueError(
-                f"ybar0 must vanish at the front: ybar0({self.ellbar0:g}) = "
-                f"{self.ybar0(self.ellbar0):g}"
-            )
-        object.__setattr__(self, "ybar0_prime", derivative(self.ybar0))
+        slope = _check_state(self, ("ellbar0", "ybar0", "ybar1"))
+        object.__setattr__(self, "ybar0_prime", slope)
 
     def w_plus(self) -> SampledFunction:
         """The outgoing terminal combination ybar1 + ybar0' on a merged grid."""

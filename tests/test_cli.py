@@ -329,6 +329,11 @@ def test_removed_speed_clamp_key_is_ignored(tmp_path):
     assert code == 0
 
 
+def test_zero_verify_tolerance_is_valid():
+    doc = STATIC_ZERO + "verify: {tol_front: 0.0, tol_displacement: 0, tol_velocity: 0.0}\n"
+    assert parse_config(doc).verify_tolerances() == (0.0, 0.0, 0.0)
+
+
 def _fuzz_scenario(rng):
     """A small valid scenario: random data, toughness and sine control with u(0) = 0."""
     zero = {"preset": "constant", "value": 0.0, "resolution": 4}
@@ -381,6 +386,8 @@ _FUZZ_FIELDS = [
     ("branch.policy", None, False),
     ("branch.h", "branch.h", False),
     ("verify.tol_front", None, False),
+    ("verify.tol_displacement", None, False),
+    ("verify.tol_velocity", None, False),
     ("output.state_points", "output.state_points", False),
 ]
 
@@ -396,6 +403,8 @@ def test_fuzz_exit_code_contract(tmp_path, capsys):
         if nonpositive_names:
             mutations += [(0.0, nonpositive_names),
                           (-float(rng.uniform(0.1, 10.0)), nonpositive_names)]
+        if field.startswith("verify.tol_"):  # zero is a valid tolerance, a negative is not
+            mutations += [(-1.0, field), (-1e-300, field)]
         if required:
             mutations.append((None, field))
         for value, named in mutations:

@@ -256,6 +256,15 @@ def test_antiderivative_overflow_raises(xs, vs, x):
             definite_integral(fn, xs[0], x)
 
 
+def test_definite_integral_overflow_raises():
+    # Both antiderivatives are finite; only their difference overflows.
+    fn = SampledFunction([0.0, 1.25, 2.5, 3.75, 5.0], [-8e307, -8e307, 8e307, 8e307, 8e307])
+    assert np.isfinite(fn.antiderivative_at(1.25)) and np.isfinite(fn.antiderivative_at(5.0))
+    with np.errstate(over="ignore"), pytest.raises(OverflowError):
+        definite_integral(fn, 1.25, 5.0)
+    assert definite_integral(fn, 2.5, 3.75) == 1e308
+
+
 def test_cumulative_trapezoid_matches_running_sum():
     rng = np.random.default_rng(5)
     xs = np.cumsum(rng.uniform(0.01, 0.5, 30)).tolist()
