@@ -9,10 +9,16 @@ where Y = |(ybar1 + ybar0')(t + L(t) - T)|^2 and K = 2 kappa(L(t)); both
 options additionally require the size constraint Y <= K.  Solutions may not
 exist (DeadEnd) or be unique; the policy picks one and the result records at
 every node whether the other option was available too.
+
+The branch is marched in r = t + L rather than in t: dr/dt = 1 + v, so
+dL/dr = v / (1 + v), and w = ybar1 + ybar0' is read at r - T.  The march
+starts at r = T + ellbar0 and its stopping line t + L = T is r = T, so the
+last node is the branch start and every abscissa of w is a node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +43,7 @@ class BranchPolicy:
     ``c1_mode`` enforces the C1 switching rules: the terminal speed is pinned
     to the classification value and the branch may only change between static
     and moving where the two options coincide (moving root near zero).
+    ``h`` is the largest step of the backward march in r = t + L.
     """
 
     mode: str = "prefer_static"
@@ -65,29 +72,36 @@ def branch_speed_options(Y: float, K: float):
             f"size constraint violated: |ybar1 + ybar0'|^2 = {Y:.6g} exceeds 2 kappa = {K:.6g}"
         )
     root = (K - Y) / (K + Y)
-    if root <= 0.0:
-        return (0.0,)
-    if root >= 1.0:
+    if not 0.0 < root < 1.0:
         return (0.0,)
     return (0.0, root)
 
 
+def _nodes(w, ellbar0, h=math.inf):
+    """Nodes x = t + L - T on [0, ellbar0]: w's abscissae, segments cut into parts <= h."""
+    xs = w.xs.copy()
+    xs[0], xs[-1] = 0.0, ellbar0  # the domain check leaves 1e-9 of slack
+    dx = np.diff(xs)
+    parts = np.maximum(np.ceil(dx / h), 1.0).astype(int)
+    seg = np.repeat(np.arange(parts.size), parts)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    return np.append(xs[seg] + k * (dx / parts)[seg], xs[-1])
+
+
 class _BackwardMarch:
-    def __init__(self, target, kappa, T, policy):
+    def __init__(self, target, kappa, policy):
         self.w = target.w_plus()
         self.kappa = kappa
-        self.T = T
         self.policy = policy
         self.switch_tol = max(1e-9, 10.0 * policy.h)
 
-    def _options(self, t, L):
-        x = min(max(t + L - self.T, self.w.lo), self.w.hi)
+    def _options(self, x, L):
         wv = self.w(x)
         return branch_speed_options(wv * wv, 2.0 * self.kappa(L))
 
-    def choose(self, t, L, moving_mode, forced=None):
-        """Pick a speed at (t, L); returns (speed, new_moving_mode, alt_flag)."""
-        opts = self._options(t, L)
+    def choose(self, x, L, moving_mode, forced=None):
+        """Pick a speed at (x = r - T, L); returns (speed, new_moving_mode, alt_flag)."""
+        opts = self._options(x, L)
         root = opts[-1]
         has_moving = len(opts) == 2
         alt = has_moving and root > self.switch_tol
@@ -108,10 +122,9 @@ class _BackwardMarch:
             return 0.0, False, alt
         # C1 rules: stay on the current branch unless the options coincide.
         if moving_mode:
-            if self.policy.mode == "prefer_static" and root <= self.switch_tol:
-                return 0.0, False, alt
-            if not has_moving:
-                # root collapsed to zero: the branches merge
+            # leave where the root collapsed to zero (the branches merge), or
+            # where a prefer_static policy may switch
+            if not has_moving or (self.policy.mode == "prefer_static" and root <= self.switch_tol):
                 return 0.0, False, alt
             return root, True, alt
         if self.policy.mode == "prefer_moving" and has_moving:
@@ -119,6 +132,21 @@ class _BackwardMarch:
                 return root, True, alt
             return 0.0, False, alt  # would need a jump; keep the static branch
         return 0.0, False, alt
+
+
+def _package(T, xs, Ls, vs, alts, alpha) -> BranchResult:
+    """BranchResult from nodes ordered by x = t + L - T, starting at x = 0."""
+    Ls = np.asarray(Ls, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    ts = T - (Ls - xs)  # exact T where L = x = ellbar0
+    return BranchResult(
+        front_segment=FrontCurve(ts, Ls, np.minimum(vs, SPEED_CAP)),
+        t_bar_star=float(ts[0]),
+        ell_bar_star=float(Ls[0]),
+        ell_bar_star_prime=float(vs[0]),
+        alpha=float(alpha),
+        alternative_admissible=np.asarray(alts, dtype=bool),
+    )
 
 
 def solve_final_branch(
@@ -129,88 +157,40 @@ def solve_final_branch(
 ) -> BranchResult:
     """Integrate the constrained inclusion backward from L(T) = ellbar0.
 
-    Stops at the first time t_bar_star with t + L(t) = T (located by linear
-    interpolation between the bracketing nodes, then pinned so the identity
-    holds exactly) and packages the branch with its summary quantities.
+    Heun in x = t + L - T from ellbar0 down to the node x = 0, where t + L = T,
+    with dL/dx = v / (1 + v) < 1/2: so L >= ellbar0 / 2 and t_bar_star > 0.
     """
     if T <= target.ellbar0:
         raise NoTermination(
             f"horizon T = {T:g} too short for a final branch ending at {target.ellbar0:g}"
         )
-    march = _BackwardMarch(target, kappa, T, policy)
+    march = _BackwardMarch(target, kappa, policy)
     alpha = classify_final_state(target, kappa) if policy.c1_mode else None
+    xs = _nodes(march.w, target.ellbar0, policy.h)
 
-    h = policy.h
-    ts = [T]
-    Ls = [target.ellbar0]
-    vs = []
-    alts = []
-    v0, moving, alt = march.choose(T, target.ellbar0, False, forced=alpha)
-    vs.append(v0)
-    alts.append(alt)
-
-    while True:
-        t_k, L_k = ts[-1], Ls[-1]
-        v_k = vs[-1]
-        if t_k - h < -2.0 * h:
-            raise NoTermination("backward march reached t = 0 before closing")
-        L_star = L_k - h * v_k
-        v_mid, moving_mid, _ = march.choose(t_k - h, max(L_star, 0.0), moving)
-        L_next = L_k - 0.5 * h * (v_k + v_mid)
-        t_next = t_k - h
-        v_next, moving, alt = march.choose(t_next, L_next, moving_mid)
-        ts.append(t_next)
-        Ls.append(L_next)
-        vs.append(v_next)
+    x_k = float(xs[-1])
+    L = target.ellbar0
+    v, moving, alt = march.choose(x_k, L, False, forced=alpha)
+    Ls, vs, alts = [L], [v], [alt]
+    for x_next in xs[-2::-1].tolist():
+        dx = x_k - x_next
+        g = v / (1.0 + v)
+        v_mid, moving_mid, _ = march.choose(x_next, L - dx * g, moving)
+        L -= 0.5 * dx * (g + v_mid / (1.0 + v_mid))
+        v, moving, alt = march.choose(x_next, L, moving_mid)
+        Ls.append(L)
+        vs.append(v)
         alts.append(alt)
-        if t_next + L_next - T <= 0.0:
-            break
-
-    ts = np.array(ts)
-    Ls = np.array(Ls)
-    vs = np.array(vs)
-    alts = np.array(alts, dtype=bool)
-
-    # Locate the crossing of t + L(t) = T within the final step.
-    x0 = ts[-2] + Ls[-2] - T
-    x1 = ts[-1] + Ls[-1] - T
-    w = x0 / (x0 - x1) if x0 != x1 else 1.0
-    t_bar = ts[-2] + w * (ts[-1] - ts[-2])
-    v_bar = vs[-2] + w * (vs[-1] - vs[-2])
-    ell_bar = T - t_bar  # pins t_bar + L(t_bar) = T exactly
-    if ts[-2] - t_bar > 1e-9 * max(T, 1.0):
-        ts[-1], Ls[-1], vs[-1] = t_bar, ell_bar, v_bar
-    else:
-        ts, Ls, vs, alts = ts[:-1], Ls[:-1], vs[:-1], alts[:-1]
-        ts[-1], Ls[-1], vs[-1] = t_bar, ell_bar, v_bar
-
-    order = slice(None, None, -1)
-    front = FrontCurve(ts[order].copy(), Ls[order].copy(), np.minimum(vs[order], SPEED_CAP))
-    return BranchResult(
-        front_segment=front,
-        t_bar_star=float(t_bar),
-        ell_bar_star=float(ell_bar),
-        ell_bar_star_prime=float(v_bar),
-        alpha=float(alpha) if alpha is not None else float(vs[0]),
-        alternative_admissible=alts[order].copy(),
-    )
+        x_k = x_next
+    return _package(T, xs, Ls[::-1], vs[::-1], alts[::-1], vs[0] if alpha is None else alpha)
 
 
 def static_branch(target: TargetState, kappa: Toughness, T: float) -> BranchResult:
-    """The static final branch L = ellbar0 on [T - ellbar0, T].
+    """The static final branch L = ellbar0 on [T - ellbar0, T], on w_plus's abscissae.
 
     Valid whenever sup |ybar1 + ybar0'|^2 <= 2 kappa(ellbar0); the caller is
     expected to have checked that constraint.
     """
-    t0 = T - target.ellbar0
-    n = max(int(np.ceil(target.ellbar0 / 0.25)), 1)
-    ts = np.linspace(t0, T, n + 1)
-    front = FrontCurve(ts, np.full(n + 1, target.ellbar0), np.zeros(n + 1))
-    return BranchResult(
-        front_segment=front,
-        t_bar_star=float(t0),
-        ell_bar_star=float(target.ellbar0),
-        ell_bar_star_prime=0.0,
-        alpha=0.0,
-        alternative_admissible=np.zeros(n + 1, dtype=bool),
-    )
+    xs = _nodes(target.w_plus(), target.ellbar0)
+    n = xs.size
+    return _package(T, xs, np.full(n, target.ellbar0), np.zeros(n), np.zeros(n, dtype=bool), 0.0)

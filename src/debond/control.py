@@ -495,20 +495,11 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
         right_value=junction,
     )
 
-    # Sample stage 2 at solver resolution: the branch grid may be coarse (a
-    # static branch needs two nodes), but w_plus composed with the maps does
-    # not.  Pull the target's own abscissae back through tau_plus as well so
-    # kinks of sampled data stay on the grid.
-    n2 = max(int(np.ceil((T - t_bar) / cfg.h)), 8)
-    t2 = np.union1d(np.linspace(t_bar, T, n2 + 1), branch.front_segment.times)
+    # Sample stage 2 on the branch's own nodes.  On a static branch the trace
+    # is linear in s between w_plus's abscissae, so those nodes are exact; on
+    # a marched branch the nodes are at most h apart in r.
     seg = branch.front_segment
-    x_back = w_plus.xs + T
-    x_back = x_back[(x_back >= seg.tau_plus.range_lo) & (x_back <= seg.tau_plus.range_hi)]
-    if x_back.size:
-        t2 = np.union1d(t2, seg.tau_plus.invert(x_back))
-    t2 = t2[(t2 >= t_bar) & (t2 <= T)]
-    bls = seg.ell(t2)
-    bvs = seg.ell_prime(t2)
+    t2, bls, bvs = seg.times, seg.positions, seg.speeds
     s2_nodes = t2 - bls
     args = np.clip(t2 + bls - T, w_plus.lo, w_plus.hi)
     s2_vals = -0.5 * w_plus(args) * (1.0 + bvs) / (1.0 - bvs)

@@ -42,7 +42,7 @@ class DeadEnd(DebondError):
 
 
 class NoTermination(DebondError):
-    """The backward march reached t = 0 before closing the characteristic triangle."""
+    """The horizon is too short for a final branch: T <= ellbar0."""
 
 
 class C1SwitchViolation(DebondError):

@@ -171,11 +171,7 @@ def evaluate(fn: SampledFunction, x: float) -> float:
 
 
 def definite_integral(fn: SampledFunction, a: float, b: float) -> float:
-    """Exact trapezoid integral of the interpolant; antisymmetric in (a, b).
-
-    Raises OverflowError when the difference of the two antiderivatives is
-    not finite.
-    """
+    """Exact trapezoid integral of the interpolant; antisymmetric in (a, b)."""
     out = fn.antiderivative_at(b) - fn.antiderivative_at(a)
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"integral of the interpolant from {a!r} to {b!r} overflows")

@@ -136,11 +136,7 @@ def _require_domain(fn: SampledFunction, hi: float, name: str):
 
 
 def _check_state(state, names):
-    """Checks shared by the initial and target states; returns the displacement slope.
-
-    ``names`` gives the attribute names of the front position, the
-    displacement and the velocity profile.
-    """
+    """Checks shared by both states, given the names of (length, y0, y1); returns y0'."""
     length_name, disp_name, vel_name = names
     length = getattr(state, length_name)
     disp = getattr(state, disp_name)

@@ -164,3 +164,59 @@ def test_c1_switch_violation():
         solve_final_branch(
             tgt, Toughness(1.0), 4.0, BranchPolicy("prefer_moving", c1_mode=True, h=1e-3)
         )
+
+
+# -- the march in r = t + L --------------------------------------------------------
+
+def _kinked_moving_target():
+    # ybar1 has kinks at abscissae off every uniform grid; ybar0 = 0, so w = ybar1.
+    xs = [0.0, 0.31415, 0.71828, 1.04142, 1.41421, 1.73205, 2.0]
+    w = [0.8, 0.35, 0.9, 0.5, 0.75, 0.3, 0.6]
+    target = TargetState(2.0, SampledFunction([0.0, 2.0], [0.0, 0.0]), SampledFunction(xs, w))
+    xk = np.linspace(0.0, 8.0, 65)
+    kappa = Toughness(SampledFunction(xk, 1.0 + 0.1 * np.sin(1.3 * xk + 0.4)))
+    return target, kappa
+
+
+def test_self_convergence_with_kinks_off_the_grid():
+    # Kinks of w are nodes of the r-march, so heun keeps its second order.
+    target, kappa = _kinked_moving_target()
+    hs = [4e-3, 2e-3, 1e-3, 5e-4]
+    t_bar = [solve_final_branch(target, kappa, 6.0, BranchPolicy("prefer_moving", h=h)).t_bar_star
+             for h in hs]
+    errors = np.abs(np.diff(t_bar))  # |t_bar(h) - t_bar(h / 2)|
+    ratios = errors[:-1] / errors[1:]
+    assert np.all(ratios >= 3.8), ratios
+
+
+@pytest.mark.parametrize("mode", ["prefer_static", "prefer_moving"])
+def test_every_abscissa_of_w_is_a_node(mode):
+    target, kappa = _kinked_moving_target()
+    T = 6.0
+    f = solve_final_branch(target, kappa, T, BranchPolicy(mode, h=1e-3)).front_segment
+    x_nodes = f.times + f.positions - T
+    for x in target.w_plus().xs:
+        assert np.min(np.abs(x_nodes - x)) <= 1e-12, x
+
+
+@pytest.mark.parametrize("mode", ["prefer_static", "prefer_moving"])
+def test_random_targets_close_exactly_on_the_r_grid(mode):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        ellbar0 = float(rng.uniform(0.5, 3.0))
+        kap = float(rng.uniform(0.5, 2.0))
+        T = ellbar0 + float(rng.uniform(0.1, 4.0))
+        h = float(rng.uniform(0.005, 0.05))
+        # |ybar1| <= 0.5 sqrt(2 kappa) and |ybar0'| <= 0.4 sqrt(2 kappa): no dead end
+        x1 = np.sort(np.concatenate(([0.0, ellbar0], rng.uniform(0.0, ellbar0, 5))))
+        y1 = rng.uniform(-0.5, 0.5, x1.size) * math.sqrt(2.0 * kap)
+        x0 = np.linspace(0.0, ellbar0, 41)
+        amp = 0.4 * math.sqrt(2.0 * kap) * ellbar0 / (3.0 * math.pi)
+        y0 = amp * np.sin(3.0 * math.pi * (ellbar0 - x0) / ellbar0)
+        y0[-1] = 0.0
+        target = TargetState(ellbar0, SampledFunction(x0, y0), SampledFunction(x1, y1))
+        res = solve_final_branch(target, Toughness(kap), T, BranchPolicy(mode, h=h))
+        f = res.front_segment
+        assert abs(res.t_bar_star + res.ell_bar_star - T) <= 1e-12
+        assert np.max(np.diff(f.times + f.positions)) <= h * (1.0 + 1e-12)
+        assert np.min(f.positions) >= 0.5 * ellbar0 and np.max(f.positions) <= ellbar0
