@@ -79,8 +79,8 @@ def branch_speed_options(Y: float, K: float):
 
 def _nodes(w, ellbar0, h=math.inf):
     """Nodes x = t + L - T on [0, ellbar0]: w's abscissae, segments cut into parts <= h."""
-    xs = w.xs.copy()
-    xs[0], xs[-1] = 0.0, ellbar0  # state samples may lie up to 1e-9 off [0, ellbar0]
+    # state samples may end up to 1e-9 off [0, ellbar0], each table on its own
+    xs = np.unique(np.clip(w.xs, 0.0, ellbar0))
     dx = np.diff(xs)
     parts = np.maximum(np.ceil(dx / h), 1.0).astype(int)
     seg = np.repeat(np.arange(parts.size), parts)

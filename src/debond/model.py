@@ -135,18 +135,16 @@ def _require_domain(fn: SampledFunction, hi: float, name: str):
         raise ValueError(f"{name} must be sampled on [0, {hi:g}], got [{fn.lo:g}, {fn.hi:g}]")
 
 
-def _check_state(state, names):
-    """Checks shared by both states, given the names of (length, y0, y1); returns y0'."""
+def _check_state(length, disp, vel, regularity, tol, names):
+    """Checks shared by both states; ``names`` spells (length, disp, vel). Returns disp'."""
     length_name, disp_name, vel_name = names
-    length = getattr(state, length_name)
-    disp = getattr(state, disp_name)
     if length <= 0.0:
         raise ValueError(f"{length_name} must be positive")
-    if state.regularity not in VALID_REGULARITY:
+    if regularity not in VALID_REGULARITY:
         raise ValueError(f"regularity must be one of {VALID_REGULARITY}")
     _require_domain(disp, length, disp_name)
-    _require_domain(getattr(state, vel_name), length, vel_name)
-    if abs(disp(length)) > state.tol:
+    _require_domain(vel, length, vel_name)
+    if abs(disp(length)) > tol:
         raise ValueError(
             f"{disp_name} must vanish at the front: {disp_name}({length:g}) = {disp(length):g}"
         )
@@ -165,7 +163,8 @@ class InitialState:
     y0_prime: SampledFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        slope = _check_state(self, ("ell0", "y0", "y1"))
+        slope = _check_state(self.ell0, self.y0, self.y1, self.regularity, self.tol,
+                             ("ell0", "y0", "y1"))
         object.__setattr__(self, "y0_prime", slope)
 
 
@@ -181,7 +180,8 @@ class TargetState:
     ybar0_prime: SampledFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        slope = _check_state(self, ("ellbar0", "ybar0", "ybar1"))
+        slope = _check_state(self.ellbar0, self.ybar0, self.ybar1, self.regularity, self.tol,
+                             ("ellbar0", "ybar0", "ybar1"))
         object.__setattr__(self, "ybar0_prime", slope)
 
     def w_plus(self) -> SampledFunction:

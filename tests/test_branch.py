@@ -220,3 +220,29 @@ def test_random_targets_close_exactly_on_the_r_grid(mode):
         assert abs(res.t_bar_star + res.ell_bar_star - T) <= 1e-12
         assert np.max(np.diff(f.times + f.positions)) <= h * (1.0 + 1e-12)
         assert np.min(f.positions) >= 0.5 * ellbar0 and np.max(f.positions) <= ellbar0
+
+
+def _offset_ends_target(lo1, hi1, lo0, hi0):
+    # ybar1 and ybar0 sampled on ends up to 1e-9 off [0, 2] and off each other
+    x1 = np.concatenate(([lo1], np.linspace(0.25, 1.75, 7), [hi1]))
+    x0 = np.concatenate(([lo0], np.linspace(0.3, 1.7, 5), [hi0]))
+    return TargetState(2.0, SampledFunction(x0, np.zeros(x0.size)),
+                       SampledFunction(x1, 0.5 + 0.1 * np.sin(3.0 * x1)))
+
+
+@pytest.mark.parametrize("ends", [(-5e-10, 2.0 + 5e-10, 0.0, 2.0),
+                                  (0.0, 2.0, -5e-10, 2.0 - 5e-10),
+                                  (-5e-10, 2.0, -3e-10, 2.0 + 4e-10)])
+def test_sample_ends_off_the_domain_give_one_node_per_end(ends):
+    target = _offset_ends_target(*ends)
+    T = 5.0
+    kappa = Toughness(1.0)
+    branches = [solve_final_branch(target, kappa, T, BranchPolicy(mode, h=1e-2))
+                for mode in ("prefer_static", "prefer_moving")]
+    branches.append(static_branch(target, kappa, T))
+    for res in branches:
+        f = res.front_segment  # FrontCurve rejects a repeated time
+        x_nodes = f.times + f.positions - T
+        assert abs(x_nodes[0]) <= 1e-12 and f.times[-1] == T and f.positions[-1] == 2.0
+        assert np.all(np.diff(x_nodes) > 1e-12)
+
