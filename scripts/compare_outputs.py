@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
-"""Compare every CLI output of this checkout with another revision's, byte for byte.
+"""Compare every CLI output of this checkout with another revision's.
 
     python3 scripts/compare_outputs.py REV        # e.g. HEAD~ or a commit id
 
 Extracts REV's ``src/`` with ``git archive`` into a temporary directory and
 runs ``simulate``, ``initial-branch``, ``final-branch``, ``check-admissible``,
-``synthesize`` and ``verify`` on four fixed scenarios, then ``verify
+``synthesize`` and ``verify`` on five fixed scenarios, then ``verify
 --control-csv`` replaying the ``control.csv`` that ``synthesize`` wrote for the
 same scenario, once with this checkout's ``src/`` and once with REV's.  Every
-exit code and every file the commands write (CSV and key=value) must match.
-One scenario takes the moving final branch (``prefer_moving``), the others
-the static one.  Every differing exit code and file is listed (a file with
-its first differing byte, or as present on one side only).  Exit status: 0
+exit code and every file the commands write (CSV and key=value) must match
+byte for byte.  One scenario takes the moving final branch
+(``prefer_moving``), one gives the control as samples whose rate jumps
+across node pairs 1e-9 apart, the others take the static branch.  Every
+differing exit code and file is listed: a key=value file or ``verify.csv``
+with each changed value (REV's beside this checkout's), any other CSV with
+its row counts, a file present on one side only as such.  Exit status: 0
 when all are identical, 1 when anything differs, 2 when REV cannot be
 extracted.  Needs only the standard library plus the package's own
 dependencies (numpy, PyYAML).
 """
+
 
 from __future__ import annotations
 
@@ -41,6 +45,21 @@ def _table(xs, vs):
 def _sampled_toughness():
     xs = [8.0 * i / 64 for i in range(65)]
     return _table(xs, [1.0 + 0.1 * math.sin(1.3 * x + 0.4) for x in xs])
+
+
+def _stepwise_control(T=6.0, piece=0.25, gap=1e-9):
+    """u with a constant rate on each piece; the rate jumps across nodes b -+ gap."""
+    n = round(T / piece)
+    slopes = [2.5 * math.sin(1.3 * k + 0.4) for k in range(n)]
+    xs, us = [0.0], [0.0]
+    for k in range(1, n):
+        b = k * piece
+        u_b = us[-1] + slopes[k - 1] * (b - xs[-1])
+        xs += [b - gap, b, b + gap]
+        us += [u_b - slopes[k - 1] * gap, u_b, u_b + slopes[k] * gap]
+    xs.append(T)
+    us.append(us[-1] + slopes[-1] * (T - xs[-2]))
+    return _table(xs, us)
 
 
 SCENARIOS = {
@@ -98,6 +117,17 @@ target:
   ybar1: {{preset: constant, value: {math.sqrt(2.0 / 3.0)!r}}}
 branch: {{policy: prefer_moving}}
 """,
+    # Rate jumps under the byte-identity check: a stepwise control given as
+    # samples, the sampled toughness and the zero target of the expansion.
+    "stepwise-lipschitz": f"""\
+T: 6.0
+solver: {{h: 1.0e-3, scheme: heun}}
+toughness: {{samples: {_sampled_toughness()}, x_max: 8.0}}
+initial: {{ell0: 1.0, regularity: C01, y0: {ZERO}, y1: {ZERO}}}
+control:
+  u: {{samples: {_stepwise_control()}}}
+target: {{ellbar0: 2.0, regularity: C01, ybar0: {ZERO}, ybar1: {ZERO}}}
+""",
 }
 
 
@@ -132,8 +162,21 @@ def run_all(src, config_dir, out_dir):
     return codes
 
 
+def _values(path):
+    """{key: value} of a key=value file, or {metric: (value, passed)} of verify.csv."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if path.name == "verify.csv":
+        rows = (line.split(",") for line in lines[1:] if line)
+        return {row[0]: f"{row[1]} (passed={row[3]})" for row in rows}
+    return dict(line.split("=", 1) for line in lines if "=" in line)
+
+
+def _rows(path):
+    return sum(1 for line in path.read_text(encoding="utf-8").splitlines()[1:] if line)
+
+
 def differences(a, b):
-    """Every differing file as (relative path, first differing byte or None if on one side)."""
+    """Every differing file as (relative path, detail lines; None if on one side only)."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     out = []
@@ -141,11 +184,15 @@ def differences(a, b):
         if rel not in files_a or rel not in files_b:
             out.append((rel, None))
             continue
-        da, db = (a / rel).read_bytes(), (b / rel).read_bytes()
-        if da != db:
-            offset = next((i for i, (x, y) in enumerate(zip(da, db)) if x != y),
-                          min(len(da), len(db)))
-            out.append((rel, offset))
+        pa, pb = a / rel, b / rel
+        if pa.read_bytes() == pb.read_bytes():
+            continue
+        if rel.suffix == ".csv" and rel.name != "verify.csv":
+            out.append((rel, [f"rows: {_rows(pb)} at REV, {_rows(pa)} here"]))
+            continue
+        va, vb = _values(pa), _values(pb)
+        out.append((rel, [f"{key}: {vb.get(key, '-')} at REV, {va.get(key, '-')} here"
+                          for key in sorted(va.keys() | vb.keys()) if va.get(key) != vb.get(key)]))
     return out
 
 
@@ -172,9 +219,10 @@ def main(argv):
                 print(f"DIFFER {key[0]} {key[1]}: exit {code} here, {codes_rev[key]} "
                       f"at {argv[0]}")
                 same = False
-        for rel, offset in differences(tmp / "here", tmp / "rev-out"):
-            where = "on one side only" if offset is None else f"first differs at byte {offset}"
-            print(f"DIFFER {rel}: {where}")
+        for rel, details in differences(tmp / "here", tmp / "rev-out"):
+            print(f"DIFFER {rel}" + (": on one side only" if details is None else ""))
+            for line in details or ():
+                print(f"    {line}")
             same = False
         if not same:
             return 1

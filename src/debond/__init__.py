@@ -16,7 +16,6 @@ from .errors import (
     NoTermination,
     RangeError,
     SpeedOutOfRange,
-    StepTooLarge,
 )
 from .func1d import (
     MonotoneMap,

@@ -29,10 +29,6 @@ class IncompatibleData(DebondError):
     """Initial data and control fail the well-posedness compatibility conditions."""
 
 
-class StepTooLarge(DebondError):
-    """The time step broke monotonicity of the backward characteristic map."""
-
-
 class HorizonExceeded(DebondError):
     """The initial branch did not terminate before the configured time cap."""
 

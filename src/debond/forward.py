@@ -1,20 +1,21 @@
-"""Forward-in-time solver for the coupled front/trace system.
+"""Forward solver for the coupled front/trace system, in the trace coordinate s = t - ell.
 
-Given initial data, a toughness profile and a boundary control, the solver
-marches the front ODE
+With ell~(s) = ell(t) and g = d ell~/ds, the Griffith law and the boundary
+reflection of the trace slope f' (given by the data and the control on
+[-ell0, ell0]) read
 
-    ell'(t) = max[(2 f'(t - ell)^2 - kappa(ell)) / (2 f'(t - ell)^2 + kappa(ell)), 0]
+    g(s) = max(f'(s)^2 / kappa(ell~(s)) - 1/2, 0),      ell'(t) = g / (1 + g),
+    f'(s) = u'(s) + f'(sigma) / (1 + 2 g(sigma)),      sigma + 2 ell~(sigma) = s.
 
-where the trace slope f' is determined causally: seeded by the initial data
-on [-ell0, ell0] and extended past ell0 through the reflection relation
-
-    f'(s) = u'(s) + f'(echo(s)) * (1 - ell'(t+)) / (1 + ell'(t+)),
-    t+ = tau_plus^-1(s),   echo(s) = s - 2 ell(t+).
-
-The echo point always lags the march by at least 2*ell0, so every value is
-available when needed.  f' samples are stored at the non-uniform abscissae
-s = tau_minus(t_n) produced by the march (that is exactly where the
-reflection relation queries them), with linear interpolation between.
+As sigma <= a on the echo block (a, a + 2 ell~(a)], a block is one vectorized
+pass: interpolate earlier nodes in sigma + 2 ell~(sigma), then integrate g
+(heun: trapezoid rule, euler: left-point rule; a non-constant toughness takes
+a scalar predictor-corrector loop).  Its nodes are a grid of spacing at most
+h and the tracked jumps of f', each a pair of nodes with one-sided values:
+the seed kink at s = 0 and the switch to reflection at s = ell0 (when their
+sides differ), u' abscissae closer than 1e-6 max(T, 1) with different values,
+and the images of tracked pairs.  No step straddles a jump, and t increases
+with s whatever h is.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HorizonExceeded, IncompatibleData, StepTooLarge
+from .errors import DomainError, HorizonExceeded, IncompatibleData
 from .func1d import SampledFunction, cumulative_trapezoid, definite_integral, lerp, merged_eval
 from .model import (
     SPEED_CAP,
@@ -39,10 +40,17 @@ from .model import (
 
 _SCHEMES = ("euler", "heun")
 
+# g = ell' / (1 - ell') at the stored speed cap.
+_G_CAP = SPEED_CAP / (1.0 - SPEED_CAP)
+
+# Consecutive u' abscissae closer than this times max(T, 1), with different
+# values, are a jump of the control rate.
+_JUMP_SPAN = 1e-6
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time step, horizon and scheme for the forward march."""
+    """Step, horizon and scheme for the forward solve."""
 
     h: float
     T: float
@@ -66,7 +74,6 @@ class _SeedData:
     """Raw piecewise-linear arrays for the data-determined part of the trace."""
 
     def __init__(self, initial: InitialState):
-        self.ell0 = initial.ell0
         y0p, y1 = initial.y0_prime, initial.y1
         # f'(s) = (y1 - y0')(-s)/2 on [-ell0, 0], stored directly in s.
         grid, diff = merged_eval(y1, y0p, lambda a, b: 0.5 * (a - b))
@@ -80,6 +87,14 @@ class _SeedData:
         """(y1 - y0')/2 on [0, ell0]; f(s <= 0) is minus its integral from 0 to -s."""
         return SampledFunction(-self.minus_xs[::-1], self.minus_vs[::-1])
 
+    def fprime(self, q, up_xs, up_vs):
+        """Trace slope on an array q <= ell0: the data, and the control u' on (0, ell0]."""
+        return np.where(
+            q <= 0.0,
+            lerp(self.minus_xs, self.minus_vs, q),
+            lerp(up_xs, up_vs, q) - lerp(self.plus_xs, self.plus_vs, q),
+        )
+
 
 def _require_matching_endpoint(initial: InitialState, control: ControlSignal):
     if abs(initial.y0(0.0) - control.u(0.0)) > 1e-6:
@@ -89,125 +104,139 @@ def _require_matching_endpoint(initial: InitialState, control: ControlSignal):
         )
 
 
-class _March:
-    """Shared marching core for the forward solve and the initial branch.
+_FIELDS = ("s", "t", "ell", "g", "v", "fp", "tracked")
 
-    ``fprime``, ``_commit`` and ``step`` work through memoryviews of the arrays
-    ``SolutionRecord`` reads: Python floats, rounded like float64 elements.
+
+class _Core:
+    """Front and trace slope on s in [-ell0, s_end], solved one echo block at a time.
+
+    The node arrays ``_FIELDS`` (``v`` is ell'(t), ``fp`` is f'(s)) are filled in
+    place up to ``n``.  At front nodes (t < T) ``s`` is t - ell recomputed from the
+    stored t and ell, so the foot recomputed from the front reads back its slope.
     """
 
-    def __init__(self, initial, kappa, cfg, uprime_xs, uprime_vs):
-        if cfg.h > initial.ell0 / 10.0 + 1e-15:
-            raise ValueError("time step must not exceed ell0 / 10")
-        self.initial = initial
-        self.kappa = kappa
-        self.cfg = cfg
+    def __init__(self, initial, kappa, cfg, up_xs, up_vs, s_end):
+        ell0 = initial.ell0
+        self.initial, self.kappa, self.cfg = initial, kappa, cfg
         self.seed = _SeedData(initial)
-        self.up_xs = uprime_xs
-        self.up_vs = uprime_vs
-        n_steps = max(int(round(cfg.T / cfg.h)), 1)
-        self.t = np.linspace(0.0, cfg.T, n_steps + 1)
-        self.ell = np.empty(n_steps + 1)
-        self.ellp = np.empty(n_steps + 1)
-        self.sm = np.empty(n_steps + 1)  # tau_minus(t_n)
-        self.sp = np.empty(n_steps + 1)  # tau_plus(t_n)
-        self.fp = np.empty(n_steps + 1)  # f'(sm[n])
+        self.up_xs, self.up_vs = up_xs, up_vs
+        # Width of the jump pairs at s = 0 and s = ell0; nodes keep half of it apart.
+        self.eps = max(2e-12 * (cfg.T + ell0), 1e-13)
+        close = (np.diff(up_xs) < _JUMP_SPAN * max(cfg.T, 1.0)) & (np.diff(up_vs) != 0.0)
+        self.up_jumps = up_xs[np.append(close, False) | np.insert(close, 0, False)]
+        size = int((s_end + ell0) / cfg.h) + 4 * self.up_jumps.size + 64
+        for name in _FIELDS:
+            setattr(self, name, np.zeros(size, dtype=bool if name == "tracked" else float))
         self.n = 0
-        seed, mv = self.seed, memoryview
-        self._t, self._ell, self._ellp = mv(self.t), mv(self.ell), mv(self.ellp)
-        self._sm, self._sp, self._fp = mv(self.sm), mv(self.sp), mv(self.fp)
-        self._up_xs, self._up_vs = mv(uprime_xs), mv(uprime_vs)
-        self._minus_xs, self._minus_vs = mv(seed.minus_xs), mv(seed.minus_vs)
-        self._plus_xs, self._plus_vs = mv(seed.plus_xs), mv(seed.plus_vs)
-        self._ell0 = seed.ell0
-        self._euler = cfg.scheme == "euler"
-        self._kconst = kappa.kappa if kappa.is_constant else None
-        self._commit(0, initial.ell0)
+        self._solve(s_end)
+        for name in _FIELDS:
+            setattr(self, name, getattr(self, name)[: self.n])
 
-    def _kappa_at(self, x):
-        if self._kconst is not None:
-            return self._kconst
-        return self.kappa(x)
-
-    def fprime(self, q, n):
-        """Trace slope at a float q, using nodes 0..n-1 for reflections.
-
-        The march's per-step query; ``fprime_array`` is the same relation
-        evaluated over an array with every committed node.
-        """
-        ell0 = self._ell0
-        if q <= 0.0:
-            return lerp(self._minus_xs, self._minus_vs, q)
-        if q <= ell0:
-            return lerp(self._up_xs, self._up_vs, q) - lerp(self._plus_xs, self._plus_vs, q)
-        sp = self._sp
-        ell_at = lerp(sp, self._ell, q, n)
-        v_at = lerp(sp, self._ellp, q, n)
-        echo = q - 2.0 * ell_at
-        if echo < -ell0:
-            echo = -ell0
-        if echo <= ell0:
-            fp_echo = self.fprime(echo, n)
-        else:
-            fp_echo = lerp(self._sm, self._fp, echo, n)
-        return lerp(self._up_xs, self._up_vs, q) + fp_echo * (1.0 - v_at) / (1.0 + v_at)
-
-    def seed_fprime_array(self, q):
-        """Trace slope on an array q <= ell0: the data and the control alone."""
-        seed = self.seed
-        return np.where(
-            q <= 0.0,
-            lerp(seed.minus_xs, seed.minus_vs, q),
-            lerp(self.up_xs, self.up_vs, q) - lerp(seed.plus_xs, seed.plus_vs, q),
-        )
-
-    def fprime_array(self, q):
-        """``fprime`` over an array q, reflecting through every committed node."""
-        seed = self.seed
-        n = self.n + 1
-        sp = self.sp[:n]
-        ell_at = lerp(sp, self.ell[:n], q)
-        v_at = lerp(sp, self.ellp[:n], q)
-        echo = np.maximum(q - 2.0 * ell_at, -seed.ell0)
-        fp_echo = np.where(
-            echo <= seed.ell0, self.seed_fprime_array(echo), lerp(self.sm[:n], self.fp[:n], echo)
-        )
-        reflected = lerp(self.up_xs, self.up_vs, q) + fp_echo * (1.0 - v_at) / (1.0 + v_at)
-        return np.where(q <= seed.ell0, self.seed_fprime_array(q), reflected)
-
-    def _commit(self, n, ell_n):
-        t = self._t[n]
-        sm = t - ell_n
-        self._ell[n] = ell_n
-        self._sm[n] = sm
-        self._sp[n] = t + ell_n
-        if n > 0 and sm <= self._sm[n - 1]:
-            raise StepTooLarge(f"tau_minus lost monotonicity at t = {t:.6g}; reduce the step")
-        fp = self.fprime(sm, n)
-        self._fp[n] = fp
-        # Inline compare, several times cheaper than min(); a NaN passes through.
-        v = griffith_speed(fp, self._kappa_at(ell_n))
-        self._ellp[n] = SPEED_CAP if v > SPEED_CAP else v
-        self.n = n
-
-    def step(self):
-        n = self.n
-        t1 = self._t[n + 1]
-        h = t1 - self._t[n]
-        v0 = self._ellp[n]
-        ell = self._ell[n]
-        if self._euler:
-            self._commit(n + 1, ell + h * v0)
+    def _solve(self, s_end):
+        ell0, eps, seed = self.initial.ell0, self.eps, self.seed
+        start = np.array([-ell0])
+        self._add(start, seed.fprime(start, self.up_xs, self.up_vs), np.zeros(1, bool), False)
+        self._block(-ell0, min(0.0, s_end), np.empty(0), reflect=False)
+        if s_end <= 0.0:
             return
-        ell_pred = ell + h * v0
-        fp_pred = self.fprime(t1 - ell_pred, n + 1)
-        v1 = griffith_speed(fp_pred, self._kappa_at(ell_pred))
-        v1 = SPEED_CAP if v1 > SPEED_CAP else v1
-        self._commit(n + 1, ell + 0.5 * h * (v0 + v1))
+        # The seed kink at s = 0: data on the left, data and control on the right.
+        right = np.interp(0.0, self.up_xs, self.up_vs) - np.interp(0.0, seed.plus_xs, seed.plus_vs)
+        self.tracked[self.n - 1] = kink = right != self.fp[self.n - 1]
+        self._block(0.0, min(ell0, s_end), np.array([eps] if kink else []), reflect=False)
 
-    def run(self):
-        for _ in range(self.t.shape[0] - 1):
-            self.step()
+        prev = 0  # first node of the block before the current one
+        while self.s[self.n - 1] < s_end - 0.5 * eps:
+            n = self.n
+            a = self.s[n - 1]
+            b = min(a + 2.0 * self.ell[n - 1], s_end)
+            # Images of the previous block's tracked nodes all land in (a, a + 2 ell~(a)].
+            images = (self.s[prev:n] + 2.0 * self.ell[prev:n])[self.tracked[prev:n]]
+            right = np.interp(a, self.up_xs, self.up_vs) + self.fp[0] / (1.0 + 2.0 * self.g[0])
+            if prev == 0 and right != self.fp[n - 1]:
+                # Past ell0 the slope switches from the data to the reflection of s = -ell0.
+                images = np.append(images, (a + eps, a + 2.0 * self.ell[n - 1]))
+            prev = n
+            self._block(a, b, images[images <= b], reflect=True)
+
+    def _block(self, a, b, jumps, reflect):
+        """Solve on (a, b]: the uniform grid plus the u' jumps and the tracked ``jumps``."""
+        m = max(math.ceil((b - a) / self.cfg.h - 1e-9), 1)
+        q = np.linspace(a, b, m + 1)[1:]
+        tracked = np.zeros(m, dtype=bool)
+        lo, hi = np.searchsorted(self.up_jumps, (a, b), side="right")
+        if jumps.size or hi > lo:
+            jumps = np.concatenate((jumps, self.up_jumps[lo:hi]))
+            q = np.concatenate((jumps, q))
+            tracked = np.concatenate((np.ones(jumps.size, bool), tracked))
+            order = np.argsort(q, kind="stable")
+            q, tracked = q[order], tracked[order]
+            # Nodes closer than eps / 2 merge into the first; a merged jump stays tracked.
+            first = np.flatnonzero(np.diff(q, prepend=a) > 0.5 * self.eps)
+            q, tracked = q[first], np.logical_or.reduceat(tracked, first)
+        fp = self._reflect(q, a) if reflect else self.seed.fprime(q, self.up_xs, self.up_vs)
+        self._add(q, fp, tracked, reflect)
+
+    def _reflect(self, q, a):
+        """f' on the block after a, reflected from the nodes in [a - 2 ell~(a), a]."""
+        n = self.n
+        lo = max(int(np.searchsorted(self.s[:n], a - 2.0 * self.ell[n - 1], side="right")) - 1, 0)
+        image = self.s[lo:n] + 2.0 * self.ell[lo:n]
+        echo = np.interp(q, image, self.fp[lo:n])
+        g_echo = np.interp(q, image, self.g[lo:n])
+        return np.interp(q, self.up_xs, self.up_vs) + echo / (1.0 + 2.0 * g_echo)
+
+    def _add(self, q, fp, tracked, reflected):
+        """Integrate ell~ over the new nodes q from the last stored node, and store them."""
+        n, m = self.n, q.size
+        if n:
+            s0, l0, g0 = self.s[n - 1], self.ell[n - 1], self.g[n - 1]
+        else:
+            s0, l0, g0 = q[0], self.initial.ell0, 0.0
+        kappa = self.kappa
+        if kappa.is_constant:
+            g = np.minimum(np.maximum(fp * fp / kappa.kappa - 0.5, 0.0), _G_CAP)
+            x, g_all = np.concatenate(([s0], q)), np.concatenate(([g0], g))
+            if self.cfg.scheme == "heun":
+                ell = l0 + cumulative_trapezoid(x, g_all)[1:]
+            else:
+                ell = l0 + np.cumsum(np.diff(x) * g_all[:-1])
+        else:
+            ell, g = self._march(q, fp, s0, l0, g0)
+        t = q + ell
+        s = np.where(t < self.cfg.T, t - ell, q)
+        if not reflected:
+            # Up to ell0 trace_slope evaluates the data formula: take it at the
+            # stored abscissae, which may sit inside a u' jump pair.
+            fp = self.seed.fprime(s, self.up_xs, self.up_vs)
+        v = np.minimum(griffith_speed(fp, kappa(ell)), SPEED_CAP)
+        for name, values in zip(_FIELDS, (s, t, ell, g, v, fp, tracked)):
+            if n + m > getattr(self, name).size:
+                setattr(self, name, np.resize(getattr(self, name), 2 * (n + m)))
+            getattr(self, name)[n : n + m] = values
+        self.n = n + m
+
+    def _march(self, q, fp, s, ell, g):
+        """ell~ and g when g depends on ell~ through kappa: Euler, or an Euler predictor
+        for kappa's argument and the trapezoid rule.  After the first node with
+        t >= T the front is held, as no such node is a reflection source for s <= T.
+        """
+        kappa, heun, T = self.kappa.kappa, self.cfg.scheme == "heun", self.cfg.T
+        s, ell, g = float(s), float(ell), float(g)
+        out = []
+        for s_next, f2 in zip(q.tolist(), (fp * fp).tolist()):
+            if s + ell >= T:
+                g = 0.0
+            else:
+                d = s_next - s
+                ell_next = ell + d * g
+                if heun:
+                    g_pred = min(max(f2 / kappa(ell_next) - 0.5, 0.0), _G_CAP)
+                    ell_next = ell + 0.5 * d * (g + g_pred)
+                ell = ell_next
+                g = min(max(f2 / kappa(ell) - 0.5, 0.0), _G_CAP)
+            s = s_next
+            out.append((ell, g))
+        return np.array(out).reshape(-1, 2).T
 
 
 class SolutionRecord:
@@ -218,39 +247,41 @@ class SolutionRecord:
     safe for concurrent reads.
     """
 
-    def __init__(self, march: _March, control: ControlSignal):
-        self.initial = march.initial
-        self.toughness = march.kappa
+    def __init__(self, core: _Core, control: ControlSignal):
+        self.initial = core.initial
+        self.toughness = core.kappa
         self.control = control
-        self.config = march.cfg
-        self.front = FrontCurve(march.t, march.ell, march.ellp)
-        self._march = march
-        # Extend the slope store over (tau_minus(T), T]: reconstruction at
-        # time T queries f'(T - x) all the way up to s = T.
-        T = march.cfg.T
-        tail_lo = march.sm[march.n]
-        if tail_lo < T:
-            count = max(int(np.ceil((T - tail_lo) / march.cfg.h)), 1)
-            tail = np.linspace(tail_lo, T, count + 1)[1:]
-            tail_fp = march.fprime_array(tail)
-            self._store_s = np.concatenate([march.sm[: march.n + 1], tail])
-            self._store_fp = np.concatenate([march.fp[: march.n + 1], tail_fp])
-        else:
-            self._store_s = march.sm[: march.n + 1].copy()
-            self._store_fp = march.fp[: march.n + 1].copy()
+        self.config = cfg = core.cfg
+        self._core = core  # its trace runs up to s = T, which reconstruction at T reads
+        # The front ends with one partial step of the scheme, in t, to t = T.
+        T = cfg.T
+        k = int(np.searchsorted(core.t, T - core.eps)) - 1
+        dt = T - core.t[k]
+        ell_T = core.ell[k] + dt * core.v[k]
+        if cfg.scheme == "heun":
+            ell_T = core.ell[k] + 0.5 * dt * (core.v[k] + self._speed(T - ell_T, ell_T))
+        self.front = FrontCurve(
+            np.append(core.t[: k + 1], T),
+            np.append(core.ell[: k + 1], ell_T),
+            np.append(core.v[: k + 1], self._speed(T - ell_T, ell_T)),
+        )
+
+    def _speed(self, s, ell):
+        return min(griffith_speed(self.trace_slope(s), self.toughness(ell)), SPEED_CAP)
 
     # -- trace queries ------------------------------------------------------
 
     def trace_slope(self, s):
-        """f'(s): exact data formulas below ell0, stored march samples above.
+        """f'(s): exact data formulas below ell0, the solver's nodes above.
 
         A float gives a float, an array an array of the same shape.
         """
         s = np.asarray(s, dtype=float)
+        core = self._core
         out = np.where(
             s <= self.initial.ell0,
-            self._march.seed_fprime_array(s),
-            lerp(self._store_s, self._store_fp, s),
+            core.seed.fprime(s, core.up_xs, core.up_vs),
+            lerp(core.s, core.fp, s),
         )
         return float(out) if out.ndim == 0 else out
 
@@ -283,7 +314,7 @@ class SolutionRecord:
         f = np.empty_like(q)
         neg = q <= 0.0
         # f(s <= 0) = integral_0^{-s} (y0' - y1)/2 = -integral of the seed slope
-        f[neg] = -definite_integral(self._march.seed.minus_fn, 0.0, -q[neg])
+        f[neg] = -definite_integral(self._core.seed.minus_fn, 0.0, -q[neg])
         mid = q[~neg]
         half = 0.5 * (
             definite_integral(self.initial.y0_prime, 0.0, mid)
@@ -295,18 +326,8 @@ class SolutionRecord:
         return f
 
     def trace_function(self) -> SampledFunction:
-        """The trace slope assembled into one sampled function on [-ell0, T]."""
-        ell0 = self.initial.ell0
-        T = self.config.T
-        eps = max(2e-12 * (T + ell0), 1e-13)
-        nodes = [self._march.seed.minus_xs, np.array([0.0 + eps])]
-        inner = self._store_s[(self._store_s > eps) & (self._store_s <= ell0 - eps)]
-        nodes += [inner, np.array([ell0, ell0 + eps])]
-        nodes.append(self._store_s[self._store_s > ell0 + eps])
-        s = np.concatenate(nodes)
-        s = np.unique(s)
-        s = s[np.concatenate(([True], np.diff(s) > eps / 2))]
-        return SampledFunction(s, self.trace_slope(s))
+        """The trace slope on [-ell0, T] as one sampled function on the solver's nodes."""
+        return SampledFunction(self._core.s, self.trace_slope(self._core.s))
 
     # -- reconstruction -----------------------------------------------------
 
@@ -394,15 +415,14 @@ def solve_front(
     kappa: Toughness,
     cfg: SolverConfig,
 ) -> SolutionRecord:
-    """March the coupled front/trace system from 0 to T under the control."""
+    """Solve the coupled front/trace system from 0 to T under the control."""
     if control.t_end < cfg.T * (1 - 1e-12):
         raise DomainError(
             f"control defined up to {control.t_end:g} but horizon is {cfg.T:g}"
         )
     _require_matching_endpoint(initial, control)
-    march = _March(initial, kappa, cfg, control.uprime.xs, control.uprime.vs)
-    march.run()
-    return SolutionRecord(march, control)
+    core = _Core(initial, kappa, cfg, control.uprime.xs, control.uprime.vs, cfg.T)
+    return SolutionRecord(core, control)
 
 
 def solve_initial_branch(
@@ -412,38 +432,18 @@ def solve_initial_branch(
 ) -> InitialBranchResult:
     """Front portion determined by the initial data alone (no control needed).
 
-    Marches until the backward characteristic foot t - ell(t) first reaches 0
-    and locates the crossing t_star (= ell_star) by linear interpolation.
+    Solves for s = t - ell on [-ell0, 0]: the branch ends at the node s = 0,
+    where t_star = ell_star, with the left-limit speed.
     """
-    zero = np.array([0.0, cfg.T])
-    march = _March(initial, kappa, cfg, zero, np.zeros(2))
-    n_max = march.t.shape[0] - 1
-    while march.sm[march.n] < 0.0:
-        if march.n >= n_max:
-            raise HorizonExceeded(
-                f"initial branch did not close within the horizon T = {cfg.T:g}"
-            )
-        march.step()
-    n = march.n  # n >= 1: sm[0] = -ell0 < 0 and h <= ell0/10 force several steps
-    w = (0.0 - march.sm[n - 1]) / (march.sm[n] - march.sm[n - 1])
-    t_star = march.t[n - 1] + w * (march.t[n] - march.t[n - 1])
-    v_star = march.ellp[n - 1] + w * (march.ellp[n] - march.ellp[n - 1])
-    times = march.t[: n + 1].copy()
-    ells = march.ell[: n + 1].copy()
-    speeds = march.ellp[: n + 1].copy()
-    # Replace the overshooting node with the exact crossing; drop it instead
-    # when the crossing coincides with the previous node.
-    if t_star - times[n - 1] > 1e-9 * max(t_star, 1.0):
-        times[n], ells[n], speeds[n] = t_star, t_star, v_star
-    else:
-        times, ells, speeds = times[:n], ells[:n], speeds[:n]
-        times[-1], ells[-1], speeds[-1] = t_star, t_star, v_star
-    front = FrontCurve(times, ells, speeds)
+    core = _Core(initial, kappa, cfg, np.array([0.0, cfg.T]), np.zeros(2), 0.0)
+    t_star = float(core.t[-1])
+    if t_star > cfg.T:
+        raise HorizonExceeded(f"initial branch did not close within the horizon T = {cfg.T:g}")
     return InitialBranchResult(
-        t_star=float(t_star),
-        ell_star=float(t_star),
-        ell_star_prime=float(v_star),
-        front=front,
+        t_star=t_star,
+        ell_star=float(core.ell[-1]),
+        ell_star_prime=float(core.v[-1]),
+        front=FrontCurve(core.t, core.ell, core.v),
         slope_authoritative=(initial.regularity == "C1"),
     )
 

@@ -129,9 +129,8 @@ def lerp(xs, vs, q, n=None):
     binary search.  This rounds differently from ``np.interp``; the trace
     store and the designed trace are read through it so their outputs stay
     bit-stable.  A Python number ``q`` takes a scalar path on any float
-    sequence (the march passes memoryviews and asks for one point per call)
-    over the first ``n`` samples, all by default; anything else is evaluated
-    as an array over all of ``xs``.
+    sequence (a memoryview, say) over the first ``n`` samples, all by
+    default; anything else is evaluated as an array over all of ``xs``.
     """
     if isinstance(q, (float, int)):
         n = len(xs) if n is None else n

@@ -28,8 +28,8 @@ from .func1d import MonotoneMap, SampledFunction, derivative, merged_eval
 
 VALID_REGULARITY = ("C01", "C1")
 
-# Largest front speed a front curve stores: it keeps t - ell(t) strictly
-# increasing in floating point, so tau_minus stays invertible.
+# Largest front speed a front curve stores: FrontCurve needs speeds below 1,
+# and the forward core's g = ell' / (1 - ell') stays finite.
 SPEED_CAP = 1.0 - 1e-9
 
 
@@ -40,8 +40,13 @@ SPEED_CAP = 1.0 - 1e-9
 def griffith_speed(fprime_at_trace, kappa_at_front):
     """Front speed selected by the energy criterion; always in [0, 1).
 
-    Scalars give a float (the march's per-step query); arrays give an array.
+    Scalars give a float, arrays an array.  A non-finite argument raises
+    ``FloatingPointError`` naming it.
     """
+    for name, value in (("trace slope", fprime_at_trace), ("toughness", kappa_at_front)):
+        bad = np.asarray(value)[~np.isfinite(value)]
+        if bad.size:
+            raise FloatingPointError(f"Griffith speed of a non-finite {name}: {bad.flat[0]}")
     if isinstance(kappa_at_front, np.ndarray):
         if np.any(kappa_at_front <= 0.0):
             raise InvalidToughness(f"toughness must be positive, got {np.min(kappa_at_front)}")

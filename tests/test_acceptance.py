@@ -297,6 +297,22 @@ def test_criterion_7_roundtrip_c01():
             f"disp {worst_disp:.2e}")
 
 
+def test_criterion_7_terminal_velocity():
+    # The synthesized control's u' jumps and their echoes are tracked nodes of
+    # the forward solve, so y_t(T, .) has no spike where they cancel.
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(50):
+        tgt, kap = _random_static_target(rng)
+        T_i = 2.0 * tgt.ellbar0 + 1.0
+        cfg_i = SolverConfig(h=H, T=T_i)
+        rep_i = synthesize_static_c01(zero_initial(), tgt, kap, T_i, cfg_i)
+        res_i = verify_synthesis(rep_i, zero_initial(), tgt, kap, cfg_i)
+        worst = max(worst, res_i.velocity_error)
+    _report(7, "round-trip C01 terminal velocity",
+            worst <= 0.1, f"50 random targets worst velocity {worst:.2e} (tol 1e-1)")
+
+
 # ---------------------------------------------------------------------------
 # 8. Round-trip C1 controllability, case (d)
 # ---------------------------------------------------------------------------

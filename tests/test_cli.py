@@ -308,6 +308,17 @@ def test_h_override(tmp_path):
     assert front["t"].size == 301
 
 
+def test_step_above_a_tenth_of_ell0(tmp_path):
+    # The step needs no bound relative to ell0.
+    doc = (STATIC_ZERO.replace("ell0: 1.0", "ell0: 0.05").replace("h: 1.0e-3", "h: 0.01")
+           .replace("u: {preset: constant, value: 0.0}",
+                    "u: {preset: sine, amplitude: 0.5, omega: 2.0, phase: 0.0}"))
+    code, out = run(tmp_path, doc, "simulate")
+    assert code == 0
+    for name in ("front.csv", "trace.csv", "control.csv", "state_at_T.csv"):
+        assert all(np.all(np.isfinite(col)) for col in read_csv(out / name).values())
+
+
 def test_verify_replay_of_own_control_is_identical(tmp_path):
     # Replaying the control that verify synthesized goes through the same
     # metric, so verify.csv comes out byte for byte the same.

@@ -357,3 +357,51 @@ def test_deep_reflection_chain_beyond_recursion_limit():
 def test_solver_config_rejects_non_finite_or_non_positive(h, T):
     with pytest.raises(ValueError, match="positive and finite"):
         SolverConfig(h=h, T=T)
+
+
+# -- core in s = t - ell with tracked jumps ---------------------------------------
+
+def _stepwise_draws():
+    rng = np.random.default_rng(11)
+    return [stepwise_control(5.0, rng) for _ in range(4)]
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+def test_piecewise_constant_rate_is_solved_exactly(scheme):
+    # Zero data, constant kappa and a piecewise-constant u': g is piecewise
+    # constant between tracked jump pairs, so both rules integrate it exactly
+    # and ell(4) does not depend on h.
+    for ctrl in _stepwise_draws():
+        ells = [
+            solve_front(zero_state(), ctrl, Toughness(1.0),
+                        SolverConfig(h=h, T=5.0, scheme=scheme)).front.ell(4.0)
+            for h in (2e-3, 1e-3, 5e-4)
+        ]
+        assert max(ells) - min(ells) <= 1e-10, ells
+
+
+def test_griffith_residuals_vanish_at_jump_pairs():
+    # The foot t - ell of every front node reads back the slope it was
+    # solved with, also at the nodes of a jump pair 1e-9 wide.
+    for ctrl in _stepwise_draws():
+        sol = solve_front(zero_state(), ctrl, Toughness(1.0), SolverConfig(h=1e-3, T=5.0))
+        assert np.max(sol.griffith_residuals()) <= 1e-12
+
+
+def test_node_budget_without_jumps():
+    # Nothing jumps under zero data and zero control: the nodes are the grid.
+    ell0, T, h = 0.004, 12.0, 4e-4
+    sol = solve_front(
+        zero_state(ell0=ell0), ControlSignal.zero(T), Toughness(1.0), SolverConfig(h=h, T=T)
+    )
+    assert sol.front.times.size <= 1.1 * (T + ell0) / h
+    assert np.all(sol.trace_value(np.linspace(-ell0, T, 41)) == 0.0)
+
+
+def test_step_longer_than_a_tenth_of_ell0():
+    st = make_state(1.0, lambda x: 0.0, lambda x: 2.0)
+    sol = solve_front(st, ControlSignal.zero(6.0), Toughness(0.5), SolverConfig(h=0.3, T=6.0))
+    f = sol.front
+    assert f.t_end == 6.0
+    assert np.all(np.isfinite(f.positions)) and np.all(np.isfinite(f.speeds))
+    assert abs(f.ell(6.0) - 4.0) <= 1e-9

@@ -55,6 +55,17 @@ def test_griffith_speed_rejects_bad_toughness():
         griffith_speed(1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "fp, kap, name",
+    [(math.nan, 1.0, "trace slope"), (1.0, math.nan, "toughness"), (math.inf, 1.0, "trace slope")],
+)
+def test_griffith_speed_rejects_non_finite(fp, kap, name):
+    with pytest.raises(FloatingPointError, match=name):
+        griffith_speed(fp, kap)
+    with pytest.raises(FloatingPointError, match=name):
+        griffith_speed(np.array([0.5, fp]), np.array([1.0, kap]))
+
+
 def test_griffith_speed_range_property():
     rng = np.random.default_rng(0)
     fp = rng.uniform(-50.0, 50.0, 100_000)
