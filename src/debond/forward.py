@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,15 +117,14 @@ class _Core:
     """
 
     def __init__(self, initial, kappa, cfg, up_xs, up_vs, s_end):
-        ell0 = initial.ell0
         self.initial, self.kappa, self.cfg = initial, kappa, cfg
         self.seed = _SeedData(initial)
         self.up_xs, self.up_vs = up_xs, up_vs
         # Width of the jump pairs at s = 0 and s = ell0; nodes keep half of it apart.
-        self.eps = max(2e-12 * (cfg.T + ell0), 1e-13)
+        self.eps = max(2e-12 * (cfg.T + initial.ell0), 1e-13)
         close = (np.diff(up_xs) < _JUMP_SPAN * max(cfg.T, 1.0)) & (np.diff(up_vs) != 0.0)
         self.up_jumps = up_xs[np.append(close, False) | np.insert(close, 0, False)]
-        size = int((s_end + ell0) / cfg.h) + 4 * self.up_jumps.size + 64
+        size = int((s_end + initial.ell0) / cfg.h) + 4 * self.up_jumps.size + 64
         for name in _FIELDS:
             setattr(self, name, np.zeros(size, dtype=bool if name == "tracked" else float))
         self.n = 0
@@ -151,9 +151,9 @@ class _Core:
             b = min(a + 2.0 * self.ell[n - 1], s_end)
             # Images of the previous block's tracked nodes all land in (a, a + 2 ell~(a)].
             images = (self.s[prev:n] + 2.0 * self.ell[prev:n])[self.tracked[prev:n]]
-            right = np.interp(a, self.up_xs, self.up_vs) + self.fp[0] / (1.0 + 2.0 * self.g[0])
-            if prev == 0 and right != self.fp[n - 1]:
-                # Past ell0 the slope switches from the data to the reflection of s = -ell0.
+            if prev == 0 and self.fp[n - 1] != (
+                np.interp(a, self.up_xs, self.up_vs) + self.fp[0] / (1.0 + 2.0 * self.g[0])
+            ):  # past ell0 the slope switches from the data to the reflection of s = -ell0
                 images = np.append(images, (a + eps, a + 2.0 * self.ell[n - 1]))
             prev = n
             self._block(a, b, images[images <= b], reflect=True)
@@ -208,35 +208,32 @@ class _Core:
             # Up to ell0 trace_slope evaluates the data formula: take it at the
             # stored abscissae, which may sit inside a u' jump pair.
             fp = self.seed.fprime(s, self.up_xs, self.up_vs)
-        v = np.minimum(griffith_speed(fp, kappa(ell)), SPEED_CAP)
+        v = np.minimum(griffith_speed(fp, kappa(np.minimum(ell, self.cfg.T - q))), SPEED_CAP)
         for name, values in zip(_FIELDS, (s, t, ell, g, v, fp, tracked)):
             if n + m > getattr(self, name).size:
                 setattr(self, name, np.resize(getattr(self, name), 2 * (n + m)))
             getattr(self, name)[n : n + m] = values
         self.n = n + m
 
-    def _march(self, q, fp, s, ell, g):
+    def _march(self, q, fp, s0, ell, g):
         """ell~ and g when g depends on ell~ through kappa: Euler, or an Euler predictor
-        for kappa's argument and the trapezoid rule.  After the first node with
-        t >= T the front is held, as no such node is a reflection source for s <= T.
+        for kappa's argument and the trapezoid rule.  Kappa is read at min(ell, T - s),
+        which is ell at every front node and stays below ell(T) past the horizon.
         """
-        kappa, heun, T = self.kappa.kappa, self.cfg.scheme == "heun", self.cfg.T
-        s, ell, g = float(s), float(ell), float(g)
-        out = []
-        for s_next, f2 in zip(q.tolist(), (fp * fp).tolist()):
-            if s + ell >= T:
-                g = 0.0
-            else:
-                d = s_next - s
-                ell_next = ell + d * g
-                if heun:
-                    g_pred = min(max(f2 / kappa(ell_next) - 0.5, 0.0), _G_CAP)
-                    ell_next = ell + 0.5 * d * (g + g_pred)
-                ell = ell_next
-                g = min(max(f2 / kappa(ell) - 0.5, 0.0), _G_CAP)
-            s = s_next
-            out.append((ell, g))
-        return np.array(out).reshape(-1, 2).T
+        kappa, heun = self.kappa.kappa, self.cfg.scheme == "heun"
+        ell, g = float(ell), float(g)
+        ells, gs = array("d"), array("d")
+        steps = zip(np.diff(q, prepend=s0).tolist(), (fp * fp).tolist(), (self.cfg.T - q).tolist())
+        for d, f2, top in steps:
+            ell_next = ell + d * g
+            if heun:
+                g_pred = min(max(f2 / kappa(min(ell_next, top)) - 0.5, 0.0), _G_CAP)
+                ell_next = ell + 0.5 * d * (g + g_pred)
+            ell = ell_next
+            g = min(max(f2 / kappa(min(ell, top)) - 0.5, 0.0), _G_CAP)
+            ells.append(ell)
+            gs.append(g)
+        return np.frombuffer(ells), np.frombuffer(gs)
 
 
 class SolutionRecord:
