@@ -217,20 +217,24 @@ class _Core:
 
     def _march(self, q, fp, s0, ell, g):
         """ell~ and g when g depends on ell~ through kappa: Euler, or an Euler predictor
-        for kappa's argument and the trapezoid rule.  Kappa is read at min(ell, T - s),
-        which is ell at every front node and stays below ell(T) past the horizon.
+        for kappa's argument and the trapezoid rule.  After the first node with t >= T
+        the front is held, as no such node is a reflection source for s <= T; kappa is
+        read at min(ell, T - s), which keeps that first node inside [0, ell(T)].
         """
         kappa, heun = self.kappa.kappa, self.cfg.scheme == "heun"
         ell, g = float(ell), float(g)
         ells, gs = array("d"), array("d")
         steps = zip(np.diff(q, prepend=s0).tolist(), (fp * fp).tolist(), (self.cfg.T - q).tolist())
         for d, f2, top in steps:
-            ell_next = ell + d * g
-            if heun:
-                g_pred = min(max(f2 / kappa(min(ell_next, top)) - 0.5, 0.0), _G_CAP)
-                ell_next = ell + 0.5 * d * (g + g_pred)
-            ell = ell_next
-            g = min(max(f2 / kappa(min(ell, top)) - 0.5, 0.0), _G_CAP)
+            if ell < top + d:  # the previous node lies before the horizon
+                ell_next = ell + d * g
+                if heun:
+                    g_pred = min(max(f2 / kappa(min(ell_next, top)) - 0.5, 0.0), _G_CAP)
+                    ell_next = ell + 0.5 * d * (g + g_pred)
+                ell = ell_next
+                g = min(max(f2 / kappa(min(ell, top)) - 0.5, 0.0), _G_CAP)
+            else:
+                g = 0.0
             ells.append(ell)
             gs.append(g)
         return np.frombuffer(ells), np.frombuffer(gs)
