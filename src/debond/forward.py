@@ -256,7 +256,7 @@ class SolutionRecord:
         self._core = core  # its trace runs up to s = T, which reconstruction at T reads
         # The front ends with one partial step of the scheme, in t, to t = T.
         T = cfg.T
-        k = int(np.searchsorted(core.t, T - core.eps)) - 1
+        k = max(int(np.searchsorted(core.t, T - core.eps)) - 1, 0)
         dt = T - core.t[k]
         ell_T = core.ell[k] + dt * core.v[k]
         if cfg.scheme == "heun":
