@@ -279,11 +279,9 @@ class SolutionRecord:
         """
         s = np.asarray(s, dtype=float)
         core = self._core
-        out = np.where(
-            s <= self.initial.ell0,
-            core.seed.fprime(s, core.up_xs, core.up_vs),
-            lerp(core.s, core.fp, s),
-        )
+        seeded, out = s <= self.initial.ell0, np.empty(s.shape)
+        out[seeded] = core.seed.fprime(s[seeded], core.up_xs, core.up_vs)
+        out[~seeded] = lerp(core.s, core.fp, s[~seeded])
         return float(out) if out.ndim == 0 else out
 
     def trace_value(self, s):
@@ -310,8 +308,8 @@ class SolutionRecord:
         active = np.flatnonzero(q > ell0)
         while active.size:
             levels.append((active, self.control.u(q[active])))
-            q[active] = self.front.echo(q[active])
-            active = active[q[active] > ell0]
+            q[active] = echo = self.front.echo(q[active])
+            active = active[echo > ell0]
         f = np.empty_like(q)
         neg = q <= 0.0
         # f(s <= 0) = integral_0^{-s} (y0' - y1)/2 = -integral of the seed slope
@@ -355,7 +353,8 @@ class SolutionRecord:
         xo = x[outside]
         s_out = t + xo
         echo = self.front.echo(s_out)
-        y[outside] = self.trace_value(t - xo) - self.trace_value(echo)
+        f = self.trace_value(np.concatenate((t - xo, echo)))  # one walk for both feet
+        y[outside] = f[: xo.size] - f[xo.size :]
         a_out[outside] = -self.trace_slope(echo) * self.front.reflection_factor(s_out)
         # Data cone: d'Alembert from the initial data, plus the control once
         # the backward characteristic reaches the boundary (t > x).

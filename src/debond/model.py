@@ -44,9 +44,10 @@ def griffith_speed(fprime_at_trace, kappa_at_front):
     ``FloatingPointError`` naming it.
     """
     for name, value in (("trace slope", fprime_at_trace), ("toughness", kappa_at_front)):
-        bad = np.asarray(value)[~np.isfinite(value)]
-        if bad.size:
-            raise FloatingPointError(f"Griffith speed of a non-finite {name}: {bad.flat[0]}")
+        finite = np.isfinite(value)
+        if not finite.all():
+            bad = np.asarray(value)[~finite].flat[0]
+            raise FloatingPointError(f"Griffith speed of a non-finite {name}: {bad}")
     if isinstance(kappa_at_front, np.ndarray):
         if np.any(kappa_at_front <= 0.0):
             raise InvalidToughness(f"toughness must be positive, got {np.min(kappa_at_front)}")
@@ -222,14 +223,14 @@ class FrontCurve:
         v = np.ascontiguousarray(self.speeds, dtype=float)
         if not (t.shape == p.shape == v.shape) or t.ndim != 1 or t.size < 2:
             raise ValueError("times, positions, speeds must be equal-length 1-D arrays")
-        span = t[-1] - t[0]
-        if np.any(np.diff(t) <= 0.0):
+        dt, dp = np.diff(t), np.diff(p)
+        if np.any(dt <= 0.0):
             raise ValueError("times must be strictly increasing")
-        if np.any(np.diff(p) < -1e-9 * max(np.max(p), 1.0)):
+        if np.any(dp < -1e-9 * max(np.max(p), 1.0)):
             raise ValueError("front positions must be nondecreasing")
         if np.any(v < 0.0) or np.any(v >= 1.0):
             raise ValueError("front speeds must lie in [0, 1)")
-        if np.any(np.diff(t) - np.diff(p) <= 0.0):
+        if np.any(dt - dp <= 0.0):
             raise ValueError("front advanced a full time step; tau_minus not invertible")
         for name, arr in (("times", t), ("positions", p), ("speeds", v)):
             arr.setflags(write=False)
