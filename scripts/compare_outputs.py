@@ -5,13 +5,14 @@
 
 Extracts REV's ``src/`` with ``git archive`` into a temporary directory and
 runs ``simulate``, ``initial-branch``, ``final-branch``, ``check-admissible``,
-``synthesize`` and ``verify`` on five fixed scenarios, then ``verify
+``synthesize`` and ``verify`` on six fixed scenarios, then ``verify
 --control-csv`` replaying the ``control.csv`` that ``synthesize`` wrote for the
 same scenario, once with this checkout's ``src/`` and once with REV's.  Every
 exit code and every file the commands write (CSV and key=value) must match
-byte for byte.  One scenario takes the moving final branch
-(``prefer_moving``), one gives the control as samples whose rate jumps
-across node pairs 1e-9 apart, the others take the static branch.  Every
+byte for byte.  Two scenarios take the moving final branch
+(``prefer_moving``), one of them under the C1 switching rules, one gives the
+control as samples whose rate jumps across node pairs 1e-9 apart, the others
+take the static branch.  Every
 differing exit code and file is listed: a key=value file or ``verify.csv``
 with each changed value (REV's beside this checkout's), any other CSV with
 its row counts, a file present on one side only as such.  Exit status: 0
@@ -61,6 +62,10 @@ def _stepwise_control(T=6.0, piece=0.25, gap=1e-9):
     us.append(us[-1] + slopes[-1] * (T - xs[-2]))
     return _table(xs, us)
 
+
+# |ybar0'| of an active C1 target at ellbar0 = 2 with terminal speed 0.3 on the
+# sampled toughness: alpha^2 = 1 - 2 kappa(2) / ybar0'(2)^2.
+_C1_SLOPE = math.sqrt(2.0 * (1.0 + 0.1 * math.sin(1.3 * 2.0 + 0.4)) / (1.0 - 0.3 * 0.3))
 
 SCENARIOS = {
     # README expansion: ell0 = 1 -> 2 at rest, kappa = 1, under u = 0.5 sin 2t.
@@ -115,6 +120,22 @@ target:
   regularity: C01
   ybar0: {ZERO}
   ybar1: {{preset: constant, value: {math.sqrt(2.0 / 3.0)!r}}}
+branch: {{policy: prefer_moving}}
+""",
+    # Active C1 target (alpha = 0.3 at T) under prefer_moving on the sampled
+    # toughness: the C1 backward branch starts and stays on the moving root.
+    "c1-moving": f"""\
+T: 6.0
+solver: {{h: 1.0e-3, scheme: heun}}
+toughness: {{samples: {_sampled_toughness()}, x_max: 8.0}}
+initial: {{ell0: 1.0, regularity: C1, y0: {ZERO}, y1: {ZERO}}}
+control:
+  u: {{preset: sine, amplitude: 0.3, omega: 1.5, resolution: 3000}}
+target:
+  ellbar0: 2.0
+  regularity: C1
+  ybar0: {{preset: linear, intercept: {2.0 * _C1_SLOPE!r}, slope: {-_C1_SLOPE!r}}}
+  ybar1: {{preset: constant, value: {0.3 * _C1_SLOPE!r}}}
 branch: {{policy: prefer_moving}}
 """,
     # Rate jumps under the byte-identity check: a stepwise control given as

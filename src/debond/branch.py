@@ -14,6 +14,12 @@ The branch is marched in r = t + L rather than in t: dr/dt = 1 + v, so
 dL/dr = v / (1 + v), and w = ybar1 + ybar0' is read at r - T.  The march
 starts at r = T + ellbar0 and its stopping line t + L = T is r = T, so the
 last node is the branch start and every abscissa of w is a node.
+
+Each node depends only on the one before it: its L, its speed and, under the
+C1 rules, whether the branch is moving.  So the march is one ``func1d.scan``,
+the policy one array rule, and only the C1 terminal node, pinned to alpha,
+is decided on its own.  The first midpoint or node, in marching order, that
+leaves kappa's samples or fails the size constraint raises.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import C1SwitchViolation, DeadEnd, NoTermination
+from .func1d import scan
 from .model import (
     SPEED_CAP,
     BranchResult,
@@ -57,6 +64,18 @@ class BranchPolicy:
             raise ValueError("backward step must be positive")
 
 
+def _roots(Y, K):
+    """Moving root, whether it is an option (in (0, 1)), and whether Y <= K fails, elementwise."""
+    root = (K - Y) / (K + Y)
+    return root, (0.0 < root) & (root < 1.0), Y > K + 1e-12 * K
+
+
+def _size_violated(Y, K):
+    return DeadEnd(
+        f"size constraint violated: |ybar1 + ybar0'|^2 = {Y:.6g} exceeds 2 kappa = {K:.6g}"
+    )
+
+
 def branch_speed_options(Y: float, K: float):
     """Admissible backward speeds for data magnitude Y and threshold K = 2 kappa.
 
@@ -66,15 +85,10 @@ def branch_speed_options(Y: float, K: float):
     """
     if K <= 0.0:
         raise DeadEnd("toughness threshold must be positive")
-    slack = 1e-12 * K
-    if Y > K + slack:
-        raise DeadEnd(
-            f"size constraint violated: |ybar1 + ybar0'|^2 = {Y:.6g} exceeds 2 kappa = {K:.6g}"
-        )
-    root = (K - Y) / (K + Y)
-    if not 0.0 < root < 1.0:
-        return (0.0,)
-    return (0.0, root)
+    root, moving, violated = _roots(Y, K)
+    if violated:
+        raise _size_violated(Y, K)
+    return (0.0, root) if moving else (0.0,)
 
 
 def _nodes(w, ellbar0, h=math.inf):
@@ -88,50 +102,33 @@ def _nodes(w, ellbar0, h=math.inf):
     return np.append(xs[seg] + k * (dx / parts)[seg], xs[-1])
 
 
-class _BackwardMarch:
-    def __init__(self, target, kappa, policy):
-        self.w = target.w_plus()
-        self.kappa = kappa
-        self.policy = policy
-        self.switch_tol = max(1e-9, 10.0 * policy.h)
+def _switch_tol(policy):
+    return max(1e-9, 10.0 * policy.h)
 
-    def _options(self, x, L):
-        wv = self.w(x)
-        return branch_speed_options(wv * wv, 2.0 * self.kappa(L))
 
-    def choose(self, x, L, moving_mode, forced=None):
-        """Pick a speed at (x = r - T, L); returns (speed, new_moving_mode, alt_flag)."""
-        opts = self._options(x, L)
-        root = opts[-1]
-        has_moving = len(opts) == 2
-        alt = has_moving and root > self.switch_tol
-        if forced is not None:
-            # terminal node of a C1 branch: speed pinned to alpha
-            want_moving = forced > self.switch_tol
-            prefer_moving = self.policy.mode == "prefer_moving"
-            if want_moving != prefer_moving and root > self.switch_tol:
-                raise C1SwitchViolation(
-                    f"policy {self.policy.mode} demands a speed jump at t = T away "
-                    f"from a coincidence point (terminal speed {forced:.6g}, "
-                    f"moving root {root:.6g})"
-                )
-            return (root if want_moving else 0.0), want_moving, alt
-        if not self.policy.c1_mode:
-            if self.policy.mode == "prefer_moving" and has_moving:
-                return root, True, alt
-            return 0.0, False, alt
-        # C1 rules: stay on the current branch unless the options coincide.
-        if moving_mode:
-            # leave where the root collapsed to zero (the branches merge), or
-            # where a prefer_static policy may switch
-            if not has_moving or (self.policy.mode == "prefer_static" and root <= self.switch_tol):
-                return 0.0, False, alt
-            return root, True, alt
-        if self.policy.mode == "prefer_moving" and has_moving:
-            if root <= self.switch_tol:
-                return root, True, alt
-            return 0.0, False, alt  # would need a jump; keep the static branch
-        return 0.0, False, alt
+def _choose(policy, root, has_moving, moving):
+    """Speed and moving flag at nodes with moving root ``root`` after a node on ``moving``."""
+    tol = _switch_tol(policy)
+    if not policy.c1_mode:
+        moving = has_moving & (policy.mode == "prefer_moving")
+    elif policy.mode == "prefer_moving":
+        # C1: join the moving branch only where the options coincide, then stay on it
+        moving = has_moving & (moving | (root <= tol))
+    else:
+        # C1: leave where the root collapses (the branches merge) or a static policy may switch
+        moving = moving & has_moving & (root > tol)
+    return np.where(moving, root, 0.0), moving
+
+
+def _terminal(policy, root, alpha):
+    """Speed and moving flag at t = T of a C1 branch, pinned to alpha."""
+    want_moving = alpha > _switch_tol(policy)
+    if want_moving != (policy.mode == "prefer_moving") and root > _switch_tol(policy):
+        raise C1SwitchViolation(
+            f"policy {policy.mode} demands a speed jump at t = T away from a coincidence "
+            f"point (terminal speed {alpha:.6g}, moving root {root:.6g})"
+        )
+    return (root if want_moving else 0.0), want_moving
 
 
 def _package(T, xs, Ls, vs, alts, alpha) -> BranchResult:
@@ -164,25 +161,40 @@ def solve_final_branch(
         raise NoTermination(
             f"horizon T = {T:g} too short for a final branch ending at {target.ellbar0:g}"
         )
-    march = _BackwardMarch(target, kappa, policy)
+    w = target.w_plus()
     alpha = classify_final_state(target, kappa) if policy.c1_mode else None
-    xs = _nodes(march.w, target.ellbar0, policy.h)
+    xs = _nodes(w, target.ellbar0, policy.h)
+    wx = w(xs[::-1])  # nodes from x = ellbar0 down to 0
+    Y, dx = wx * wx, xs[-1:0:-1] - xs[-2::-1]
 
-    x_k = float(xs[-1])
-    L = target.ellbar0
-    v, moving, alt = march.choose(x_k, L, False, forced=alpha)
-    Ls, vs, alts = [L], [v], [alt]
-    for x_next in xs[-2::-1].tolist():
-        dx = x_k - x_next
-        g = v / (1.0 + v)
-        v_mid, moving_mid, _ = march.choose(x_next, L - dx * g, moving)
-        L -= 0.5 * dx * (g + v_mid / (1.0 + v_mid))
-        v, moving, alt = march.choose(x_next, L, moving_mid)
-        Ls.append(L)
-        vs.append(v)
-        alts.append(alt)
-        x_k = x_next
-    return _package(T, xs, Ls[::-1], vs[::-1], alts[::-1], vs[0] if alpha is None else alpha)
+    opts = branch_speed_options(Y[0], 2.0 * kappa(target.ellbar0))
+    if alpha is None:
+        start = _choose(policy, opts[-1], len(opts) == 2, False)
+    else:
+        start = _terminal(policy, opts[-1], alpha)
+
+    def options(L, nodes):  # moving root and whether it is an option, kappa read at L
+        return _roots(Y[nodes], 2.0 * kappa.clamped(L))[:2]
+
+    def step(lo, hi, L, v, moving):
+        nodes, g = slice(lo + 1, hi + 1), v / (1.0 + v)
+        v_mid, moving = _choose(policy, *options(L - dx[lo:hi] * g, nodes), moving)
+        inc = 0.5 * dx[lo:hi] * (g + v_mid / (1.0 + v_mid))
+        L = np.cumsum(np.concatenate((L[:1], -inc)))[1:]
+        return (L, *_choose(policy, *options(L, nodes), moving))
+
+    L, v, _ = scan(step, (target.ellbar0, *start), dx.size)
+    # kappa's arguments in the order of the node-by-node march: the first one that
+    # leaves kappa's domain or violates the size constraint raises
+    args = np.column_stack((L[:-1] - dx * (v[:-1] / (1.0 + v[:-1])), L[1:])).ravel()
+    Ys, Ks = np.repeat(Y[1:], 2), 2.0 * kappa.clamped(args)
+    violated = np.flatnonzero(_roots(Ys, Ks)[2])
+    kappa(args[: violated[0] + 1 if violated.size else args.size])
+    if violated.size:
+        raise _size_violated(Ys[violated[0]], Ks[violated[0]])
+    root, has_moving = options(L, slice(None))
+    alts = has_moving & (root > _switch_tol(policy))
+    return _package(T, xs, L[::-1], v[::-1], alts[::-1], v[0] if alpha is None else alpha)
 
 
 def static_branch(target: TargetState, kappa: Toughness, T: float) -> BranchResult:

@@ -9,26 +9,26 @@ reflection of the trace slope f' (given by the data and the control on
 
 As sigma <= a on the echo block (a, a + 2 ell~(a)], a block is one vectorized
 pass: interpolate earlier nodes in sigma + 2 ell~(sigma), then integrate g
-(heun: trapezoid rule, euler: left-point rule; a non-constant toughness takes
-a scalar predictor-corrector loop).  Its nodes are a grid of spacing at most
-h and the tracked jumps of f', each a pair of nodes with one-sided values:
-the seed kink at s = 0 and the switch to reflection at s = ell0 (when their
-sides differ), u' abscissae closer than 1e-6 max(T, 1) with different values,
-and the images of tracked pairs.  No step straddles a jump, and t increases
-with s whatever h is.
+(heun: trapezoid rule, euler: left-point rule; under a non-constant toughness g
+depends on ell~, and the predictor-corrector recurrence is one ``scan``, equal
+bit for bit to the loop over the nodes).  Its nodes are a grid of spacing at
+most h and the tracked jumps of f', each a pair of nodes with one-sided
+values: the seed kink at s = 0 and the switch to reflection at s = ell0 (when
+their sides differ), u' abscissae closer than 1e-6 max(T, 1) with different
+values, and the images of tracked pairs.  No step straddles a jump, and t
+increases with s whatever h is.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, HorizonExceeded, IncompatibleData
-from .func1d import SampledFunction, cumulative_trapezoid, definite_integral, lerp, merged_eval
+from .func1d import SampledFunction, cumulative_trapezoid, definite_integral, lerp, merged_eval, scan
 from .model import (
     SPEED_CAP,
     ControlSignal,
@@ -112,8 +112,10 @@ class _Core:
     """Front and trace slope on s in [-ell0, s_end], solved one echo block at a time.
 
     The node arrays ``_FIELDS`` (``v`` is ell'(t), ``fp`` is f'(s)) are filled in
-    place up to ``n``.  At front nodes (t < T) ``s`` is t - ell recomputed from the
-    stored t and ell, so the foot recomputed from the front reads back its slope.
+    place up to ``n``, one block by ``_add`` at a time: a constant toughness
+    integrates g in closed form, a sampled one through ``_march``.  At front nodes
+    (t < T) ``s`` is t - ell recomputed from the stored t and ell, so the foot
+    recomputed from the front reads back its slope.
     """
 
     def __init__(self, initial, kappa, cfg, up_xs, up_vs, s_end):
@@ -215,29 +217,35 @@ class _Core:
             getattr(self, name)[n : n + m] = values
         self.n = n + m
 
-    def _march(self, q, fp, s0, ell, g):
+    def _march(self, q, fp, s0, l0, g0):
         """ell~ and g when g depends on ell~ through kappa: Euler, or an Euler predictor
-        for kappa's argument and the trapezoid rule.  After the first node with t >= T
-        the front is held, as no such node is a reflection source for s <= T; kappa is
-        read at min(ell, T - s), which keeps that first node inside [0, ell(T)].
+        for kappa's argument and the trapezoid rule, solved by ``scan``.  After the first
+        node with t >= T the front is held, as no such node is a reflection source for
+        s <= T; kappa is read at min(ell, T - s), which keeps that first node inside
+        [0, ell(T)].  Guesses read kappa held to its samples; a DomainError names the
+        first argument of the solution, in node order, outside them.
         """
-        kappa, heun = self.kappa.kappa, self.cfg.scheme == "heun"
-        ell, g = float(ell), float(g)
-        ells, gs = array("d"), array("d")
-        steps = zip(np.diff(q, prepend=s0).tolist(), (fp * fp).tolist(), (self.cfg.T - q).tolist())
-        for d, f2, top in steps:
-            if ell < top + d:  # the previous node lies before the horizon
-                ell_next = ell + d * g
-                if heun:
-                    g_pred = min(max(f2 / kappa(min(ell_next, top)) - 0.5, 0.0), _G_CAP)
-                    ell_next = ell + 0.5 * d * (g + g_pred)
-                ell = ell_next
-                g = min(max(f2 / kappa(min(ell, top)) - 0.5, 0.0), _G_CAP)
-            else:
-                g = 0.0
-            ells.append(ell)
-            gs.append(g)
-        return np.frombuffer(ells), np.frombuffer(gs)
+        kappa, heun = self.kappa, self.cfg.scheme == "heun"
+        d, f2, top = np.diff(q, prepend=s0), fp * fp, self.cfg.T - q
+
+        def rate(x, nodes):  # g at the nodes, kappa read at x
+            return np.minimum(np.maximum(f2[nodes] / kappa.clamped(x) - 0.5, 0.0), _G_CAP)
+
+        def step(lo, hi, ell, g):
+            nodes = slice(lo, hi)
+            run = ell < top[nodes] + d[nodes]  # the previous node lies before the horizon
+            inc = d[nodes] * g
+            if heun:
+                inc = 0.5 * d[nodes] * (g + rate(np.minimum(ell + inc, top[nodes]), nodes))
+            ell = np.cumsum(np.concatenate((ell[:1], np.where(run, inc, 0.0))))[1:]
+            return ell, np.where(run, rate(np.minimum(ell, top[nodes]), nodes), 0.0)
+
+        ell, g = scan(step, (l0, g0), q.size)
+        # kappa's arguments in the order of the node-by-node march, checked against its domain
+        run = ell[:-1] < top + d
+        args = [np.minimum(ell[:-1] + d * g[:-1], top)] if heun else []
+        kappa(np.column_stack(args + [np.minimum(ell[1:], top)])[run].ravel())
+        return ell[1:], g[1:]
 
 
 class SolutionRecord:

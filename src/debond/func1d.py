@@ -5,11 +5,11 @@ with these two types.  Interpolation is piecewise-linear everywhere because the
 lowest regularity class handled by the solver (Lipschitz) is represented
 exactly by polylines; derivatives are piecewise-constant midpoint slopes,
 consistent with functions whose derivative exists only almost everywhere.
+``scan`` solves a first-order recurrence over node arrays in vectorized passes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +57,6 @@ class SampledFunction:
         for name, arr in (("xs", xs), ("vs", vs), ("_cum", cum)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        # Python-float views for the scalar path of ``__call__``.
-        object.__setattr__(self, "_views", (memoryview(xs), memoryview(vs)))
 
     @property
     def lo(self) -> float:
@@ -87,21 +85,6 @@ class SampledFunction:
         return np.clip(x, self.xs[0], self.xs[-1])
 
     def __call__(self, x):
-        if isinstance(x, float):
-            # Scalar path (per-step queries of the marches): the same domain
-            # check and clamp, then np.interp's arithmetic on Python floats
-            # (after the clamp, the last node is found only at x == hi).
-            xs, vs = self._views
-            lo, hi = xs[0], xs[-1]
-            slack = _DOMAIN_SLACK * max(hi - lo, 1.0)
-            if not lo - slack <= x <= hi + slack:
-                raise self._domain_error(x)
-            x = min(max(x, lo), hi)
-            j = bisect_right(xs, x) - 1
-            x0 = xs[j]
-            if x == x0:
-                return vs[j]
-            return (vs[j + 1] - vs[j]) / (xs[j + 1] - x0) * (x - x0) + vs[j]
         x = self._clip(x)
         out = np.interp(x, self.xs, self.vs)
         return float(out) if out.ndim == 0 else out
@@ -122,27 +105,14 @@ class SampledFunction:
         return float(out[0]) if scalar else out
 
 
-def lerp(xs, vs, q, n=None):
+def lerp(xs, vs, q):
     """Linear interpolation of samples on strictly increasing ``xs``, clamped at the ends.
 
     Evaluates ``v0 * (1 - w) + v1 * w`` on the segment found by a left-sided
     binary search.  This rounds differently from ``np.interp``; the trace
     store and the designed trace are read through it so their outputs stay
-    bit-stable.  A Python number ``q`` takes a scalar path on any float
-    sequence (a memoryview, say) over the first ``n`` samples, all by
-    default; anything else is evaluated as an array over all of ``xs``.
+    bit-stable.
     """
-    if isinstance(q, (float, int)):
-        n = len(xs) if n is None else n
-        # bisect_left is searchsorted(side="left") on sorted, NaN-free data.
-        i = bisect_left(xs, q, 0, n)
-        if i <= 0:
-            return vs[0]
-        if i >= n:
-            return vs[n - 1]
-        x0 = xs[i - 1]
-        w = (q - x0) / (xs[i] - x0)
-        return vs[i - 1] * (1.0 - w) + vs[i] * w
     n = xs.shape[0]
     q = np.asarray(q, dtype=float)
     i = np.searchsorted(xs, q)
@@ -156,6 +126,33 @@ def lerp(xs, vs, q, n=None):
 def cumulative_trapezoid(xs, vs):
     """Trapezoid-rule integral of the samples from ``xs[0]`` to every node."""
     return np.concatenate(([0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(xs))))
+
+
+# Nodes one pass of ``scan`` solves at once: a pass costs O(_SCAN_WINDOW)
+# however slowly the recurrence contracts.
+_SCAN_WINDOW = 512
+
+
+def scan(step, start, m):
+    """Nodes 0..m of a first-order recurrence, equal bit for bit to stepping node by node.
+
+    ``start`` holds the state components at node 0.  ``step(lo, hi, *prev)``
+    maps the components at nodes lo..hi-1 (``prev``; the first is exact) to
+    those at lo+1..hi, and must not raise on a guess.  Each pass steps a
+    window of guesses at once; the nodes up to the first one that changed
+    have the exact predecessors, so they are committed and the next window
+    starts there.  Returns one array per component.
+    """
+    states = [np.full(m + 1, value) for value in start]
+    done = 0
+    while done < m:
+        hi = min(done + _SCAN_WINDOW, m)
+        changed = np.zeros(hi - done, dtype=bool)
+        for state, new in zip(states, step(done, hi, *(x[done:hi] for x in states))):
+            changed |= state[done + 1 : hi + 1] != new
+            state[done + 1 : hi + 1] = new
+        done = done + 1 + int(np.argmax(changed)) if changed.any() else hi
+    return states
 
 
 def merged_eval(fn_a: SampledFunction, fn_b: SampledFunction, combine):

@@ -12,6 +12,7 @@ G = (1 - speed^2) * slope^2 / 2 evaluated at the front.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -130,6 +131,10 @@ class Toughness:
             return np.full(np.shape(x), self.kappa)
         return self.kappa(x)
 
+    def clamped(self, x):
+        """kappa on an array x held to the sampled range, never raising: for trial values."""
+        return self(x) if self.is_constant else np.interp(x, self.kappa.xs, self.kappa.vs)
+
 
 # ---------------------------------------------------------------------------
 # States
@@ -215,7 +220,6 @@ class FrontCurve:
     positions: np.ndarray
     speeds: np.ndarray
     tau_plus: MonotoneMap = field(init=False, repr=False, compare=False)
-    tau_minus: MonotoneMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.ascontiguousarray(self.times, dtype=float)
@@ -236,7 +240,10 @@ class FrontCurve:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "tau_plus", MonotoneMap.from_samples(t, t + p))
-        object.__setattr__(self, "tau_minus", MonotoneMap.from_samples(t, t - p))
+
+    @functools.cached_property
+    def tau_minus(self) -> MonotoneMap:
+        return MonotoneMap.from_samples(self.times, self.times - self.positions)
 
     @property
     def t_end(self) -> float:

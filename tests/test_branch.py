@@ -6,12 +6,20 @@ import pytest
 from debond import (
     C1SwitchViolation,
     DeadEnd,
+    DomainError,
     SampledFunction,
     TargetState,
     Toughness,
     griffith_speed,
 )
-from debond.branch import BranchPolicy, branch_speed_options, solve_final_branch, static_branch
+from debond.branch import (
+    BranchPolicy,
+    _nodes,
+    branch_speed_options,
+    solve_final_branch,
+    static_branch,
+)
+from debond.model import SPEED_CAP, classify_final_state
 
 
 def make_target(ellbar0, y0_fn, y1_fn, regularity="C01", n=400):
@@ -246,3 +254,156 @@ def test_sample_ends_off_the_domain_give_one_node_per_end(ends):
         assert abs(x_nodes[0]) <= 1e-12 and f.times[-1] == T and f.positions[-1] == 2.0
         assert np.all(np.diff(x_nodes) > 1e-12)
 
+
+# -- the scan against the node-by-node march -----------------------------------------
+
+def _reference_branch(target, kappa, T, policy):
+    """The node-by-node backward march, three choices per node: (L, v, alt) from x = 0."""
+    w = target.w_plus()
+    tol = max(1e-9, 10.0 * policy.h)
+    prefer_moving = policy.mode == "prefer_moving"
+
+    def choose(x, L, moving, forced=None):
+        wv = w(x)
+        opts = branch_speed_options(wv * wv, 2.0 * kappa(L))
+        root, has_moving = opts[-1], len(opts) == 2
+        alt = has_moving and root > tol
+        if forced is not None:
+            want_moving = forced > tol
+            if want_moving != prefer_moving and root > tol:
+                raise C1SwitchViolation(
+                    f"policy {policy.mode} demands a speed jump at t = T away "
+                    f"from a coincidence point (terminal speed {forced:.6g}, "
+                    f"moving root {root:.6g})"
+                )
+            return (root if want_moving else 0.0), want_moving, alt
+        if not policy.c1_mode:
+            return (root, True, alt) if prefer_moving and has_moving else (0.0, False, alt)
+        if moving:
+            if not has_moving or (not prefer_moving and root <= tol):
+                return 0.0, False, alt
+            return root, True, alt
+        if prefer_moving and has_moving and root <= tol:
+            return root, True, alt
+        return 0.0, False, alt
+
+    alpha = classify_final_state(target, kappa) if policy.c1_mode else None
+    xs = _nodes(w, target.ellbar0, policy.h).tolist()
+    L = target.ellbar0
+    v, moving, alt = choose(xs[-1], L, False, forced=alpha)
+    nodes = [(L, v, alt)]
+    for x_prev, x in zip(xs[:0:-1], xs[-2::-1]):
+        dx = x_prev - x
+        g = v / (1.0 + v)
+        v_mid, moving_mid, _ = choose(x, L - dx * g, moving)
+        L -= 0.5 * dx * (g + v_mid / (1.0 + v_mid))
+        v, moving, alt = choose(x, L, moving_mid)
+        nodes.append((L, v, alt))
+    return np.array(nodes[::-1]).T
+
+
+def _sampled_kappa():
+    xk = np.linspace(0.0, 8.0, 65)
+    return Toughness(SampledFunction(xk, 1.0 + 0.1 * np.sin(1.3 * xk + 0.4)))
+
+
+def _c1_switching_target(kappa):
+    # ybar0 = 2 (1 - x), so w = ybar1 - 2.  Active at T; going back, w = 0 exactly at
+    # x = 0.5 (root 1, no moving option: a C1 moving branch leaves), then w^2 close
+    # below 2 kappa at x = 0.3 (root below the switch tolerance: prefer_moving joins).
+    c, k1 = 2.0, kappa(1.0)
+    alpha = math.sqrt(1.0 - 2.0 * k1 / (c * c))
+    w = [0.5, 1.0, math.sqrt(0.995 * 2.0 * k1), 0.0, c * (alpha - 1.0), c * (alpha - 1.0)]
+    return TargetState(1.0, SampledFunction([0.0, 1.0], [c, 0.0]),
+                       SampledFunction([0.0, 0.2, 0.3, 0.5, 0.8, 1.0], np.add(w, c)), "C1")
+
+
+def _c1_passive_target(kappa):
+    # ybar1(1) = 0 and ybar0'^2 just below 2 kappa(1): the moving root at T is
+    # below the switch tolerance, so either policy may start static.
+    c = 0.999 * math.sqrt(2.0 * kappa(1.0))
+    return TargetState(1.0, SampledFunction([0.0, 1.0], [c, 0.0]),
+                       SampledFunction([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.1, 0.0]), "C1")
+
+
+def _assert_matches_reference(target, kappa, T, policy):
+    res = solve_final_branch(target, kappa, T, policy)
+    L, v, alt = _reference_branch(target, kappa, T, policy)
+    f = res.front_segment
+    assert np.array_equal(f.positions, L)
+    assert np.array_equal(f.speeds, np.minimum(v, SPEED_CAP))
+    assert np.array_equal(res.alternative_admissible, alt.astype(bool))
+    assert res.ell_bar_star_prime == v[0]
+    return res
+
+
+@pytest.mark.parametrize("kappa", [Toughness(1.0), _sampled_kappa()], ids=["constant", "sampled"])
+@pytest.mark.parametrize("mode", ["prefer_static", "prefer_moving"])
+def test_scan_matches_the_node_by_node_march(mode, kappa):
+    target, _ = _kinked_moving_target()
+    for h in (1e-3, 7e-3):
+        _assert_matches_reference(target, kappa, 6.0, BranchPolicy(mode, h=h))
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x1 = np.sort(np.concatenate(([0.0, 1.5], rng.uniform(0.0, 1.5, 6))))
+        target = TargetState(1.5, SampledFunction([0.0, 1.5], [0.0, 0.0]),
+                             SampledFunction(x1, rng.uniform(-1.2, 1.2, x1.size)))
+        _assert_matches_reference(target, kappa, 4.0, BranchPolicy(mode, h=2e-3))
+
+
+@pytest.mark.parametrize("kappa", [Toughness(1.0), _sampled_kappa()], ids=["constant", "sampled"])
+@pytest.mark.parametrize("mode", ["prefer_static", "prefer_moving"])
+def test_c1_scan_matches_the_node_by_node_march(mode, kappa):
+    # The forced terminal node and the moving flag carried from node to node.
+    res = _assert_matches_reference(_c1_passive_target(kappa), kappa, 4.0,
+                                    BranchPolicy(mode, c1_mode=True, h=1e-3))
+    assert res.alpha == 0.0
+    moving = res.front_segment.speeds > 0.0
+    assert np.any(moving) == (mode == "prefer_moving")
+    if mode == "prefer_moving":
+        res = _assert_matches_reference(_c1_switching_target(kappa), kappa, 4.0,
+                                        BranchPolicy(mode, c1_mode=True, h=1e-3))
+        assert res.alpha > 0.0
+        moving = res.front_segment.speeds > 0.0
+        assert np.count_nonzero(moving[1:] != moving[:-1]) == 2  # leaves, then joins
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_dead_end_partway_down_matches_the_node_by_node_march():
+    # w rises from 0.8 to 2.5 over one step, and 2.5^2 exceeds 2 kappa: the node's
+    # midpoint and endpoint both fail, at different L, and the midpoint, checked
+    # first, names the error.
+    target = TargetState(1.0, SampledFunction([0.0, 1.0], [0.0, 0.0]),
+                         SampledFunction([0.0, 0.49, 0.491, 1.0], [2.5, 2.5, 0.8, 0.8]))
+    xk = np.linspace(0.0, 2.0, 5)
+    kappa = Toughness(SampledFunction(xk, 1.0 + xk))
+    for mode in ("prefer_static", "prefer_moving"):
+        policy = BranchPolicy(mode, h=1e-3)
+        new = _raised(lambda: solve_final_branch(target, kappa, 4.0, policy))
+        assert new[0] is DeadEnd and "size constraint violated" in new[1]
+        assert new == _raised(lambda: _reference_branch(target, kappa, 4.0, policy))
+
+
+def test_branch_leaving_kappa_samples_matches_the_node_by_node_march():
+    # The moving branch falls below kappa's first sample, where the held value 0.1
+    # would also fail the size constraint: the domain error comes first.
+    target = TargetState(1.0, SampledFunction([0.0, 1.0], [0.0, 0.0]),
+                         SampledFunction([0.0, 1.0], [1.0, 1.0]))
+    kappa = Toughness(SampledFunction([0.9, 0.9000001, 2.0], [0.1, 2.0, 2.0]))
+    policy = BranchPolicy("prefer_moving", h=1e-3)
+    new = _raised(lambda: solve_final_branch(target, kappa, 4.0, policy))
+    assert new[0] is DomainError
+    assert new == _raised(lambda: _reference_branch(target, kappa, 4.0, policy))
+
+
+def test_c1_switch_violation_matches_the_node_by_node_march():
+    tgt = make_target(1.0, lambda x: 0.5 * (x - 1.0), lambda x: 0.0, "C1", n=8)
+    policy = BranchPolicy("prefer_moving", c1_mode=True, h=1e-3)
+    new = _raised(lambda: solve_final_branch(tgt, Toughness(1.0), 4.0, policy))
+    assert new[0] is C1SwitchViolation
+    assert new == _raised(lambda: _reference_branch(tgt, Toughness(1.0), 4.0, policy))

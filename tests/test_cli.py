@@ -439,3 +439,60 @@ def test_fuzz_exit_code_contract(tmp_path, capsys):
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         for name in ("front.csv", "trace.csv", "control.csv", "state_at_T.csv"):
             assert all(np.all(np.isfinite(col)) for col in read_csv(out / name).values())
+
+
+# -- failures inside the backward branch and the sampled-toughness march -------------
+
+DEAD_PARTWAY = """\
+T: 4.0
+solver: {h: 1.0e-3, scheme: heun}
+toughness: {preset: linear, intercept: 1.0, slope: 0.1}
+target:
+  ellbar0: 1.0
+  regularity: C01
+  ybar0: {preset: constant, value: 0.0}
+  ybar1: {preset: linear, intercept: 2.0, slope: -1.0}
+branch: {policy: prefer_moving}
+"""
+
+C1_JUMP_AT_T = """\
+T: 4.0
+solver: {h: 1.0e-3, scheme: heun}
+toughness: {preset: constant, value: 1.0}
+target:
+  ellbar0: 1.0
+  regularity: C1
+  ybar0: {preset: linear, intercept: -0.5, slope: 0.5}
+  ybar1: {preset: constant, value: 0.0}
+branch: {policy: prefer_moving}
+"""
+
+PAST_KAPPA_DOMAIN = """\
+T: 2.0
+solver: {h: 1.0e-3, scheme: heun}
+toughness: {preset: linear, intercept: 0.5, slope: 0.2, x_max: 1.5}
+initial:
+  ell0: 1.0
+  regularity: C01
+  y0: {preset: constant, value: 0.0}
+  y1: {preset: constant, value: 2.0}
+control:
+  u: {preset: constant, value: 0.0}
+"""
+
+
+@pytest.mark.parametrize("doc, command, code, message", [
+    # w = 2 - x is admissible at T; w^2 exceeds 2 kappa(L) halfway down the branch
+    (DEAD_PARTWAY, "final-branch", 5, "no admissible branch: size constraint violated: "
+     "|ybar1 + ybar0'|^2 = 2.1889 exceeds 2 kappa = 2.18612"),
+    (C1_JUMP_AT_T, "final-branch", 5, "no admissible branch: policy prefer_moving demands "
+     "a speed jump at t = T away from a coincidence point (terminal speed 0, moving root "
+     "0.777778)"),
+    # the front leaves ell0 = 1 at speed 0.6 and kappa's samples on [0, 1.5] soon after
+    (PAST_KAPPA_DOMAIN, "simulate", 3, "evaluation at 1.5001094960718018 outside domain "
+     "[0, 1.5]"),
+])
+def test_solver_failures_keep_their_exit_code_and_message(tmp_path, capsys, doc, command,
+                                                          code, message):
+    assert run(tmp_path, doc, command)[0] == code
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -16,8 +16,10 @@ from debond import (
     solve_front,
     solve_initial_branch,
 )
+from debond import forward
 from debond.control import uprime_from_fprime
 from debond.forward import reconstruct_state
+from debond.func1d import scan
 
 
 def make_state(ell0, y0_fn, y1_fn, regularity="C01", n=400):
@@ -405,3 +407,97 @@ def test_step_longer_than_a_tenth_of_ell0():
     assert f.t_end == 6.0
     assert np.all(np.isfinite(f.positions)) and np.all(np.isfinite(f.speeds))
     assert abs(f.ell(6.0) - 4.0) <= 1e-9
+
+
+# -- sampled toughness: the scan against the node-by-node march ----------------------
+
+def _reference_march(core, q, fp, s0, ell, g):
+    """The node-by-node loop over the new nodes that the core's scan reproduces."""
+    kappa, heun, cap = core.kappa.kappa, core.cfg.scheme == "heun", forward._G_CAP
+    ells, gs = [], []
+    steps = zip(np.diff(q, prepend=s0).tolist(), (fp * fp).tolist(), (core.cfg.T - q).tolist())
+    for d, f2, top in steps:
+        if ell < top + d:  # the previous node lies before the horizon
+            ell_next = ell + d * g
+            if heun:
+                g_pred = min(max(f2 / kappa(min(ell_next, top)) - 0.5, 0.0), cap)
+                ell_next = ell + 0.5 * d * (g + g_pred)
+            ell = ell_next
+            g = min(max(f2 / kappa(min(ell, top)) - 0.5, 0.0), cap)
+        else:
+            g = 0.0
+        ells.append(ell)
+        gs.append(g)
+    return np.array(ells), np.array(gs)
+
+
+def _solve_with_both(monkeypatch, *args):
+    """solve_front by the scan, then by the reference loop."""
+    sol = solve_front(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(forward._Core, "_march", _reference_march)
+        return sol, solve_front(*args)
+
+
+def _assert_same_core(sol, ref):
+    for name in forward._FIELDS:
+        assert np.array_equal(getattr(sol._core, name), getattr(ref._core, name)), name
+    assert np.array_equal(sol.front.positions, ref.front.positions)
+    assert np.array_equal(sol.front.speeds, ref.front.speeds)
+
+
+def _sampled_kappa(fn, x_max=8.0, n=64):
+    xk = np.linspace(0.0, x_max, n + 1)
+    return Toughness(SampledFunction(xk, fn(xk)))
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+def test_sampled_kappa_scan_matches_the_node_by_node_march(monkeypatch, scheme):
+    kappa = _sampled_kappa(lambda x: 1.0 + 0.1 * np.sin(1.3 * x + 0.4))
+    st = make_state(1.0, lambda x: 0.0, lambda x: 1.5)
+    for ctrl in _stepwise_draws()[:2]:
+        sol, ref = _solve_with_both(monkeypatch, st, ctrl, kappa,
+                                    SolverConfig(h=1e-3, T=5.0, scheme=scheme))
+        _assert_same_core(sol, ref)
+        # the last block runs past t = T: every node after one beyond it is held
+        core = sol._core
+        past = core.t[:-1] > 5.0 + 1e-9
+        assert np.count_nonzero(past) > 100
+        assert np.all(core.g[1:][past] == 0.0) and np.all(np.diff(core.ell)[past] == 0.0)
+
+
+def test_stiff_kappa_scan_takes_many_passes_and_still_matches(monkeypatch):
+    # kappa swings by a factor of 11 every 0.02 in ell: each pass of the scan
+    # commits only a short run of nodes, yet it ends on the loop's output.
+    kappa = _sampled_kappa(lambda x: 0.3 + 0.25 * np.sin(300.0 * x), n=8000)
+    passes = []
+
+    def counting_scan(step, start, m):
+        def counted(lo, hi, *prev):
+            passes.append((lo, hi))
+            return step(lo, hi, *prev)
+        return scan(counted, start, m)
+
+    monkeypatch.setattr(forward, "scan", counting_scan)
+    st = make_state(1.0, lambda x: 0.0, lambda x: 2.0)
+    sol, ref = _solve_with_both(monkeypatch, st, ControlSignal.zero(3.0), kappa,
+                                SolverConfig(h=2e-3, T=3.0))
+    _assert_same_core(sol, ref)
+    assert len(passes) > 200 and sol.front.ell(3.0) > 3.0
+
+
+def test_front_past_sampled_kappa_domain_raises_like_the_node_by_node_march(monkeypatch):
+    # kappa is sampled on [0, 1.5]; the front, at speed 0.6 and slowing, leaves it.  The
+    # predictor and the corrector read kappa at different points: the first one wins.
+    kappa = _sampled_kappa(lambda x: 0.5 + 0.2 * x, x_max=1.5, n=3)
+    args = (make_state(1.0, lambda x: 0.0, lambda x: 2.0), ControlSignal.zero(2.0), kappa)
+    for scheme in ("euler", "heun"):
+        cfg = SolverConfig(h=1e-3, T=2.0, scheme=scheme)
+        with pytest.raises(DomainError) as new:
+            solve_front(*args, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(forward._Core, "_march", _reference_march)
+            with pytest.raises(DomainError) as ref:
+                solve_front(*args, cfg)
+        assert "outside domain [0, 1.5]" in str(new.value)
+        assert str(new.value) == str(ref.value)

@@ -191,7 +191,7 @@ def _float_path_queries(xs, rng):
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
 def test_sampled_function_float_path_matches_np_interp(scale):
-    # The float path reproduces np.interp's arithmetic bit for bit: at nodes,
+    # A float query reproduces np.interp's arithmetic bit for bit: at nodes,
     # at both endpoints, inside the clamp slack just outside the domain, and
     # at magnitudes from 1e-300 to 1e300.
     rng = np.random.default_rng(int(np.log10(scale)) + 400)
@@ -215,21 +215,8 @@ def test_sampled_function_rejects_non_finite_samples_and_queries():
         SampledFunction([0.0, 1.0], [0.0, 1.0])(float("nan"))
 
 
-def test_lerp_scalar_prefix_on_memoryview_matches_array_path():
-    # The march reads its arrays through memoryviews and only the first n
-    # samples; that must equal the array path on the slices xs[:n], vs[:n].
-    rng = np.random.default_rng(11)
-    xs = np.cumsum(rng.uniform(1e-3, 0.1, 300))
-    vs = rng.normal(size=300)
-    xv, vv = memoryview(xs), memoryview(vs)
-    for n in (2, 7, 150, 300):
-        q = np.concatenate([rng.uniform(xs[0] - 1.0, xs[n - 1] + 1.0, 200), xs[:n]])
-        scalar = np.array([lerp(xv, vv, x, n) for x in q.tolist()])
-        assert np.all(scalar == lerp(xs[:n], vs[:n], q))
-
-
 def test_array_queries_reject_nan():
-    # The array paths treat NaN as outside the domain, like the float path.
+    # Array queries treat NaN as outside the domain, like a float query.
     fn = SampledFunction([0.0, 1.0], [0.0, 1.0])
     for query in (fn, fn.antiderivative_at):
         with pytest.raises(DomainError, match="nan"):
