@@ -136,14 +136,16 @@ _SCAN_WINDOW = 512
 def scan(step, start, m):
     """Nodes 0..m of a first-order recurrence, equal bit for bit to stepping node by node.
 
-    ``start`` holds the state components at node 0.  ``step(lo, hi, *prev)``
-    maps the components at nodes lo..hi-1 (``prev``; the first is exact) to
-    those at lo+1..hi, and must not raise on a guess.  Each pass steps a
-    window of guesses at once; the nodes up to the first one that changed
-    have the exact predecessors, so they are committed and the next window
-    starts there.  Returns one array per component.
+    ``start`` holds the state components at node 0, floats or bools (an int is
+    taken as a float).  ``step(lo, hi, *prev)`` maps the components at nodes
+    lo..hi-1 (``prev``; the first is exact) to those at lo+1..hi, and must not
+    raise on a guess.  Each pass steps a window of guesses at once; the nodes
+    up to the first one that changed have the exact predecessors, so they are
+    committed and the next window starts there.  Returns one array per
+    component.
     """
-    states = [np.full(m + 1, value) for value in start]
+    states = [np.full(m + 1, value, bool if isinstance(value, (bool, np.bool_)) else float)
+              for value in start]
     done = 0
     while done < m:
         hi = min(done + _SCAN_WINDOW, m)

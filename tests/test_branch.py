@@ -343,6 +343,9 @@ def test_scan_matches_the_node_by_node_march(mode, kappa):
     target, _ = _kinked_moving_target()
     for h in (1e-3, 7e-3):
         _assert_matches_reference(target, kappa, 6.0, BranchPolicy(mode, h=h))
+    # an int ellbar0 starts a float march
+    whole = TargetState(2, target.ybar0, target.ybar1)
+    _assert_matches_reference(whole, kappa, 6, BranchPolicy(mode, h=1e-3))
     rng = np.random.default_rng(5)
     for _ in range(5):
         x1 = np.sort(np.concatenate(([0.0, 1.5], rng.uniform(0.0, 1.5, 6))))
