@@ -11,8 +11,9 @@ synthesize, verify.  Exit codes are the scripting contract:
     5  no admissible branch / size constraint violated
     6  continuity assertion failed while assembling a C1 control
 
-All numbers are written with 17 significant digits so identical configs
-produce byte-identical outputs.
+Every number is written as Python's ``"%.17g"`` prints it, so identical
+configs produce byte-identical outputs.  CSV cells go through one vectorized
+numpy formatter that writes the same bytes.
 """
 
 from __future__ import annotations
@@ -52,19 +53,107 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-# Rows formatted per write: bounds the memory of the Python-float lists.
+# Rows formatted per numpy pass: bounds the formatter's temporaries, which
+# peak at about 350 bytes a cell, most of it np.compress's index of the kept
+# bytes.
 _CSV_CHUNK = 1024
+
+# A CSV cell is a row of byte slots: 0 the sign, 1-5 "0.000", digit k of 17 at
+# 6 + 2k followed by a slot for the point, 39-42 "e-0N" and 43 the separator.
+# Each cell keeps the slots of its "%.17g" layout; np.compress joins them.
+_TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e-00,", np.uint8)
+_CELL = _TEMPLATE.size
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
+# "%04d" of 0..9999, the four bytes of each as one uint32.
+_QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+_QUADS = _QUADS.view(np.uint32).ravel()
+
+
+def _layouts():
+    """Slots kept, sign aside, for exponent E in [-6, 16] and last nonzero digit (0-16).
+
+    Row 17 (E + 6) + last holds the layout.
+    """
+    e, last = np.divmod(np.arange(23 * 17), 17)
+    e, last = e[:, None] - 6, last[:, None]
+    # The digit the point follows; -1 where the "0." lead holds it.
+    point = np.where(e < -4, 0, np.where(e < 0, -1, e))
+    keep = np.zeros((e.size, _CELL), bool)
+    keep[:, 1:6] = np.arange(1, 6) <= np.where(point < 0, 1 - e, 0)
+    keep[:, 6:39:2] = np.arange(17) <= np.maximum(point, last)
+    keep[:, 7:38:2] = np.arange(16) == np.where(last > point, point, -1)
+    keep[:, 39:43] = e < -4
+    keep[:, 43] = True
+    return keep
+
+
+_KEEP = _layouts()
+
+
+def _two_product(a, b):
+    """hi + lo equal to a * b exactly: Dekker's product with Veltkamp's split."""
+    hi = a * b
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _csv_text(block):
+    """The rows of a 2-D float array as CSV bytes, each cell exactly as "%.17g" prints it."""
+    x = block.ravel()
+    ax = np.abs(x)
+    zero = ax == 0
+    fast = zero | ((ax >= 1e-6) & (ax < 1e16))
+    a = np.where(fast & ~zero, ax, 1.0)
+    # log10 may miss the decimal exponent E by one beside a power of ten; the
+    # unrounded product |x| 10^(16 - E), in [1e16, 1e17), decides it.
+    e = np.clip(np.floor(np.log10(a)), -6, 15).astype(np.int8)
+    hi, lo = _two_product(a, _POW10[16 - e])
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    e += above
+    e -= below
+    fast &= e >= -6  # the double 1e-6 lies below 10^-6
+    e[~fast | zero] = 0
+    moved = np.flatnonzero(above | below)
+    hi[moved], lo[moved] = _two_product(a[moved], _POW10[16 - e[moved]])
+    # hi >= 2^53 is an even integer, so this rounds the 17 digits half to even.
+    # They never round up to 10^17: below each power of ten 10^m, -5 <= m <= 16,
+    # the nearest double is over 4e-17 of it away, not within 5e-18.
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    d[zero] = 0
+    quads = np.empty((x.size, 5), np.uint32)
+    for k in range(4, 0, -1):
+        d, r = np.divmod(d, 10000)
+        quads[:, k] = np.take(_QUADS, r)
+    quads[:, 0] = np.take(_QUADS, d)
+    digits = quads.view(np.uint8)[:, 3:]
+    last = np.where(zero, 0, 16 - (digits[:, ::-1] != 48).argmax(axis=1))
+    cells = np.empty((x.size, _CELL), np.uint8)
+    cells[:] = _TEMPLATE
+    cells[:, 6:39:2] = digits
+    cells[:, 42] = 48 - e
+    cells.reshape(block.shape + (_CELL,))[:, -1, -1] = 10  # "\n" ends a row
+    keep = np.take(_KEEP, (e + 6).astype(np.intp) * 17 + last, axis=0)
+    keep[:, 0] = np.signbit(x)
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # non-finite, subnormal, below 10^-6 (the double 1e-6 too) or from 1e16
+        text = "".join([("%.17g" % v).ljust(_CELL - 1, "\0") for v in x[slow].tolist()])
+        cells[slow, :-1] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _CELL - 1)
+        keep[slow, :-1] = cells[slow, :-1] != 0
+    return np.compress(keep.ravel(), cells).tobytes()
 
 
 def _write_csv(path, header, columns):
-    # "%.17g" on a Python float prints exactly what _fmt prints.
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
     rows = len(columns[0])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
         for lo in range(0, rows, _CSV_CHUNK):
-            cols = [np.asarray(col[lo:lo + _CSV_CHUNK], dtype=float).tolist() for col in columns]
-            fh.write("".join([row % values for values in zip(*cols)]))
+            fh.write(_csv_text(np.column_stack(
+                [np.asarray(col[lo:lo + _CSV_CHUNK], dtype=float) for col in columns])))
 
 
 def _write_lines(path, lines):
@@ -226,12 +315,22 @@ def cmd_synthesize(cfg, args):
 
 
 def _load_control_csv(path, regularity):
-    table = np.genfromtxt(path, delimiter=",", names=True)
-    return ControlSignal(
-        SampledFunction(table["t"], table["u"]),
-        SampledFunction(table["t"], table["uprime"]),
-        regularity,
-    )
+    """The control a ``control.csv`` holds; any unreadable file is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\r\n")
+            if header != "t,u,uprime":
+                raise ValueError(f"header is {header!r}, expected 't,u,uprime'")
+            rows = fh.readlines()
+        if not any(row.strip() for row in rows):
+            raise ValueError("no data rows")
+        table = np.loadtxt(rows, delimiter=",", ndmin=2)
+        if table.shape[1] != 3:
+            raise ValueError(f"rows have {table.shape[1]} cells, expected 3")
+        t, u, uprime = table.T
+        return ControlSignal(SampledFunction(t, u), SampledFunction(t, uprime), regularity)
+    except (OSError, ValueError) as err:
+        raise ConfigError("--control-csv", f"cannot read {path}: {err}") from err
 
 
 def cmd_verify(cfg, args):

@@ -227,9 +227,14 @@ def _normalize_state(section, name, length_key):
     return out
 
 
+# libyaml's safe loader where PyYAML was built with it: the same documents,
+# several times faster than the pure-Python one.
+_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def parse_config(text: str) -> ScenarioConfig:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_SafeLoader)
     except yaml.YAMLError as err:
         raise ConfigError("(document)", f"not valid YAML: {err}") from err
     if not isinstance(doc, dict):

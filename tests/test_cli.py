@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from debond import cli
+from debond import cli, config
 from debond.cli import main
 from debond.config import emit_config, load_config, parse_config
 
@@ -496,3 +496,116 @@ def test_solver_failures_keep_their_exit_code_and_message(tmp_path, capsys, doc,
                                                           code, message):
     assert run(tmp_path, doc, command)[0] == code
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# -- scenario loaders -----------------------------------------------------------------
+
+_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+@pytest.mark.skipif(len(_LOADERS) < 2, reason="PyYAML is built without libyaml")
+@pytest.mark.parametrize("doc", [STATIC_ZERO, CONSTANT_SPEED, EXPANSION, BAD_TARGET,
+                                 DEAD_PARTWAY, C1_JUMP_AT_T, PAST_KAPPA_DOMAIN],
+                         ids=["static-zero", "constant-speed", "expansion", "bad-target",
+                              "dead-partway", "c1-jump-at-t", "past-kappa-domain"])
+def test_libyaml_and_python_loaders_give_equal_configs(monkeypatch, doc):
+    configs = []
+    for loader in _LOADERS:
+        monkeypatch.setattr(config, "_SafeLoader", loader)
+        configs.append(parse_config(doc))
+    assert configs[0] == configs[1]
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+def test_invalid_yaml_exits_2_naming_document(tmp_path, capsys, monkeypatch, loader):
+    monkeypatch.setattr(config, "_SafeLoader", loader)
+    code, out = run(tmp_path, STATIC_ZERO.replace("T: 3.0", "T: [3.0"), "simulate")
+    assert code == 2
+    assert "'(document)': not valid YAML" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# -- verify --control-csv on files it cannot read ------------------------------------
+
+@pytest.mark.parametrize("text", [
+    "",                                        # empty file
+    "t,u,du\n0,0,0\n6,0,0\n",                  # wrong header
+    "t,u,uprime\n0,0,0\n6,0\n",                # short row
+    "t,u,uprime\n0,0,0\n6,zero,0\n",           # non-numeric cell
+    "t,u,uprime\n0,0,0\n3,nan,0\n6,0,0\n",     # NaN cell
+    "t,u,uprime\n",                            # header only
+    "t,u,uprime\n0,0,0\n3,0,0\n3,0,0\n6,0,0\n",  # t does not increase
+    "t,u,uprime\n0,0\n6,0\n",                  # two cells in every row
+], ids=["empty", "header", "short-row", "non-numeric", "nan", "header-only", "t-repeats",
+        "two-columns"])
+def test_verify_control_csv_unreadable_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "control.csv"
+    bad.write_text(text)
+    code, out = run(tmp_path, EXPANSION, "verify", "--control-csv", str(bad))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field '--control-csv': cannot read ")
+    assert err.count("\n") == 1
+    assert not (out / "verify.csv").exists()
+
+
+def test_verify_control_csv_missing_file_exits_2(tmp_path, capsys):
+    code, _ = run(tmp_path, EXPANSION, "verify", "--control-csv", str(tmp_path / "none.csv"))
+    assert code == 2
+    assert "'--control-csv': cannot read " in capsys.readouterr().err
+
+
+# -- the CSV formatter: every cell is exactly what "%.17g" prints ---------------------
+
+def _assert_csv_matches_percent_g(tmp_path, block):
+    block = np.asarray(block, dtype=float)
+    header = [f"c{k}" for k in range(block.shape[1])]
+    path = tmp_path / "cells.csv"
+    cli._write_csv(path, header, list(block.T))
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    expected = ",".join(header) + "\n" + "".join([row % tuple(r) for r in block.tolist()])
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_csv_cells_match_percent_g_on_random_bit_patterns(tmp_path):
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(0, 2**64, 40000, dtype=np.uint64)
+    subnormal = bits[:4000] & np.uint64(0x800FFFFFFFFFFFFF)
+    special = [np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+               1e-300, -1e300]
+    cells = np.concatenate([bits.view(float), subnormal.view(float), special])
+    _assert_csv_matches_percent_g(tmp_path, cells.reshape(-1, 4))
+
+
+def test_csv_cells_match_percent_g_at_powers_of_ten_and_edges(tmp_path):
+    powers = np.array([float(f"1e{k}") for k in range(-8, 18)])
+    neighbours = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf)])
+    edges = [0.0, -0.0, 2.0**-25, 1e-6, 1e16, 123456789012345.625, 2.0**-17, 1.5e-5, 2e-6]
+    rng = np.random.default_rng(7)
+    small = rng.uniform(1e-6, 1e-4, 2000)  # decimal exponent -6 or -5: "e-06", "e-05"
+    cells = np.concatenate([neighbours, edges, small])
+    _assert_csv_matches_percent_g(tmp_path, np.concatenate([cells, -cells])[:, None])
+
+
+def test_csv_cells_match_percent_g_on_ties_and_short_decimals(tmp_path):
+    rng = np.random.default_rng(11)
+    # m 2^-k with m odd and m 5^k of 18 digits is exactly half way between two
+    # 17-digit decimals, from 1e-6 (k = 23) up to 1e15 (k = 3): half to even.
+    ties = [np.ldexp((rng.integers(-(-10**17 // 5**k), 10**18 // 5**k, 500) | 1).astype(float), -k)
+            for k in range(3, 24)]
+    dyadic = np.ldexp(rng.integers(1, 2**53, 20000).astype(float), rng.integers(-70, 10, 20000))
+    decimal = rng.integers(-10**6, 10**6, 20000) / rng.choice([1, 4, 10, 1000, 8192], 20000)
+    magnitudes = rng.normal(size=20000) * 10.0 ** rng.uniform(-8, 18, 20000)
+    cells = np.concatenate(ties + [dyadic, decimal, magnitudes])
+    _assert_csv_matches_percent_g(tmp_path, cells.reshape(-1, 4))
+
+
+@pytest.mark.parametrize("cols", [1, 4])
+@pytest.mark.parametrize("rows", [cli._CSV_CHUNK - 1, cli._CSV_CHUNK, cli._CSV_CHUNK + 1])
+def test_csv_chunk_boundaries(tmp_path, rows, cols):
+    rng = np.random.default_rng(rows * cols)
+    block = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-9, 18, (rows, cols))
+    block[::7] = 0.0
+    _assert_csv_matches_percent_g(tmp_path, block)

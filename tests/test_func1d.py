@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 
@@ -32,13 +34,28 @@ def test_evaluate_midpoint_of_segment():
 
 
 def test_scalar_and_array_evaluation_agree():
-    fn = SampledFunction([0.0, 0.3, 1.0], [1.0, -2.0, 0.5])
+    # Both query kinds equal np.interp on the query clipped into the domain.
+    xs, vs = [0.0, 0.3, 1.0], [1.0, -2.0, 0.5]
+    fn = SampledFunction(xs, vs)
     for x in (0.0, 0.1, 0.3, 0.77, 1.0, -1e-12, 1.0 + 1e-12, np.float64(0.42)):
-        assert fn(x) == fn(np.array([x]))[0]
+        expected = np.interp(np.clip(x, 0.0, 1.0), xs, vs)
+        assert fn(x) == expected
+        assert fn(np.array([x]))[0] == expected
         assert isinstance(fn(x), float)
     for x in (-0.5, 1.5):
         with pytest.raises(DomainError, match="outside domain"):
             fn(x)
+
+
+def _lerp_reference(xs, vs, x):
+    """lerp's documented rule in pure Python: a left bisection, then v0 (1 - w) + v1 w."""
+    i = bisect.bisect_left(xs, x)
+    if i == 0:
+        return vs[0]
+    if i == len(xs):
+        return vs[-1]
+    w = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+    return vs[i - 1] * (1.0 - w) + vs[i] * w
 
 
 def test_lerp_array_path_matches_scalar_path():
@@ -46,7 +63,8 @@ def test_lerp_array_path_matches_scalar_path():
     xs = np.sort(rng.uniform(-1.0, 2.0, 40))
     vs = rng.normal(size=40)
     q = np.concatenate([rng.uniform(-1.5, 2.5, 200), xs])
-    assert np.all(lerp(xs, vs, q) == np.array([lerp(xs, vs, float(x)) for x in q]))
+    expected = [_lerp_reference(xs.tolist(), vs.tolist(), x) for x in q.tolist()]
+    assert np.all(lerp(xs, vs, q) == np.array(expected))
 
 
 def test_evaluate_rejects_extrapolation():
@@ -191,9 +209,9 @@ def _float_path_queries(xs, rng):
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
 def test_sampled_function_float_path_matches_np_interp(scale):
-    # A float query reproduces np.interp's arithmetic bit for bit: at nodes,
-    # at both endpoints, inside the clamp slack just outside the domain, and
-    # at magnitudes from 1e-300 to 1e300.
+    # Float and array queries reproduce np.interp on the clipped query bit for
+    # bit: at nodes, at both endpoints, inside the clamp slack just outside
+    # the domain, and at magnitudes from 1e-300 to 1e300.
     rng = np.random.default_rng(int(np.log10(scale)) + 400)
     for _ in range(20):
         n = int(rng.integers(2, 60))
@@ -203,8 +221,9 @@ def test_sampled_function_float_path_matches_np_interp(scale):
         with np.errstate(over="ignore", invalid="ignore"):  # the node antiderivative
             fn = SampledFunction(xs, vs)
         q = _float_path_queries(fn.xs, rng)
-        scalar = np.array([fn(x) for x in q])
-        assert np.all(scalar == fn(np.array(q)))
+        expected = np.interp(np.clip(q, fn.xs[0], fn.xs[-1]), fn.xs, fn.vs)
+        assert np.all(np.array([fn(x) for x in q]) == expected)
+        assert np.all(fn(np.array(q)) == expected)
 
 
 def test_sampled_function_rejects_non_finite_samples_and_queries():
