@@ -17,9 +17,8 @@ differing exit code and file is listed: a key=value file or ``verify.csv``
 with each changed value (REV's beside this checkout's), any other CSV with
 its row counts, a file present on one side only as such.  Exit status: 0
 when all are identical, 1 when anything differs, 2 when REV cannot be
-extracted.  The wall time of each scenario's runs, in each tree, is printed
-beside the check for information; it does not change the exit status.  Needs
-only the standard library plus the package's own dependencies (numpy, PyYAML).
+extracted.  Needs only the standard library plus the package's own
+dependencies (numpy, PyYAML).
 """
 
 
@@ -32,7 +31,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -166,14 +164,10 @@ def extract_src(rev, dest):
 
 
 def run_all(src, config_dir, out_dir):
-    """Run every command on every scenario.
-
-    Returns {(scenario, command): exit code} and {scenario: wall seconds of its runs}.
-    """
+    """Run every command on every scenario; returns {(scenario, command): exit code}."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    codes, seconds = {}, {}
+    codes = {}
     for name in SCENARIOS:
-        start = time.perf_counter()
         # (output label, command, extra arguments); the replay reads synthesize's output.
         replay = ["--control-csv", str(out_dir / name / "synthesize" / "control.csv")]
         runs = [(command, command, []) for command in COMMANDS]
@@ -186,8 +180,7 @@ def run_all(src, config_dir, out_dir):
                 env=env, capture_output=True, text=True,
             )
             codes[name, label] = proc.returncode
-        seconds[name] = time.perf_counter() - start
-    return codes, seconds
+    return codes
 
 
 def _values(path):
@@ -239,11 +232,8 @@ def main(argv):
         configs.mkdir()
         for name, text in SCENARIOS.items():
             (configs / f"{name}.yaml").write_text(text, encoding="utf-8")
-        codes_here, seconds_here = run_all(ROOT / "src", configs, tmp / "here")
-        codes_rev, seconds_rev = run_all(rev_src, configs, tmp / "rev-out")
-        for name in SCENARIOS:
-            print(f"time {name}: {seconds_here[name]:.2f} s here, {seconds_rev[name]:.2f} s "
-                  f"at {argv[0]}")
+        codes_here = run_all(ROOT / "src", configs, tmp / "here")
+        codes_rev = run_all(rev_src, configs, tmp / "rev-out")
         same = True
         for key, code in codes_here.items():
             if code != codes_rev[key]:

@@ -18,7 +18,7 @@ numpy formatter that writes the same bytes.
 
 from __future__ import annotations
 
-import argparse
+import functools
 import os
 import sys
 
@@ -318,16 +318,23 @@ def _load_control_csv(path, regularity):
     """The control a ``control.csv`` holds; any unreadable file is a ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\r\n")
-            if header != "t,u,uprime":
-                raise ValueError(f"header is {header!r}, expected 't,u,uprime'")
-            rows = fh.readlines()
-        if not any(row.strip() for row in rows):
+            lines = fh.read().splitlines() or [""]
+        if lines[0] != "t,u,uprime":
+            raise ValueError(f"header is {lines[0]!r}, expected 't,u,uprime'")
+        table = []
+        for number, line in enumerate(lines[1:], start=2):  # errors name the file's line
+            if not line.strip():
+                continue
+            cells = line.split(",")
+            try:
+                if len(cells) != 3:
+                    raise ValueError(f"{len(cells)} cells, expected 3")
+                table.append([float(cell) for cell in cells])
+            except ValueError as err:
+                raise ValueError(f"line {number}: {err}") from None
+        if not table:
             raise ValueError("no data rows")
-        table = np.loadtxt(rows, delimiter=",", ndmin=2)
-        if table.shape[1] != 3:
-            raise ValueError(f"rows have {table.shape[1]} cells, expected 3")
-        t, u, uprime = table.T
+        t, u, uprime = np.array(table).T
         return ControlSignal(SampledFunction(t, u), SampledFunction(t, uprime), regularity)
     except (OSError, ValueError) as err:
         raise ConfigError("--control-csv", f"cannot read {path}: {err}") from err
@@ -374,7 +381,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on first use: argparse is imported only here."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="debond",
         description="Simulate and steer a 1D dynamic debonding front via boundary control.",
@@ -401,7 +411,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.h is not None:

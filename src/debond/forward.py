@@ -90,11 +90,11 @@ class _SeedData:
 
     def fprime(self, q, up_xs, up_vs):
         """Trace slope on an array q <= ell0: the data, and the control u' on (0, ell0]."""
-        return np.where(
-            q <= 0.0,
-            lerp(self.minus_xs, self.minus_vs, q),
-            lerp(up_xs, up_vs, q) - lerp(self.plus_xs, self.plus_vs, q),
-        )
+        neg, out = q <= 0.0, np.empty(np.shape(q))
+        out[neg] = lerp(self.minus_xs, self.minus_vs, q[neg])
+        pos = q[~neg]
+        out[~neg] = lerp(up_xs, up_vs, pos) - lerp(self.plus_xs, self.plus_vs, pos)
+        return out
 
 
 def _require_matching_endpoint(initial: InitialState, control: ControlSignal):
@@ -210,7 +210,8 @@ class _Core:
             # Up to ell0 trace_slope evaluates the data formula: take it at the
             # stored abscissae, which may sit inside a u' jump pair.
             fp = self.seed.fprime(s, self.up_xs, self.up_vs)
-        v = np.minimum(griffith_speed(fp, kappa(np.minimum(ell, self.cfg.T - q))), SPEED_CAP)
+        kap = kappa.kappa if kappa.is_constant else kappa(np.minimum(ell, self.cfg.T - q))
+        v = np.minimum(griffith_speed(fp, kap), SPEED_CAP)
         for name, values in zip(_FIELDS, (s, t, ell, g, v, fp, tracked)):
             if n + m > getattr(self, name).size:
                 setattr(self, name, np.resize(getattr(self, name), 2 * (n + m)))
@@ -406,10 +407,7 @@ def seed_trace(initial: InitialState, control: ControlSignal):
         right = np.append(right, initial.ell0)
     s_nodes = np.concatenate([seed.minus_xs, [eps], right])
     k = seed.minus_xs.shape[0]
-    q = s_nodes[k:]
-    vals = np.concatenate(
-        [seed.minus_vs, lerp(up_xs, up_vs, q) - lerp(seed.plus_xs, seed.plus_vs, q)]
-    )
+    vals = np.concatenate([seed.minus_vs, seed.fprime(s_nodes[k:], up_xs, up_vs)])  # all > 0
     fprime = SampledFunction(s_nodes, vals)
     cum = cumulative_trapezoid(s_nodes, vals)
     cum -= cum[k - 1]  # anchor f(0) = 0 at the left node of the kink pair

@@ -24,8 +24,13 @@ _DOMAIN_SLACK = 1e-9
 # Minimum node spacing relative to the domain span.
 _MIN_SPACING = 1e-12
 
-# Inversion tolerance relative to the range span (far below scheme error).
-INVERT_RTOL = 1e-10
+
+def _first_outside(x, lo, hi):
+    """The first of the array ``x`` outside [lo, hi] widened by the slack (NaN is), or None."""
+    slack = _DOMAIN_SLACK * max(hi - lo, 1.0)
+    if x.size == 0 or (x.min() >= lo - slack and x.max() <= hi + slack):  # NaN fails this
+        return None
+    return x[~((x >= lo - slack) & (x <= hi + slack))].flat[0]  # the mask: error path only
 
 
 @dataclass(frozen=True)
@@ -34,6 +39,8 @@ class SampledFunction:
 
     ``xs`` must be strictly increasing with at least two nodes; ``vs`` has the
     same length.  Instances are immutable and safe to share across threads.
+    A query within the domain slack beyond an end is not clipped: there
+    ``np.interp`` returns ``vs[0]`` or ``vs[-1]``, its values at the ends themselves.
     """
 
     xs: np.ndarray
@@ -66,61 +73,53 @@ class SampledFunction:
     def hi(self) -> float:
         return float(self.xs[-1])
 
-    @property
-    def span(self) -> float:
-        return float(self.xs[-1] - self.xs[0])
-
-    def _domain_error(self, bad) -> DomainError:
-        return DomainError(
-            f"evaluation at {bad:.17g} outside domain [{self.lo:.17g}, {self.hi:.17g}]"
-        )
-
-    def _clip(self, x):
-        slack = _DOMAIN_SLACK * max(self.span, 1.0)
+    def _check(self, x):
+        """``x`` as a float array; a DomainError names its first point outside the domain."""
         x = np.asarray(x, dtype=float)
-        # Written as a negated in-range test so that NaN counts as outside.
-        outside = ~((x >= self.xs[0] - slack) & (x <= self.xs[-1] + slack))
-        if np.any(outside):
-            raise self._domain_error(np.atleast_1d(x[outside])[0])
-        return np.clip(x, self.xs[0], self.xs[-1])
+        bad = _first_outside(x, self.xs[0], self.xs[-1])
+        if bad is not None:
+            raise DomainError(
+                f"evaluation at {bad:.17g} outside domain [{self.lo:.17g}, {self.hi:.17g}]"
+            )
+        return x
 
     def __call__(self, x):
-        x = self._clip(x)
-        out = np.interp(x, self.xs, self.vs)
+        out = np.interp(self._check(x), self.xs, self.vs)
         return float(out) if out.ndim == 0 else out
 
     def antiderivative_at(self, x):
         """Exact integral of the interpolant from ``lo`` to ``x``."""
-        x = self._clip(x)
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(x)
-        idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, self.xs.size - 2)
-        x0 = self.xs[idx]
-        v0 = self.vs[idx]
-        slope = (self.vs[idx + 1] - v0) / (self.xs[idx + 1] - x0)
+        x = np.clip(self._check(x), self.xs[0], self.xs[-1])
+        # The last node at or below x (the one before it at x = hi): an interior search.
+        idx = self.xs[1:-1].searchsorted(x, side="right")
+        x0, v0, cum = self.xs.take(idx), self.vs.take(idx), self._cum.take(idx)
+        idx += 1
+        slope = (self.vs.take(idx) - v0) / (self.xs.take(idx) - x0)
         d = x - x0
-        out = self._cum[idx] + v0 * d + 0.5 * slope * d * d
+        out = cum + v0 * d + 0.5 * slope * d * d
         if not np.all(np.isfinite(out)):
             raise OverflowError(f"integral of the interpolant from {self.lo:.17g} overflows")
-        return float(out[0]) if scalar else out
+        return float(out) if out.ndim == 0 else out
 
 
 def lerp(xs, vs, q):
     """Linear interpolation of samples on strictly increasing ``xs``, clamped at the ends.
 
-    Evaluates ``v0 * (1 - w) + v1 * w`` on the segment found by a left-sided
-    binary search.  This rounds differently from ``np.interp``; the trace
-    store and the designed trace are read through it so their outputs stay
-    bit-stable.
+    Evaluates ``v0 * (1 - w) + v1 * w`` on segment j - 1..j, j - 1 counting the
+    interior nodes below q: the left search over all nodes held to [1, n - 1].
+    q <= xs[0] reads vs[0], q > xs[-1] or NaN vs[-1], the search's own ends, so
+    no clip is needed.  It rounds unlike ``np.interp``; the trace store and the
+    designed trace are read through it so their outputs stay bit-stable.
     """
-    n = xs.shape[0]
     q = np.asarray(q, dtype=float)
-    i = np.searchsorted(xs, q)
-    j = np.clip(i, 1, n - 1)
-    x0 = xs[j - 1]
-    w = (q - x0) / (xs[j] - x0)
-    inner = vs[j - 1] * (1.0 - w) + vs[j] * w
-    return np.where(i <= 0, vs[0], np.where(i >= n, vs[-1], inner))
+    if q.size == 0:  # skip the fixed cost of the kernel
+        return np.empty(q.shape)
+    j = xs[1:-1].searchsorted(q)
+    x0, v0 = xs.take(j), vs.take(j)
+    j += 1
+    w = (q - x0) / (xs.take(j) - x0)
+    inner = v0 * (1.0 - w) + vs.take(j) * w
+    return np.where(q <= xs[0], vs[0], np.where(q <= xs[-1], inner, vs[-1]))
 
 
 def cumulative_trapezoid(xs, vs):
@@ -236,14 +235,10 @@ class MonotoneMap:
 
     def invert(self, s):
         vs, xs = self.fn.vs, self.fn.xs
-        slack = _DOMAIN_SLACK * max(vs[-1] - vs[0], 1.0)
         s = np.asarray(s, dtype=float)
-        if np.any(~((s >= vs[0] - slack) & (s <= vs[-1] + slack))):  # NaN is outside
-            raise RangeError(
-                f"inversion target outside range [{vs[0]:.17g}, {vs[-1]:.17g}]"
-            )
-        s = np.clip(s, vs[0], vs[-1])
-        out = np.interp(s, vs, xs)
+        if _first_outside(s, vs[0], vs[-1]) is not None:
+            raise RangeError(f"inversion target outside range [{vs[0]:.17g}, {vs[-1]:.17g}]")
+        out = np.interp(s, vs, xs)  # unclipped, as in SampledFunction.__call__
         return float(out) if out.ndim == 0 else out
 
 

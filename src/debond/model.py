@@ -49,11 +49,8 @@ def griffith_speed(fprime_at_trace, kappa_at_front):
         if not finite.all():
             bad = np.asarray(value)[~finite].flat[0]
             raise FloatingPointError(f"Griffith speed of a non-finite {name}: {bad}")
-    if isinstance(kappa_at_front, np.ndarray):
-        if np.any(kappa_at_front <= 0.0):
-            raise InvalidToughness(f"toughness must be positive, got {np.min(kappa_at_front)}")
-    elif kappa_at_front <= 0.0:
-        raise InvalidToughness(f"toughness must be positive, got {kappa_at_front}")
+    if np.min(kappa_at_front, initial=np.inf) <= 0.0:  # np.float64 prints as the float does
+        raise InvalidToughness(f"toughness must be positive, got {np.min(kappa_at_front)}")
     twice_sq = 2.0 * fprime_at_trace * fprime_at_trace
     speed = (twice_sq - kappa_at_front) / (twice_sq + kappa_at_front)
     return np.maximum(speed, 0.0) if isinstance(speed, np.ndarray) else max(speed, 0.0)

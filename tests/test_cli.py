@@ -1,6 +1,8 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -553,6 +555,60 @@ def test_verify_control_csv_missing_file_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, EXPANSION, "verify", "--control-csv", str(tmp_path / "none.csv"))
     assert code == 2
     assert "'--control-csv': cannot read " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("t,u,uprime\n0,0,0\n6,0\n", "line 3: 2 cells, expected 3"),
+    ("t,u,uprime\n0,0,0\n\n6,zero,0\n", "line 4: could not convert string to float: 'zero'"),
+], ids=["short-third-line", "non-numeric-after-blank"])
+def test_verify_control_csv_errors_name_the_file_line(tmp_path, capsys, text, reason):
+    # Lines are counted in the file, the header being line 1.
+    bad = tmp_path / "control.csv"
+    bad.write_text(text)
+    code, _ = run(tmp_path, EXPANSION, "verify", "--control-csv", str(bad))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: config field '--control-csv': cannot read {bad}: {reason}\n")
+
+
+# -- one parser for every call of main ------------------------------------------------
+
+def test_main_calls_share_no_state(tmp_path, monkeypatch):
+    # The parser is built once per process: no option of one call reaches the next.
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(EXPANSION)
+    seen = []
+
+    def record(cfg, args):
+        seen.append((args.command, args.out, args.h, args.policy,
+                     getattr(args, "control_csv", None), cfg.solver["h"], cfg.branch["policy"]))
+        return 0
+
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, record)
+    calls = [
+        ["verify", "--h", "0.01", "--policy", "prefer_moving", "--control-csv", "c.csv",
+         "--out", "o"],
+        ["final-branch"],
+        ["simulate", "--h", "0.002"],
+        ["verify"],
+    ]
+    for command, *extra in calls:
+        assert main([command, "--config", str(cfg), *extra]) == 0
+    assert seen == [
+        ("verify", "o", 0.01, "prefer_moving", "c.csv", 0.01, "prefer_moving"),
+        ("final-branch", None, None, None, None, 1e-3, "prefer_static"),
+        ("simulate", None, 0.002, None, None, 0.002, "prefer_static"),
+        ("verify", None, None, None, None, 1e-3, "prefer_static"),
+    ]
+    assert cli._parser() is cli._parser()
+
+
+def test_importing_the_cli_leaves_argparse_unimported():
+    code = "import sys, debond.cli; print('argparse' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout == "False\n", out.stderr
 
 
 # -- the CSV formatter: every cell is exactly what "%.17g" prints ---------------------
