@@ -15,7 +15,9 @@ control as samples whose rate jumps across node pairs 1e-9 apart, the others
 take the static branch.  Every
 differing exit code and file is listed: a key=value file or ``verify.csv``
 with each changed value (REV's beside this checkout's), any other CSV with
-its row counts, a file present on one side only as such.  Exit status: 0
+its row counts and, when they are equal, the largest change of each
+changed column, absolute and relative to REV's largest magnitude in it, a
+file present on one side only as such.  Exit status: 0
 when all are identical, 1 when anything differs, 2 when REV cannot be
 extracted.  Needs only the standard library plus the package's own
 dependencies (numpy, PyYAML).
@@ -196,6 +198,31 @@ def _rows(path):
     return sum(1 for line in path.read_text(encoding="utf-8").splitlines()[1:] if line)
 
 
+def _columns(path):
+    """{column name: its values as floats} of a numeric CSV."""
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line]
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    return dict(zip(lines[0].split(","), zip(*rows)))
+
+
+def _column_changes(rev, here):
+    """The largest change of each column that differs, absolute and relative to the column.
+
+    The relative figure divides by REV's largest magnitude in the column, not by
+    each old value, so a column that crosses zero reads as its scale warrants.
+    """
+    cols_rev, cols_here = _columns(rev), _columns(here)
+    out = []
+    for name in sorted(cols_rev.keys() & cols_here.keys()):
+        old, new = cols_rev[name], cols_here[name]
+        change = max(abs(b - a) for a, b in zip(old, new))
+        if change:
+            scale = max(abs(a) for a in old)
+            rel = change / scale if scale else math.inf
+            out.append(f"{name}: largest change {change:.3g} absolute, {rel:.3g} relative")
+    return out
+
+
 def differences(a, b):
     """Every differing file as (relative path, detail lines; None if on one side only)."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
@@ -209,7 +236,11 @@ def differences(a, b):
         if pa.read_bytes() == pb.read_bytes():
             continue
         if rel.suffix == ".csv" and rel.name != "verify.csv":
-            out.append((rel, [f"rows: {_rows(pb)} at REV, {_rows(pa)} here"]))
+            rows_a, rows_b = _rows(pa), _rows(pb)
+            details = [f"rows: {rows_b} at REV, {rows_a} here"]
+            if rows_a == rows_b:
+                details += _column_changes(pb, pa)
+            out.append((rel, details))
             continue
         va, vb = _values(pa), _values(pb)
         out.append((rel, [f"{key}: {vb.get(key, '-')} at REV, {va.get(key, '-')} here"

@@ -46,7 +46,6 @@ from .forward import (
     SolutionRecord,
     SolverConfig,
     reconstruct_state,
-    seed_trace,
     solve_front,
     solve_initial_branch,
 )

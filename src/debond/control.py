@@ -24,7 +24,6 @@ u(0) = y0(0).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ from .errors import (
     InfeasibleTime,
 )
 from .forward import SolverConfig, _SeedData, solve_front, solve_initial_branch
-from .func1d import SampledFunction, cumulative_trapezoid, lerp
+from .func1d import SampledFunction, cumulative_trapezoid, pair_width
 from .model import (
     SPEED_CAP,
     BranchResult,
@@ -112,10 +111,11 @@ def fprime_for_prescribed_front(
 ):
     """Trace slope on tau_minus(segment) realizing the prescribed front.
 
-    ``sign_policy`` is either a number or a callable t -> sign used on moving
-    stretches.  On static stretches the slope interpolates linearly (in s)
-    between the neighbouring forced values or the given endpoint requirements,
-    clipped into the threshold band |f'| <= sqrt(kappa/2).
+    ``sign_policy`` is either a number or a callable mapping the array of the
+    moving nodes' times to their signs.  On static stretches the slope
+    interpolates linearly (in s) between the neighbouring forced values or the
+    given endpoint requirements, clipped into the threshold band
+    |f'| <= sqrt(kappa/2).
 
     Returns (s_nodes, values).
     """
@@ -124,12 +124,12 @@ def fprime_for_prescribed_front(
     vs = front.speeds
     s_nodes = ts - Ls
     n = ts.shape[0]
-    sign_at = sign_policy if callable(sign_policy) else (lambda t, s=float(sign_policy): s)
 
     vals = np.empty(n)
     moving = vs > _SPEED_TOL
     mags = speed_to_fprime_magnitude(np.minimum(vs[moving], SPEED_CAP), kappa(Ls[moving]))
-    vals[moving] = np.copysign(mags, [sign_at(t) for t in ts[moving].tolist()])
+    sign = sign_policy(ts[moving]) if callable(sign_policy) else float(sign_policy)
+    vals[moving] = np.copysign(mags, sign)
 
     # Static runs [i, j]: edges of the runs of non-moving nodes.
     edges = np.flatnonzero(np.diff(np.concatenate(([0], (~moving).astype(np.int8), [0]))))
@@ -292,13 +292,13 @@ def _build_stage1_c1(t0, ell0_, v0, t1, ell1, v1, h):
 # Front composition and trace assembly
 # ---------------------------------------------------------------------------
 
-def _compose_front(parts, allow_slope_jumps, T):
+def _compose_front(parts, allow_slope_jumps, eps):
     """Concatenate (times, ells, speeds) parts into one FrontCurve on [0, T].
 
-    At junctions with a genuine slope jump a paired node is inserted so the
-    piecewise-linear speed keeps both one-sided values.
+    At junctions with a genuine slope jump a node ``eps`` later is inserted so
+    the piecewise-linear speed keeps both one-sided values.
     """
-    eps = max(2e-12 * T, 1e-13)
+    T = parts[-1][0][-1]
     times = [parts[0][0]]
     ells = [parts[0][1]]
     speeds = [parts[0][2]]
@@ -321,15 +321,14 @@ def _compose_front(parts, allow_slope_jumps, T):
     return FrontCurve(t[keep], l[keep], v[keep])
 
 
-def _designed_trace_nodes(initial, stages, T, c1_mode, ctol):
+def _designed_trace_nodes(initial, stages, eps, c1_mode, ctol):
     """Glue seed and stage nodes into one slope polyline on [-ell0, T].
 
     ``stages`` is a list of (s_nodes, values) with increasing coverage of
-    (0, T].  For Lipschitz synthesis the stage boundaries get paired nodes
-    (one-sided limits); for C1 synthesis any jump above ``ctol`` is an
+    (0, T].  For Lipschitz synthesis the stage boundaries get nodes ``eps``
+    apart (one-sided limits); for C1 synthesis any jump above ``ctol`` is an
     internal error.
     """
-    eps = max(2e-12 * (T + initial.ell0), 1e-13)
     seed = _SeedData(initial)
     s_parts = [seed.minus_xs]
     v_parts = [seed.minus_vs]
@@ -355,19 +354,21 @@ def _designed_trace_nodes(initial, stages, T, c1_mode, ctol):
     return s[keep], v[keep]
 
 
-def _echo_images(front, seeds, T, generations=6):
-    """Forward images s -> tau_plus(tau_minus^-1(s)) of trace breakpoints."""
+def _echo_images(front, seeds, T):
+    """Forward images s -> tau_plus(tau_minus^-1(s)) of trace breakpoints, up to T.
+
+    Each image lies at least 2 ell0 beyond its source, so at most T / (2 ell0)
+    generations are walked, all breakpoints of one generation at once.
+    """
     out = []
-    for s0 in seeds:
-        s = s0
-        for _ in range(generations):
-            if s >= front.tau_minus.range_hi - 1e-12:
-                break
-            s = float(front.tau_plus(front.tau_minus.invert(s)))
-            if s > T:
-                break
-            out.append(s)
-    return out
+    s = np.asarray(seeds, dtype=float)
+    while True:
+        s = s[s < front.tau_minus.range_hi - 1e-12]
+        if not s.size:
+            return out
+        s = front.tau_plus(front.tau_minus.invert(s))
+        s = s[s <= T]
+        out += s.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +450,8 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
     case = _stage1_case(equal_len, v_star > _SLOPE_TOL, v_bar > _SLOPE_TOL)
     stage1_front = FrontCurve(ts1, ells1, np.minimum(sig1, SPEED_CAP))
 
-    # Composite prescribed front on [0, T]
+    # Composite prescribed front on [0, T], its jumps paired like the designed trace's
+    eps = pair_width(T, initial.ell0)
     front = _compose_front(
         [
             (ib.front.times, ib.front.positions, ib.front.speeds),
@@ -461,7 +463,7 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
             ),
         ],
         allow_slope_jumps=not c1_mode,
-        T=T,
+        eps=eps,
     )
     if c1_mode:
         l_jump = float(np.max(np.abs(np.diff(front.speeds))))
@@ -484,13 +486,10 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
     else:
         sgn_l = sgn_r
 
-    def sign_at(t):
-        return sgn_l if t <= t_circ else sgn_r
-
     s1_nodes, s1_vals = fprime_for_prescribed_front(
         stage1_front,
         kappa,
-        sign_at,
+        lambda t: np.where(t <= t_circ, sgn_l, sgn_r),
         left_value=fp0,
         right_value=junction,
     )
@@ -512,11 +511,11 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
     trace_s, trace_v = _designed_trace_nodes(
         initial,
         [(s1_nodes, s1_vals), (s2_nodes, s2_vals), (s3_nodes, s3_vals)],
-        T,
+        eps,
         c1_mode,
         ctol,
     )
-    fp_design = functools.partial(lerp, trace_s, trace_v)
+    designed_trace = SampledFunction(trace_s, trace_v)
 
     # Stage-3 junction identity (the proof's linchpin computation)
     stage2_limit = float(s2_vals[-1])
@@ -547,7 +546,11 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
     keep = np.concatenate(([True], np.diff(grid) > max(1e-12 * T, 1e-14)))
     grid = grid[keep]
 
-    up_vals = uprime_from_fprime(fp_design, front, initial, grid)
+    up_vals = uprime_from_fprime(designed_trace, front, initial, grid)
+    # T's echo is s1, where the designed trace and the front's speed jump; rounding
+    # can put it inside that pair, so u'(T) takes its left limit, on the stage-1 side.
+    v1 = stage1_front.speeds[-1]
+    up_vals[-1] = trace_v[-1] - s1_vals[-1] * ((1.0 - v1) / (1.0 + v1))
     u_vals = initial.y0(0.0) + cumulative_trapezoid(grid, up_vals)
     control = ControlSignal(
         SampledFunction(grid, u_vals),
@@ -575,7 +578,7 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
         initial_branch=ib,
         stage_boundaries=(s1, s2, T),
         front=front,
-        designed_trace=SampledFunction(trace_s, trace_v),
+        designed_trace=designed_trace,
         stage3_junction=(stage2_limit, stage3_limit, float(junction_ref)),
     )
 

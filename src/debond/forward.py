@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonExceeded, IncompatibleData
-from .func1d import SampledFunction, cumulative_trapezoid, definite_integral, lerp, merged_eval, scan
+from .func1d import (
+    SampledFunction, cumulative_trapezoid, definite_integral, merged_eval, pair_width, scan,
+)
 from .model import (
     SPEED_CAP,
     ControlSignal,
@@ -91,9 +93,9 @@ class _SeedData:
     def fprime(self, q, up_xs, up_vs):
         """Trace slope on an array q <= ell0: the data, and the control u' on (0, ell0]."""
         neg, out = q <= 0.0, np.empty(np.shape(q))
-        out[neg] = lerp(self.minus_xs, self.minus_vs, q[neg])
+        out[neg] = np.interp(q[neg], self.minus_xs, self.minus_vs)
         pos = q[~neg]
-        out[~neg] = lerp(up_xs, up_vs, pos) - lerp(self.plus_xs, self.plus_vs, pos)
+        out[~neg] = np.interp(pos, up_xs, up_vs) - np.interp(pos, self.plus_xs, self.plus_vs)
         return out
 
 
@@ -122,8 +124,7 @@ class _Core:
         self.initial, self.kappa, self.cfg = initial, kappa, cfg
         self.seed = _SeedData(initial)
         self.up_xs, self.up_vs = up_xs, up_vs
-        # Width of the jump pairs at s = 0 and s = ell0; nodes keep half of it apart.
-        self.eps = max(2e-12 * (cfg.T + initial.ell0), 1e-13)
+        self.eps = pair_width(cfg.T, initial.ell0)
         close = (np.diff(up_xs) < _JUMP_SPAN * max(cfg.T, 1.0)) & (np.diff(up_vs) != 0.0)
         self.up_jumps = up_xs[np.append(close, False) | np.insert(close, 0, False)]
         size = int((s_end + initial.ell0) / cfg.h) + 4 * self.up_jumps.size + 64
@@ -290,7 +291,7 @@ class SolutionRecord:
         core = self._core
         seeded, out = s <= self.initial.ell0, np.empty(s.shape)
         out[seeded] = core.seed.fprime(s[seeded], core.up_xs, core.up_vs)
-        out[~seeded] = lerp(core.s, core.fp, s[~seeded])
+        out[~seeded] = np.interp(s[~seeded], core.s, core.fp)
         return float(out) if out.ndim == 0 else out
 
     def trace_value(self, s):
@@ -387,32 +388,6 @@ class SolutionRecord:
         f = self.front
         fp = self.trace_slope(f.times - f.positions)
         return np.abs(f.speeds - griffith_speed(fp, self.toughness(f.positions)))
-
-
-def seed_trace(initial: InitialState, control: ControlSignal):
-    """Data-determined trace on [-ell0, ell0]: slope and integral (f(0) = 0).
-
-    The slope keeps one-sided values at the kink s = 0 via a paired node.
-    The control must be defined at least on [0, ell0].
-    """
-    if control.t_end < initial.ell0 * (1 - 1e-12):
-        raise IncompatibleData("control must cover [0, ell0] to seed the trace")
-    _require_matching_endpoint(initial, control)
-    seed = _SeedData(initial)
-    up_xs, up_vs = control.uprime.xs, control.uprime.vs
-    eps = max(2e-12 * 2 * initial.ell0, 1e-13)
-    right = np.union1d(seed.plus_xs, up_xs[(up_xs > 0) & (up_xs <= initial.ell0)])
-    right = right[right > eps]
-    if right.size == 0 or right[-1] < initial.ell0 - eps:
-        right = np.append(right, initial.ell0)
-    s_nodes = np.concatenate([seed.minus_xs, [eps], right])
-    k = seed.minus_xs.shape[0]
-    vals = np.concatenate([seed.minus_vs, seed.fprime(s_nodes[k:], up_xs, up_vs)])  # all > 0
-    fprime = SampledFunction(s_nodes, vals)
-    cum = cumulative_trapezoid(s_nodes, vals)
-    cum -= cum[k - 1]  # anchor f(0) = 0 at the left node of the kink pair
-    f = SampledFunction(s_nodes, cum)
-    return fprime, f
 
 
 def solve_front(

@@ -102,24 +102,13 @@ class SampledFunction:
         return float(out) if out.ndim == 0 else out
 
 
-def lerp(xs, vs, q):
-    """Linear interpolation of samples on strictly increasing ``xs``, clamped at the ends.
+def pair_width(T, ell0):
+    """Width of a jump pair on [-ell0, T]: two nodes this far apart carry a jump's two sides.
 
-    Evaluates ``v0 * (1 - w) + v1 * w`` on segment j - 1..j, j - 1 counting the
-    interior nodes below q: the left search over all nodes held to [1, n - 1].
-    q <= xs[0] reads vs[0], q > xs[-1] or NaN vs[-1], the search's own ends, so
-    no clip is needed.  It rounds unlike ``np.interp``; the trace store and the
-    designed trace are read through it so their outputs stay bit-stable.
+    The front, the trace store and the designed trace all pair their nodes by
+    it, so a jump of one lands on the pair of another; nodes keep half of it apart.
     """
-    q = np.asarray(q, dtype=float)
-    if q.size == 0:  # skip the fixed cost of the kernel
-        return np.empty(q.shape)
-    j = xs[1:-1].searchsorted(q)
-    x0, v0 = xs.take(j), vs.take(j)
-    j += 1
-    w = (q - x0) / (xs.take(j) - x0)
-    inner = v0 * (1.0 - w) + vs.take(j) * w
-    return np.where(q <= xs[0], vs[0], np.where(q <= xs[-1], inner, vs[-1]))
+    return max(2e-12 * (T + ell0), 1e-13)
 
 
 def cumulative_trapezoid(xs, vs):

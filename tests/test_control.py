@@ -15,6 +15,7 @@ from debond import (
     Toughness,
 )
 from debond.branch import BranchPolicy, solve_final_branch, static_branch
+from debond.config import parse_config
 from debond.control import (
     fprime_for_prescribed_front,
     synthesize_c01,
@@ -24,6 +25,7 @@ from debond.control import (
     uprime_from_fprime,
     verify_synthesis,
 )
+from debond.func1d import pair_width
 
 H = 1e-3
 
@@ -54,6 +56,19 @@ def zero_target(ellbar0, regularity="C01"):
 def static_front(ell, t0, t1, n=64):
     ts = np.linspace(t0, t1, n + 1)
     return FrontCurve(ts, np.full(n + 1, ell), np.zeros(n + 1))
+
+
+def assert_front_jumps_on_trace_pairs(rep, ell0, T):
+    """Each speed-jump pair of the prescribed front, mapped by t - ell, is a designed-trace pair."""
+    eps = pair_width(T, ell0)
+    f, xs = rep.front, rep.designed_trace.xs
+    s = f.times - f.positions
+    fronts = np.flatnonzero(np.diff(f.times) < 2.0 * eps)
+    traces = np.flatnonzero(np.diff(xs) < 2.0 * eps)
+    assert fronts.size
+    for k in fronts:
+        left = np.abs(xs[traces] - s[k]) <= eps / 100
+        assert np.any(left & (np.abs(xs[traces + 1] - s[k + 1]) <= eps / 100)), s[k]
 
 
 # -- op-level ---------------------------------------------------------------------
@@ -130,7 +145,7 @@ def test_fprime_prescribed_front_matches_node_by_node(ends):
     front = FrontCurve(ts, ells, speeds)
     kx = np.linspace(0.0, 8.0, 65)
     for kappa in (Toughness(1.3), Toughness(SampledFunction(kx, 1.0 + 0.2 * np.sin(1.7 * kx)))):
-        sign_at = lambda t: 1.0 if t < 2.5 else -1.0
+        sign_at = lambda t: np.where(t < 2.5, 1.0, -1.0)
         s, v = fprime_for_prescribed_front(front, kappa, sign_at, *ends)
         s_ref, v_ref = _prescribed_front_by_node(front, kappa, sign_at, *ends)
         assert np.all(s == s_ref)
@@ -189,7 +204,10 @@ def test_expansion_c01_plan_and_roundtrip():
     assert abs(rep.designed_trace(s_mid)) == pytest.approx(1.0, abs=1e-9)
     res = verify_synthesis(rep, initial, target, kappa, cfg)
     assert res.front_error <= 1e-2
-    assert res.displacement_error <= 1e-2
+    # The front and the designed trace pair their jump nodes alike, so the round trip is exact
+    # up to rounding.
+    assert res.displacement_error <= 1e-10
+    assert_front_jumps_on_trace_pairs(rep, initial.ell0, T)
 
 
 def test_expansion_c01_control_shape():
@@ -241,6 +259,7 @@ def test_moving_branch_roundtrip_c01():
         s = t - seg.ell(t)
         v = griffith_speed(rep.designed_trace(s), kappa(seg.ell(t)))
         assert v == pytest.approx(seg.ell_prime(t), abs=10 * H)
+    assert_front_jumps_on_trace_pairs(rep, initial.ell0, T)
 
 
 def test_stage3_trace_is_direct_assignment():
@@ -259,6 +278,34 @@ def test_stage3_trace_is_direct_assignment():
     vals = rep.designed_trace.vs[sel]
     expect = 0.5 * w_minus(np.clip(T - nodes[sel], 0.0, target.ellbar0))
     assert np.max(np.abs(vals - expect)) <= 1e-14
+    assert_front_jumps_on_trace_pairs(rep, initial.ell0, T)
+
+
+SMALL_ELL0_EULER = """\
+T: 1.5
+solver: {h: 1.0e-3, scheme: euler}
+toughness: {preset: linear, intercept: 0.5, slope: 1.0}
+initial:
+  ell0: 0.05
+  regularity: C01
+  y0: {preset: constant, value: 0.0}
+  y1: {preset: linear, intercept: 0.4, slope: -2.0}
+target:
+  ellbar0: 0.3
+  regularity: C01
+  ybar0: {preset: constant, value: 0.0}
+  ybar1: {preset: constant, value: 0.0}
+"""
+
+
+def test_uprime_at_T_is_the_left_limit():
+    # T's echo is s1, where the designed trace jumps; here it rounds one ulp into that pair.
+    cfg = parse_config(SMALL_ELL0_EULER)
+    initial, target, kappa = cfg.build_initial(), cfg.build_target(), cfg.build_toughness()
+    branch = solve_final_branch(target, kappa, cfg.T, cfg.branch_policy())
+    rep = synthesize_c01(initial, target, kappa, cfg.T, branch, cfg.solver_config())
+    left = uprime_from_fprime(rep.designed_trace, rep.front, initial, cfg.T - 1e-9)
+    assert rep.control.uprime.vs[-1] == pytest.approx(left, abs=1e-7)
 
 
 # -- static corollaries ---------------------------------------------------------------
@@ -278,6 +325,7 @@ def test_static_corollary_sine_target():
     res = verify_synthesis(rep, initial, target, kappa, cfg)
     assert res.front_error <= 1e-2
     assert res.displacement_error <= 1e-2
+    assert_front_jumps_on_trace_pairs(rep, initial.ell0, 5.0)
 
 
 def test_static_corollary_constraint_violation():

@@ -12,7 +12,6 @@ from debond import (
     Toughness,
     constant,
     from_callable,
-    seed_trace,
     solve_front,
     solve_initial_branch,
 )
@@ -68,29 +67,34 @@ def stepwise_control(T, rng, bound=3.0, piece=0.25):
 
 # -- seeds ---------------------------------------------------------------------
 
+def seeded(st, control, h=1e-3):
+    """The solution over the control's whole span: its trace up to ell0 is the data's."""
+    return solve_front(st, control, Toughness(1.0), SolverConfig(h=h, T=control.t_end))
+
+
 def test_seed_trace_flat_data_with_velocity():
     st = make_state(1.0, lambda x: 0.0, lambda x: 2.0)
-    fp, f = seed_trace(st, ControlSignal.zero(1.0))
-    assert fp(-0.5) == pytest.approx(1.0, abs=1e-12)
-    assert fp(-1.0) == pytest.approx(1.0, abs=1e-12)
-    assert fp(0.5) == pytest.approx(-1.0, abs=1e-12)
-    assert f(0.0) == pytest.approx(0.0, abs=1e-15)
-    assert f(-1.0) == pytest.approx(-1.0, abs=1e-9)
+    sol = seeded(st, ControlSignal.zero(1.0))
+    assert sol.trace_slope(-0.5) == pytest.approx(1.0, abs=1e-12)
+    assert sol.trace_slope(-1.0) == pytest.approx(1.0, abs=1e-12)
+    assert sol.trace_slope(0.5) == pytest.approx(-1.0, abs=1e-12)
+    assert sol.trace_value(0.0) == pytest.approx(0.0, abs=1e-15)
+    assert sol.trace_value(-1.0) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_seed_trace_rightward_cancellation():
     # y1 = y0' and u' = (y0' + y1)/2 kill the outgoing part entirely
     st = make_state(1.0, lambda x: x - 1.0, lambda x: 1.0)
-    fp, _ = seed_trace(st, linear_control(2.0, 1.0, u0=-1.0))
+    sol = seeded(st, linear_control(2.0, 1.0, u0=-1.0))
     for s in (-0.8, -0.2, 0.3, 0.9):
-        assert fp(s) == pytest.approx(0.0, abs=1e-12)
+        assert sol.trace_slope(s) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_seed_trace_ramp_profile():
     st = make_state(1.0, lambda x: 1.0 - x, lambda x: 0.0)
-    fp, _ = seed_trace(st, linear_control(1.0, 0.0, u0=1.0))
-    assert fp(-0.4) == pytest.approx(0.5, abs=1e-12)
-    assert fp(0.6) == pytest.approx(0.5, abs=1e-12)
+    sol = seeded(st, linear_control(1.0, 0.0, u0=1.0))
+    assert sol.trace_slope(-0.4) == pytest.approx(0.5, abs=1e-12)
+    assert sol.trace_slope(0.6) == pytest.approx(0.5, abs=1e-12)
 
 
 # -- forward march ---------------------------------------------------------------
@@ -239,7 +243,7 @@ def test_seed_trace_rejects_mismatched_endpoint():
 
     st = make_state(1.0, lambda x: 1.0 - x, lambda x: 0.0)
     with pytest.raises(IncompatibleData):
-        seed_trace(st, ControlSignal.zero(2.0))
+        seeded(st, ControlSignal.zero(2.0))
 
 
 def test_control_consistency_residual():

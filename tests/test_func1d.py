@@ -1,5 +1,3 @@
-import bisect
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from debond import (
     from_callable,
     invert,
 )
-from debond.func1d import cumulative_trapezoid, lerp
+from debond.func1d import cumulative_trapezoid
 
 
 def test_evaluate_constant():
@@ -45,26 +43,6 @@ def test_scalar_and_array_evaluation_agree():
     for x in (-0.5, 1.5):
         with pytest.raises(DomainError, match="outside domain"):
             fn(x)
-
-
-def _lerp_reference(xs, vs, x):
-    """lerp's documented rule in pure Python: a left bisection, then v0 (1 - w) + v1 w."""
-    i = bisect.bisect_left(xs, x)
-    if i == 0:
-        return vs[0]
-    if i == len(xs):
-        return vs[-1]
-    w = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
-    return vs[i - 1] * (1.0 - w) + vs[i] * w
-
-
-def test_lerp_array_path_matches_scalar_path():
-    rng = np.random.default_rng(3)
-    xs = np.sort(rng.uniform(-1.0, 2.0, 40))
-    vs = rng.normal(size=40)
-    q = np.concatenate([rng.uniform(-1.5, 2.5, 200), xs])
-    expected = [_lerp_reference(xs.tolist(), vs.tolist(), x) for x in q.tolist()]
-    assert np.all(lerp(xs, vs, q) == np.array(expected))
 
 
 def test_evaluate_rejects_extrapolation():

@@ -1,11 +1,12 @@
 """The query kernels against the code they replaced, bit for bit.
 
-The ``_seed_*`` functions below are the earlier implementations of ``lerp``,
+The ``_seed_*`` functions below are the earlier implementations of
 ``SampledFunction.__call__`` (through its clip), ``antiderivative_at``,
-``MonotoneMap.invert``, ``_SeedData.fprime`` and ``griffith_speed``, kept as
-reference oracles.  Every result must have the oracle's type, shape and bits
-(so -0.0 differs from 0.0 and NaN equals itself), and every error the
-oracle's type and message.
+``MonotoneMap.invert`` and ``griffith_speed``, kept as reference oracles;
+``_interp_fprime`` reads ``_SeedData.fprime``'s three polylines through plain
+``np.interp``.  Every result must have the oracle's type, shape and bits (so
+-0.0 differs from 0.0 and NaN equals itself), and every error the oracle's
+type and message.
 """
 
 import math
@@ -23,20 +24,8 @@ from debond import (
     griffith_speed,
 )
 from debond.forward import _SeedData
-from debond.func1d import lerp
 
 SLACK = 1e-9
-
-
-def _seed_lerp(xs, vs, q):
-    n = xs.shape[0]
-    q = np.asarray(q, dtype=float)
-    i = np.searchsorted(xs, q)
-    j = np.clip(i, 1, n - 1)
-    x0 = xs[j - 1]
-    w = (q - x0) / (xs[j] - x0)
-    inner = vs[j - 1] * (1.0 - w) + vs[j] * w
-    return np.where(i <= 0, vs[0], np.where(i >= n, vs[-1], inner))
 
 
 def _seed_clip(fn, x):
@@ -79,11 +68,11 @@ def _seed_invert(mono, s):
     return float(out) if out.ndim == 0 else out
 
 
-def _seed_fprime(seed, q, up_xs, up_vs):
+def _interp_fprime(seed, q, up_xs, up_vs):
     return np.where(
         q <= 0.0,
-        _seed_lerp(seed.minus_xs, seed.minus_vs, q),
-        _seed_lerp(up_xs, up_vs, q) - _seed_lerp(seed.plus_xs, seed.plus_vs, q),
+        np.interp(q, seed.minus_xs, seed.minus_vs),
+        np.interp(q, up_xs, up_vs) - np.interp(q, seed.plus_xs, seed.plus_vs),
     )
 
 
@@ -166,15 +155,6 @@ FAR = (-1e300, 1e300, -np.inf, np.inf, np.nan)
 
 # -- func1d -----------------------------------------------------------------------
 
-def test_lerp_matches_the_clipped_search():
-    rng = np.random.default_rng(11)
-    for xs, vs in _tables(1):
-        q = _queries(xs, rng, (xs[0] - 1.0, xs[-1] + 1.0) + FAR)
-        rng.shuffle(q)
-        for form in _forms(q):
-            _assert_same(_outcome(lerp, xs, vs, form), _outcome(_seed_lerp, xs, vs, form))
-
-
 @pytest.mark.parametrize("query, oracle", [
     (SampledFunction.__call__, _seed_call),
     (SampledFunction.antiderivative_at, _seed_antiderivative_at),
@@ -256,7 +236,7 @@ def test_seed_slope_matches_all_three_lerps_on_every_node():
                   both[:0], np.array(-0.0), np.array(0.5 * ell0), both[: both.size // 2 * 2].reshape(2, -1)):
             with np.errstate(invalid="ignore"):
                 got = seed.fprime(q, up_xs, up_vs)
-                want = _seed_fprime(seed, q, up_xs, up_vs)
+                want = _interp_fprime(seed, q, up_xs, up_vs)
             _assert_same(got, want)
 
 
