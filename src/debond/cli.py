@@ -54,40 +54,46 @@ def _fmt(x) -> str:
 
 
 # Rows formatted per numpy pass: bounds the formatter's temporaries, which
-# peak at about 350 bytes a cell, most of it np.compress's index of the kept
-# bytes.
+# peak at about 210 bytes a cell, most of it the cell words, their mask rows
+# and the copy that tobytes makes.
 _CSV_CHUNK = 1024
 
-# A CSV cell is a row of byte slots: 0 the sign, 1-5 "0.000", digit k of 17 at
-# 6 + 2k followed by a slot for the point, 39-42 "e-0N" and 43 the separator.
-# Each cell keeps the slots of its "%.17g" layout; np.compress joins them.
-_TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e-00,", np.uint8)
-_CELL = _TEMPLATE.size
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
-# "%04d" of 0..9999, the four bytes of each as one uint32.
-_QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
-_QUADS = _QUADS.view(np.uint32).ravel()
 
 
-def _layouts():
-    """Slots kept, sign aside, for exponent E in [-6, 16] and last nonzero digit (0-16).
+@functools.cache
+def _csv_tables():
+    """The CSV kernel's tables, built from bytes so that byte order cannot matter.
 
-    Row 17 (E + 6) + last holds the layout.
+    A cell is six uint64 words, 48 byte slots: 0 the sign, 1-5 "0.000", digit k
+    of 17 at 6 + 2k followed by a slot for the point, 40-47 "e-0N" and the
+    separator.  Returns the tables lead, groups, tails, last and masks: word 0 is
+    lead[digit 0], words 1-4 groups[g] ("d.d.d.d." of the 4-digit group g), word
+    5 tails[(E + 6) 2 + row end]; last[k - 1, g] is the last nonzero digit of
+    group k in 1-4, 0 for g = 0.  Mask row ((E + 6) 17 + last nonzero digit) 2 +
+    sign is zero on the slots the "%.17g" layout drops.
     """
-    e, last = np.divmod(np.arange(23 * 17), 17)
-    e, last = e[:, None] - 6, last[:, None]
+    quads = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+    quads = quads.reshape(10000, 4)
+    groups = np.full((10000, 8), 46, np.uint8)
+    groups[:, ::2] = quads
+    lead = b"".join([b"-0.000%d." % k for k in range(10)])
+    tails = b"".join([((b"e-0%d" % -e if e < -4 else b"") + sep).ljust(8, b"\0")
+                      for e in range(-6, 17) for sep in (b",", b"\n")])
+    place = ((quads != 48) * np.arange(1, 5, dtype=np.int8)).max(1)
+    last = np.where(place > 0, place + np.arange(0, 16, 4, dtype=np.int8)[:, None], 0)
+    e, last_digit, neg = np.unravel_index(np.arange(23 * 17 * 2), (23, 17, 2))
+    e, last_digit = e[:, None] - 6, last_digit[:, None]
     # The digit the point follows; -1 where the "0." lead holds it.
     point = np.where(e < -4, 0, np.where(e < 0, -1, e))
-    keep = np.zeros((e.size, _CELL), bool)
+    keep = np.zeros((e.size, 48), bool)
+    keep[:, 0] = neg
     keep[:, 1:6] = np.arange(1, 6) <= np.where(point < 0, 1 - e, 0)
-    keep[:, 6:39:2] = np.arange(17) <= np.maximum(point, last)
-    keep[:, 7:38:2] = np.arange(16) == np.where(last > point, point, -1)
-    keep[:, 39:43] = e < -4
-    keep[:, 43] = True
-    return keep
-
-
-_KEEP = _layouts()
+    keep[:, 6:39:2] = np.arange(17) <= np.maximum(point, last_digit)
+    keep[:, 7:38:2] = np.arange(16) == np.where(last_digit > point, point, -1)
+    keep[:, 40:] = True
+    return (np.frombuffer(lead, np.uint64), groups.view(np.uint64).ravel(),
+            np.frombuffer(tails, np.uint64), last, (keep * np.uint8(255)).view(np.uint64))
 
 
 def _two_product(a, b):
@@ -103,6 +109,7 @@ def _two_product(a, b):
 
 def _csv_text(block):
     """The rows of a 2-D float array as CSV bytes, each cell exactly as "%.17g" prints it."""
+    lead, groups, tails, group_last, masks = _csv_tables()
     x = block.ravel()
     ax = np.abs(x)
     zero = ax == 0
@@ -125,33 +132,32 @@ def _csv_text(block):
     # the nearest double is over 4e-17 of it away, not within 5e-18.
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     d[zero] = 0
-    quads = np.empty((x.size, 5), np.uint32)
-    for k in range(4, 0, -1):
-        d, r = np.divmod(d, 10000)
-        quads[:, k] = np.take(_QUADS, r)
-    quads[:, 0] = np.take(_QUADS, d)
-    digits = quads.view(np.uint8)[:, 3:]
-    last = np.where(zero, 0, 16 - (digits[:, ::-1] != 48).argmax(axis=1))
-    cells = np.empty((x.size, _CELL), np.uint8)
-    cells[:] = _TEMPLATE
-    cells[:, 6:39:2] = digits
-    cells[:, 42] = 48 - e
-    cells.reshape(block.shape + (_CELL,))[:, -1, -1] = 10  # "\n" ends a row
-    keep = np.take(_KEEP, (e + 6).astype(np.intp) * 17 + last, axis=0)
-    keep[:, 0] = np.signbit(x)
+    words = np.empty((x.size, 6), np.uint64)
+    last = np.zeros(x.size, np.int8)
+    for k in range(4, 0, -1):  # digits 4k - 3 to 4k
+        q = d // 10000
+        d -= q * 10000
+        words[:, k] = np.take(groups, d)
+        np.maximum(last, np.take(group_last[k - 1], d), out=last)
+        d = q
+    words[:, 0] = np.take(lead, d)
+    e6 = (e + 6).astype(np.intp)
+    sep = 2 * e6
+    sep.reshape(block.shape)[:, -1] += 1  # "\n" ends a row
+    words[:, 5] = np.take(tails, sep)
+    words &= np.take(masks, (e6 * 17 + last) * 2 + np.signbit(x), axis=0)
     slow = np.flatnonzero(~fast)
     if slow.size:  # non-finite, subnormal, below 10^-6 (the double 1e-6 too) or from 1e16
-        text = "".join([("%.17g" % v).ljust(_CELL - 1, "\0") for v in x[slow].tolist()])
-        cells[slow, :-1] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _CELL - 1)
-        keep[slow, :-1] = cells[slow, :-1] != 0
-    return np.compress(keep.ravel(), cells).tobytes()
+        # Written after the mask into words 0-4; word 5 keeps the separator.
+        text = "".join([("%.17g" % v).ljust(40, "\0") for v in x[slow].tolist()])
+        words[slow, :5] = np.frombuffer(text.encode("ascii"), np.uint64).reshape(-1, 5)
+    return words.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path, header, columns):
-    rows = len(columns[0])
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
-        for lo in range(0, rows, _CSV_CHUNK):
+        for lo in range(0, len(columns[0]), _CSV_CHUNK):
             fh.write(_csv_text(np.column_stack(
                 [np.asarray(col[lo:lo + _CSV_CHUNK], dtype=float) for col in columns])))
 
@@ -159,6 +165,11 @@ def _write_csv(path, header, columns):
 def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _keyvals(obj, *names):
+    """``name=value`` lines of the named attributes of obj."""
+    return [f"{name}={_fmt(getattr(obj, name))}" for name in names]
 
 
 def _outdir(cfg, args):
@@ -210,15 +221,9 @@ def cmd_initial_branch(cfg, args):
     res = solve_initial_branch(initial, kappa, cfg.solver_config())
     out = _outdir(cfg, args)
     _front_csv(os.path.join(out, "initial_branch.csv"), res.front)
-    _write_lines(
-        os.path.join(out, "initial_branch.txt"),
-        [
-            f"t_star={_fmt(res.t_star)}",
-            f"ell_star={_fmt(res.ell_star)}",
-            f"ell_star_prime={_fmt(res.ell_star_prime)}",
-            f"slope_authoritative={str(res.slope_authoritative).lower()}",
-        ],
-    )
+    _write_lines(os.path.join(out, "initial_branch.txt"),
+                 _keyvals(res, "t_star", "ell_star", "ell_star_prime")
+                 + [f"slope_authoritative={str(res.slope_authoritative).lower()}"])
     return EXIT_OK
 
 
@@ -228,15 +233,8 @@ def cmd_final_branch(cfg, args):
     res = solve_final_branch(target, kappa, cfg.T, cfg.branch_policy())
     out = _outdir(cfg, args)
     _front_csv(os.path.join(out, "branch.csv"), res.front_segment, _BRANCH_HEADER)
-    _write_lines(
-        os.path.join(out, "final_branch.txt"),
-        [
-            f"t_bar_star={_fmt(res.t_bar_star)}",
-            f"ell_bar_star={_fmt(res.ell_bar_star)}",
-            f"ell_bar_star_prime={_fmt(res.ell_bar_star_prime)}",
-            f"alpha={_fmt(res.alpha)}",
-        ],
-    )
+    _write_lines(os.path.join(out, "final_branch.txt"),
+                 _keyvals(res, "t_bar_star", "ell_bar_star", "ell_bar_star_prime", "alpha"))
     return EXIT_OK
 
 
@@ -285,27 +283,12 @@ def _synthesize(cfg):
 def _emit_synthesis(report, out):
     _control_csv(os.path.join(out, "control.csv"), report.control)
     _front_csv(os.path.join(out, "branch.csv"), report.branch.front_segment, _BRANCH_HEADER)
-    plan = report.plan
-    s1, s2, s3 = report.stage_boundaries
-    _write_lines(
-        os.path.join(out, "plan.txt"),
-        [
-            f"case={plan.case}",
-            f"v={_fmt(plan.v)}",
-            f"delta={_fmt(plan.delta)}",
-            f"t_circ={_fmt(plan.t_circ)}",
-            f"t_star={_fmt(plan.t_star)}",
-            f"ell_star={_fmt(plan.ell_star)}",
-            f"ell_star_prime={_fmt(plan.ell_star_prime)}",
-            f"t_bar_star={_fmt(plan.t_bar_star)}",
-            f"ell_bar_star={_fmt(plan.ell_bar_star)}",
-            f"ell_bar_star_prime={_fmt(plan.ell_bar_star_prime)}",
-            f"alpha={_fmt(report.branch.alpha)}",
-            f"stage_s1={_fmt(s1)}",
-            f"stage_s2={_fmt(s2)}",
-            f"stage_s3={_fmt(s3)}",
-        ],
-    )
+    plan_keys = ("v", "delta", "t_circ", "t_star", "ell_star", "ell_star_prime", "t_bar_star",
+                 "ell_bar_star", "ell_bar_star_prime")
+    _write_lines(os.path.join(out, "plan.txt"),
+                 [f"case={report.plan.case}"] + _keyvals(report.plan, *plan_keys)
+                 + _keyvals(report.branch, "alpha")
+                 + [f"stage_s{k}={_fmt(s)}" for k, s in enumerate(report.stage_boundaries, 1)])
 
 
 def cmd_synthesize(cfg, args):

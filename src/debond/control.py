@@ -179,11 +179,11 @@ def uprime_from_fprime(fprime, front: FrontCurve, initial: InitialState, s):
     # Points inside the data region take the reflection branch at the front's
     # first echo coordinate, where every map is defined; np.where drops them.
     r = np.where(inside, front.tau_plus.range_lo, s)
-    echo = front.echo(r)
+    echo, factor = front.reflect(r)
     early = ~inside & (echo < -ell0 * (1.0 + 1e-9) - 1e-12)
     if np.any(early):
         raise DomainError(f"echo point {np.extract(early, echo)[0]:g} precedes -ell0")
-    reflected = fp_s - fprime(np.maximum(echo, -ell0)) * front.reflection_factor(r)
+    reflected = fp_s - fprime(np.maximum(echo, -ell0)) * factor
     out = np.where(inside, data, reflected)
     return float(out) if out.ndim == 0 else out
 

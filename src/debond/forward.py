@@ -362,10 +362,10 @@ class SolutionRecord:
         outside = t + x >= init.ell0 * (1.0 - 1e-14)
         xo = x[outside]
         s_out = t + xo
-        echo = self.front.echo(s_out)
+        echo, factor = self.front.reflect(s_out)
         f = self.trace_value(np.concatenate((t - xo, echo)))  # one walk for both feet
         y[outside] = f[: xo.size] - f[xo.size :]
-        a_out[outside] = -self.trace_slope(echo) * self.front.reflection_factor(s_out)
+        a_out[outside] = -self.trace_slope(echo) * factor
         # Data cone: d'Alembert from the initial data, plus the control once
         # the backward characteristic reaches the boundary (t > x).
         early = ~outside & (t <= x)

@@ -260,8 +260,13 @@ class FrontCurve:
 
     def reflection_factor(self, s):
         """(1 - ell')/(1 + ell') evaluated at tau_plus^-1(s)."""
-        v = self.ell_prime(self.tau_plus.invert(s))
-        return (1.0 - v) / (1.0 + v)
+        return self.reflect(s)[1]
+
+    def reflect(self, s):
+        """echo(s) and reflection_factor(s) from one inversion of tau_plus."""
+        foot = self.tau_plus.invert(s)
+        v = self.ell_prime(foot)
+        return s - 2.0 * self.ell(foot), (1.0 - v) / (1.0 + v)
 
 
 @dataclass(frozen=True)

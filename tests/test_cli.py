@@ -611,6 +611,13 @@ def test_importing_the_cli_leaves_argparse_unimported():
     assert out.stdout == "False\n", out.stderr
 
 
+def test_importing_the_cli_builds_no_csv_table():
+    code = "import debond.cli as cli; print(cli._csv_tables.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout == "0\n", out.stderr
+
+
 # -- the CSV formatter: every cell is exactly what "%.17g" prints ---------------------
 
 def _assert_csv_matches_percent_g(tmp_path, block):
@@ -665,3 +672,67 @@ def test_csv_chunk_boundaries(tmp_path, rows, cols):
     block = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-9, 18, (rows, cols))
     block[::7] = 0.0
     _assert_csv_matches_percent_g(tmp_path, block)
+
+
+@pytest.mark.parametrize("rows", [cli._CSV_CHUNK - 1, cli._CSV_CHUNK + 1])
+def test_csv_single_column_of_fallback_cells(tmp_path, rows):
+    # Every cell takes the "%.17g" fallback and every cell ends a row.
+    cells = [np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072009e-308, 9.9e-7, 1e16, -1e300]
+    _assert_csv_matches_percent_g(tmp_path, np.resize(cells, (rows, 1)))
+
+
+# -- whole output directories: every CSV cell re-read and re-printed -----------------
+
+_ZERO = "{preset: constant, value: 0.0}"
+_KAPPA = [[8.0 * i / 64, 1.0 + 0.1 * math.sin(1.3 * 8.0 * i / 64 + 0.4)] for i in range(65)]
+SAMPLED_C1 = f"""\
+T: 6.0
+solver: {{h: 1.0e-3, scheme: heun}}
+toughness: {{samples: {_KAPPA}, x_max: 8.0}}
+initial: {{ell0: 1.0, regularity: C1, y0: {_ZERO}, y1: {_ZERO}}}
+control:
+  u: {{preset: sine, amplitude: 0.3, omega: 1.5, resolution: 3000}}
+target:
+  ellbar0: 2.0
+  regularity: C1
+  ybar0: {{preset: sine, amplitude: 0.25, omega: {math.pi / 2.0!r}, resolution: 1600}}
+  ybar1: {_ZERO}
+"""
+EXPANSION_SINE = EXPANSION + """\
+control:
+  u: {preset: sine, amplitude: 0.5, omega: 2.0, resolution: 6000}
+"""
+
+CSV_HEADERS = {
+    "front.csv": "t,ell,ellprime",
+    "trace.csv": "s,f,fprime",
+    "control.csv": "t,u,uprime",
+    "state_at_T.csv": "x,y,dty,dxy",
+    "branch.csv": "t,scriptL,scriptLprime",
+    "verify.csv": "metric,value,tolerance,passed",
+}
+
+
+@pytest.mark.parametrize("doc", [EXPANSION_SINE, SAMPLED_C1], ids=["expansion", "sampled-c1"])
+def test_cli_csv_cells_reread_as_percent_g(tmp_path, doc):
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(doc)
+    written = set()
+    for command in ("simulate", "synthesize", "verify"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        for path in sorted(out.glob("*.csv")):
+            written.add(path.name)
+            text = path.read_text(encoding="ascii")
+            assert text.endswith("\n"), path
+            header, *lines = text[:-1].split("\n")
+            assert header == CSV_HEADERS[path.name], path
+            assert lines, path
+            for line in lines:
+                cells = line.split(",")
+                numeric = cells[1:3] if path.name == "verify.csv" else cells
+                expected = ",".join("%.17g" % float(c) for c in numeric)
+                if path.name == "verify.csv":
+                    expected = ",".join([cells[0], expected, cells[3]])
+                assert line == expected, (path, line)
+    assert written == set(CSV_HEADERS)

@@ -5,6 +5,7 @@ import pytest
 
 from debond import (
     AmbiguityNote,
+    FrontCurve,
     IncompatibleTarget,
     InitialState,
     InvalidToughness,
@@ -250,3 +251,18 @@ def test_state_invariants_enforced():
         make_state(1.0, lambda x: 1.0, lambda x: 0.0)  # y0 does not vanish
     with pytest.raises(ValueError):
         make_target(1.0, lambda x: x, lambda x: 0.0)  # ybar0(ellbar0) != 0
+
+
+@pytest.mark.parametrize("s", [2.0, np.linspace(1.0, 7.2, 401)], ids=["float", "array"])
+def test_front_reflect_inverts_once_with_the_same_bits(s):
+    ts = np.linspace(0.0, 6.0, 601)
+    ells = 1.0 + 0.3 * ts + 0.02 * np.sin(3.0 * ts)
+    front = FrontCurve(ts, ells, 0.3 + 0.06 * np.cos(3.0 * ts))
+    foot = front.tau_plus.invert(s)
+    v = front.ell_prime(foot)
+    echo, factor = front.reflect(s)
+    assert type(echo) is type(factor) is type(front.echo(s))
+    np.testing.assert_array_equal(echo, front.echo(s))
+    np.testing.assert_array_equal(echo, s - 2.0 * front.ell(foot))
+    np.testing.assert_array_equal(factor, (1.0 - v) / (1.0 + v))
+    np.testing.assert_array_equal(factor, front.reflection_factor(s))
