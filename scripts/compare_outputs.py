@@ -17,7 +17,8 @@ differing exit code and file is listed: a key=value file or ``verify.csv``
 with each changed value (REV's beside this checkout's), any other CSV with
 its row counts and, when they are equal, the largest change of each
 changed column, absolute and relative to REV's largest magnitude in it, a
-file present on one side only as such.  Exit status: 0
+file present on one side only as such.  It also prints the line count of
+``src/debond/*.py`` on both sides, as ``wc -l`` counts it.  Exit status: 0
 when all are identical, 1 when anything differs, 2 when REV cannot be
 extracted.  Needs only the standard library plus the package's own
 dependencies (numpy, PyYAML).
@@ -165,6 +166,11 @@ def extract_src(rev, dest):
     return Path(dest) / "src"
 
 
+def count_lines(src):
+    """Lines of ``src/debond/*.py``, counted as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (Path(src) / "debond").glob("*.py"))
+
+
 def run_all(src, config_dir, out_dir):
     """Run every command on every scenario; returns {(scenario, command): exit code}."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -259,6 +265,8 @@ def main(argv):
         except (RuntimeError, OSError, tarfile.TarError) as err:
             print(f"error: cannot extract src/ of {argv[0]}: {err}", file=sys.stderr)
             return 2
+        print(f"src/debond/*.py: {count_lines(rev_src)} lines at {argv[0]}, "
+              f"{count_lines(ROOT / 'src')} here")
         configs = tmp / "configs"
         configs.mkdir()
         for name, text in SCENARIOS.items():

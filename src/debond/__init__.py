@@ -23,9 +23,7 @@ from .func1d import (
     constant,
     definite_integral,
     derivative,
-    evaluate,
     from_callable,
-    invert,
 )
 from .model import (
     BranchResult,
@@ -45,7 +43,6 @@ from .model import (
 from .forward import (
     SolutionRecord,
     SolverConfig,
-    reconstruct_state,
     solve_front,
     solve_initial_branch,
 )

@@ -47,14 +47,11 @@ _MODES = ("prefer_static", "prefer_moving")
 class BranchPolicy:
     """Selection rule among admissible backward speeds.
 
-    ``c1_mode`` enforces the C1 switching rules: the terminal speed is pinned
-    to the classification value and the branch may only change between static
-    and moving where the two options coincide (moving root near zero).
-    ``h`` is the largest step of the backward march in r = t + L.
+    ``h`` is the largest step of the backward march in r = t + L.  A C1 target
+    adds the C1 switching rules (see ``solve_final_branch``).
     """
 
     mode: str = "prefer_static"
-    c1_mode: bool = False
     h: float = 1e-3
 
     def __post_init__(self):
@@ -106,10 +103,10 @@ def _switch_tol(policy):
     return max(1e-9, 10.0 * policy.h)
 
 
-def _choose(policy, root, has_moving, moving):
+def _choose(policy, c1, root, has_moving, moving):
     """Speed and moving flag at nodes with moving root ``root`` after a node on ``moving``."""
     tol = _switch_tol(policy)
-    if not policy.c1_mode:
+    if not c1:
         moving = has_moving & (policy.mode == "prefer_moving")
     elif policy.mode == "prefer_moving":
         # C1: join the moving branch only where the options coincide, then stay on it
@@ -156,20 +153,24 @@ def solve_final_branch(
 
     Heun in x = t + L - T from ellbar0 down to the node x = 0, where t + L = T,
     with dL/dx = v / (1 + v) < 1/2: so L >= ellbar0 / 2 and t_bar_star > 0.
+    A C1 target enforces the C1 switching rules: the terminal speed is pinned
+    to the classification value and the branch may only change between static
+    and moving where the two options coincide (moving root near zero).
     """
     if T <= target.ellbar0:
         raise NoTermination(
             f"horizon T = {T:g} too short for a final branch ending at {target.ellbar0:g}"
         )
     w = target.w_plus()
-    alpha = classify_final_state(target, kappa) if policy.c1_mode else None
+    c1 = target.regularity == "C1"
+    alpha = classify_final_state(target, kappa) if c1 else None
     xs = _nodes(w, target.ellbar0, policy.h)
     wx = w(xs[::-1])  # nodes from x = ellbar0 down to 0
     Y, dx = wx * wx, xs[-1:0:-1] - xs[-2::-1]
 
     opts = branch_speed_options(Y[0], 2.0 * kappa(target.ellbar0))
     if alpha is None:
-        start = _choose(policy, opts[-1], len(opts) == 2, False)
+        start = _choose(policy, c1, opts[-1], len(opts) == 2, False)
     else:
         start = _terminal(policy, opts[-1], alpha)
 
@@ -178,10 +179,10 @@ def solve_final_branch(
 
     def step(lo, hi, L, v, moving):
         nodes, g = slice(lo + 1, hi + 1), v / (1.0 + v)
-        v_mid, moving = _choose(policy, *options(L - dx[lo:hi] * g, nodes), moving)
+        v_mid, moving = _choose(policy, c1, *options(L - dx[lo:hi] * g, nodes), moving)
         inc = 0.5 * dx[lo:hi] * (g + v_mid / (1.0 + v_mid))
         L = np.cumsum(np.concatenate((L[:1], -inc)))[1:]
-        return (L, *_choose(policy, *options(L, nodes), moving))
+        return (L, *_choose(policy, c1, *options(L, nodes), moving))
 
     L, v, _ = scan(step, (target.ellbar0, *start), dx.size)
     # kappa's arguments in the order of the node-by-node march: the first one that

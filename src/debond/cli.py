@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .branch import solve_final_branch
-from .config import ConfigError, emit_config, load_config
+from .config import ConfigError, _number, emit_config, load_config
 from .control import synthesize_c01, synthesize_c1, verify_control, verify_synthesis
 from .errors import (
     C1SwitchViolation,
@@ -283,11 +283,11 @@ def _synthesize(cfg):
 def _emit_synthesis(report, out):
     _control_csv(os.path.join(out, "control.csv"), report.control)
     _front_csv(os.path.join(out, "branch.csv"), report.branch.front_segment, _BRANCH_HEADER)
-    plan_keys = ("v", "delta", "t_circ", "t_star", "ell_star", "ell_star_prime", "t_bar_star",
-                 "ell_bar_star", "ell_bar_star_prime")
     _write_lines(os.path.join(out, "plan.txt"),
-                 [f"case={report.plan.case}"] + _keyvals(report.plan, *plan_keys)
-                 + _keyvals(report.branch, "alpha")
+                 [f"case={report.plan.case}"] + _keyvals(report.plan, "v", "delta", "t_circ")
+                 + _keyvals(report.initial_branch, "t_star", "ell_star", "ell_star_prime")
+                 + _keyvals(report.branch, "t_bar_star", "ell_bar_star", "ell_bar_star_prime",
+                            "alpha")
                  + [f"stage_s{k}={_fmt(s)}" for k, s in enumerate(report.stage_boundaries, 1)])
 
 
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.h is not None:
-            cfg.solver["h"] = args.h
+            cfg.solver["h"] = _number({"--h": args.h}, "--h", "", positive=True)
         if args.policy is not None:
             cfg.branch["policy"] = args.policy
         code = _COMMANDS[args.command](cfg, args)

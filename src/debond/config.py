@@ -160,8 +160,6 @@ class ScenarioConfig:
 
     def build_toughness(self) -> Toughness:
         spec = dict(self.toughness)
-        c1 = spec.pop("c1", None)
-        c2 = spec.pop("c2", None)
         x_max = spec.pop("x_max", None)
         if spec.get("preset") == "constant":
             kappa = spec["value"]
@@ -169,7 +167,7 @@ class ScenarioConfig:
             hi = x_max if x_max is not None else self._default_x_max()
             kappa, _ = build_function(spec, 0.0, hi, "toughness")
         try:
-            return Toughness(kappa, c1, c2)
+            return Toughness(kappa)
         except InvalidToughness as err:
             raise ConfigError("toughness", str(err)) from err
 
@@ -200,10 +198,8 @@ class ScenarioConfig:
     def branch_policy(self):
         from .branch import BranchPolicy
 
-        c1 = bool(self.target and self.target["regularity"] == "C1")
         return BranchPolicy(
             mode=self.branch.get("policy", "prefer_static"),
-            c1_mode=c1,
             h=self.branch.get("h", self.solver["h"]),
         )
 
@@ -253,9 +249,8 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("solver.scheme", "must be 'euler' or 'heun'")
 
     toughness = _normalize_function(_require(doc, "toughness", ""), "toughness")
-    for extra in ("c1", "c2", "x_max"):
-        if isinstance(doc["toughness"], dict) and extra in doc["toughness"]:
-            toughness[extra] = _number(doc["toughness"], extra, "toughness.", positive=True)
+    if "x_max" in doc["toughness"]:
+        toughness["x_max"] = _number(doc["toughness"], "x_max", "toughness.", positive=True)
 
     cfg = ScenarioConfig(T=T, solver=solver, toughness=toughness)
 

@@ -59,18 +59,18 @@ from .model import (
 _SPEED_TOL = 1e-12
 _SLOPE_TOL = 1e-9
 _SPEED_MARGIN = 1e-6
+# Uniform intervals of [0, min(ell(T), ellbar0)] on which verification compares states.
+_VERIFY_INTERVALS = 400
 
 
 @dataclass(frozen=True)
 class InflationPlan:
-    """Geometry of the Stage-1 inflation between the two data-driven branches."""
+    """Geometry of the Stage-1 inflation between the two data-driven branches.
 
-    t_star: float
-    ell_star: float
-    ell_star_prime: float
-    t_bar_star: float
-    ell_bar_star: float
-    ell_bar_star_prime: float
+    Its end points are the initial branch's end and the final branch's start,
+    which the report holds as ``initial_branch`` and ``branch``.
+    """
+
     v: float
     t_circ: float
     delta: float
@@ -292,66 +292,25 @@ def _build_stage1_c1(t0, ell0_, v0, t1, ell1, v1, h):
 # Front composition and trace assembly
 # ---------------------------------------------------------------------------
 
-def _compose_front(parts, allow_slope_jumps, eps):
-    """Concatenate (times, ells, speeds) parts into one FrontCurve on [0, T].
+def _join(parts, eps, pairs):
+    """Concatenate (x, *values) pieces into arrays, dropping nodes closer than eps / 2.
 
-    At junctions with a genuine slope jump a node ``eps`` later is inserted so
-    the piecewise-linear speed keeps both one-sided values.
+    Where a piece starts within ``eps`` of the previous end, its first node
+    moves to ``end + eps`` if ``pairs`` marks that junction, so both one-sided
+    values survive; otherwise that node is dropped.
     """
-    T = parts[-1][0][-1]
-    times = [parts[0][0]]
-    ells = [parts[0][1]]
-    speeds = [parts[0][2]]
-    for ts, ls, vs in parts[1:]:
-        t_prev = times[-1][-1]
-        v_prev = speeds[-1][-1]
-        if abs(ts[0] - t_prev) > 1e-9 * max(T, 1.0):
-            raise ContinuityFailure("front parts do not abut in time")
-        if abs(vs[0] - v_prev) > _SPEED_TOL and allow_slope_jumps:
-            times.append(np.array([t_prev + eps]))
-            ells.append(np.array([ells[-1][-1]]))
-            speeds.append(np.array([vs[0]]))
-        times.append(ts[1:] if abs(ts[0] - t_prev) <= eps else ts)
-        ells.append(ls[1:] if abs(ts[0] - t_prev) <= eps else ls)
-        speeds.append(vs[1:] if abs(ts[0] - t_prev) <= eps else vs)
-    t = np.concatenate(times)
-    l = np.concatenate(ells)
-    v = np.concatenate(speeds)
-    keep = np.concatenate(([True], np.diff(t) > eps / 2))
-    return FrontCurve(t[keep], l[keep], v[keep])
-
-
-def _designed_trace_nodes(initial, stages, eps, c1_mode, ctol):
-    """Glue seed and stage nodes into one slope polyline on [-ell0, T].
-
-    ``stages`` is a list of (s_nodes, values) with increasing coverage of
-    (0, T].  For Lipschitz synthesis the stage boundaries get nodes ``eps``
-    apart (one-sided limits); for C1 synthesis any jump above ``ctol`` is an
-    internal error.
-    """
-    seed = _SeedData(initial)
-    s_parts = [seed.minus_xs]
-    v_parts = [seed.minus_vs]
-    for s_nodes, vals in stages:
-        s_prev = s_parts[-1][-1]
-        v_prev = v_parts[-1][-1]
-        jump = abs(vals[0] - v_prev)
-        if c1_mode and jump > ctol and s_nodes[0] - s_prev <= eps:
-            raise ContinuityFailure(
-                f"designed trace jumps by {jump:.3g} at s = {s_prev:.6g}"
-            )
-        if s_nodes[0] - s_prev <= eps:
-            s_parts.append(np.array([s_prev + eps]))
-            v_parts.append(np.array([vals[0]]))
-            s_parts.append(s_nodes[1:])
-            v_parts.append(vals[1:])
-        else:
-            s_parts.append(s_nodes)
-            v_parts.append(vals)
-    s = np.concatenate(s_parts)
-    v = np.concatenate(v_parts)
-    keep = np.concatenate(([True], np.diff(s) > eps / 2))
-    return s[keep], v[keep]
+    out = [parts[0]]
+    for part, pair in zip(parts[1:], pairs):
+        x, *values = part
+        end = out[-1][0][-1]
+        if x[0] - end <= eps and pair:
+            part = (np.concatenate(([end + eps], x[1:])), *values)
+        elif x[0] - end <= eps:
+            part = [a[1:] for a in part]
+        out.append(part)
+    columns = [np.concatenate(c) for c in zip(*out)]
+    keep = np.concatenate(([True], np.diff(columns[0]) > eps / 2))
+    return [c[keep] for c in columns]
 
 
 def _echo_images(front, seeds, T):
@@ -429,8 +388,6 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
         raise InfeasibleTime(
             "equal branch lengths require both endpoint front speeds to vanish"
         )
-    if c1_mode and not ib.slope_authoritative:
-        raise IncompatibleData("C1 synthesis needs an authoritative initial branch slope")
 
     # Stage-1 prescribed front
     if c1_mode:
@@ -452,19 +409,14 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
 
     # Composite prescribed front on [0, T], its jumps paired like the designed trace's
     eps = pair_width(T, initial.ell0)
-    front = _compose_front(
-        [
-            (ib.front.times, ib.front.positions, ib.front.speeds),
-            (ts1, ells1, stage1_front.speeds),
-            (
-                branch.front_segment.times,
-                branch.front_segment.positions,
-                branch.front_segment.speeds,
-            ),
-        ],
-        allow_slope_jumps=not c1_mode,
-        eps=eps,
-    )
+    pieces = [(f.times, f.positions, f.speeds)
+              for f in (ib.front, stage1_front, branch.front_segment)]
+    jumps = []  # a Lipschitz front keeps both one-sided speeds where they jump
+    for a, b in zip(pieces, pieces[1:]):
+        if abs(b[0][0] - a[0][-1]) > 1e-9 * max(T, 1.0):
+            raise ContinuityFailure("front parts do not abut in time")
+        jumps.append(not c1_mode and abs(b[2][0] - a[2][-1]) > _SPEED_TOL)
+    front = FrontCurve(*_join(pieces, eps, jumps))
     if c1_mode:
         l_jump = float(np.max(np.abs(np.diff(front.speeds))))
         if l_jump > ctol:
@@ -508,13 +460,17 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
     s3_nodes = (T - x3)[::-1]
     s3_vals = 0.5 * w_minus(x3)[::-1]
 
-    trace_s, trace_v = _designed_trace_nodes(
-        initial,
-        [(s1_nodes, s1_vals), (s2_nodes, s2_vals), (s3_nodes, s3_vals)],
-        eps,
-        c1_mode,
-        ctol,
-    )
+    # Seed and stages glued into one slope polyline on [-ell0, T], every stage
+    # boundary a pair: one-sided limits for Lipschitz synthesis, for C1
+    # synthesis any jump above ctol is an internal error.
+    seed = _SeedData(initial)
+    stages = [(seed.minus_xs, seed.minus_vs), (s1_nodes, s1_vals), (s2_nodes, s2_vals),
+              (s3_nodes, s3_vals)]
+    for (sa, va), (sb, vb) in zip(stages, stages[1:]):
+        jump = abs(vb[0] - va[-1])
+        if c1_mode and jump > ctol and sb[0] - sa[-1] <= eps:
+            raise ContinuityFailure(f"designed trace jumps by {jump:.3g} at s = {sa[-1]:.6g}")
+    trace_s, trace_v = _join(stages, eps, [True] * 3)
     designed_trace = SampledFunction(trace_s, trace_v)
 
     # Stage-3 junction identity (the proof's linchpin computation)
@@ -559,12 +515,6 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
     )
 
     plan = InflationPlan(
-        t_star=t_star,
-        ell_star=ell_star,
-        ell_star_prime=v_star,
-        t_bar_star=t_bar,
-        ell_bar_star=ell_bar,
-        ell_bar_star_prime=v_bar,
         v=v_lin,
         t_circ=t_circ,
         delta=delta,
@@ -684,10 +634,9 @@ def verify_synthesis(
     target: TargetState,
     kappa: Toughness,
     cfg: SolverConfig,
-    n_grid: int = 400,
 ) -> VerificationResult:
     """Simulate forward under the emitted control and compare against the target."""
-    return verify_control(report.control, initial, target, kappa, cfg, n_grid)
+    return verify_control(report.control, initial, target, kappa, cfg)
 
 
 def verify_control(
@@ -696,7 +645,6 @@ def verify_control(
     target: TargetState,
     kappa: Toughness,
     cfg: SolverConfig,
-    n_grid: int = 400,
 ) -> VerificationResult:
     """Simulate forward under ``control``; front, displacement and velocity errors at T.
 
@@ -709,7 +657,7 @@ def verify_control(
     ell_T = sol.front.ell(T)
     front_err = abs(ell_T - target.ellbar0)
     hi = min(ell_T, target.ellbar0)
-    xs = np.linspace(0.0, hi, n_grid + 1)
+    xs = np.linspace(0.0, hi, _VERIFY_INTERVALS + 1)
     y, dty, _ = sol.reconstruct(T, xs)
     disp_err = float(np.max(np.abs(y - target.ybar0(xs))))
     margin = max(4.0 * cfg.h, 1e-3 * hi)

@@ -428,7 +428,3 @@ def solve_initial_branch(
         slope_authoritative=(initial.regularity == "C1"),
     )
 
-
-def reconstruct_state(sol: SolutionRecord, t: float, x_grid):
-    """Displacement, time derivative and space derivative at (t, x_grid)."""
-    return sol.reconstruct(t, x_grid)

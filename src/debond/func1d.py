@@ -151,11 +151,6 @@ def merged_eval(fn_a: SampledFunction, fn_b: SampledFunction, combine):
     return grid, combine(fn_a(grid), fn_b(grid))
 
 
-def evaluate(fn: SampledFunction, x: float) -> float:
-    """Linear interpolation of ``fn`` at ``x``; exact at sample points."""
-    return fn(x)
-
-
 def definite_integral(fn: SampledFunction, a: float, b: float) -> float:
     """Exact trapezoid integral of the interpolant; antisymmetric in (a, b)."""
     out = fn.antiderivative_at(b) - fn.antiderivative_at(a)
@@ -229,8 +224,3 @@ class MonotoneMap:
             raise RangeError(f"inversion target outside range [{vs[0]:.17g}, {vs[-1]:.17g}]")
         out = np.interp(s, vs, xs)  # unclipped, as in SampledFunction.__call__
         return float(out) if out.ndim == 0 else out
-
-
-def invert(mono: MonotoneMap, s: float) -> float:
-    """Value t with ``mono(t) = s`` up to 1e-10 times the range span."""
-    return mono.invert(s)

@@ -87,15 +87,9 @@ def energy_release_rate(speed: float, slope_at_front: float) -> float:
 
 @dataclass(frozen=True)
 class Toughness:
-    """Local toughness of the glue, constant or sampled on [0, x_max].
-
-    ``c1`` / ``c2`` are user-supplied bounds (equal for constants); they are
-    not estimated from the samples beyond a consistency check.
-    """
+    """Local toughness of the glue, constant or sampled on [0, x_max]."""
 
     kappa: object  # float or SampledFunction
-    c1: float = None
-    c2: float = None
 
     def __post_init__(self):
         if isinstance(self.kappa, (int, float)):
@@ -103,19 +97,11 @@ class Toughness:
             if value <= 0.0:
                 raise InvalidToughness(f"toughness must be positive, got {value}")
             object.__setattr__(self, "kappa", value)
-            object.__setattr__(self, "c1", value if self.c1 is None else float(self.c1))
-            object.__setattr__(self, "c2", value if self.c2 is None else float(self.c2))
         elif isinstance(self.kappa, SampledFunction):
-            vmin = float(np.min(self.kappa.vs))
-            vmax = float(np.max(self.kappa.vs))
-            if vmin <= 0.0:
+            if np.min(self.kappa.vs) <= 0.0:
                 raise InvalidToughness("sampled toughness must be positive everywhere")
-            object.__setattr__(self, "c1", vmin if self.c1 is None else float(self.c1))
-            object.__setattr__(self, "c2", vmax if self.c2 is None else float(self.c2))
         else:
             raise TypeError("kappa must be a number or a SampledFunction")
-        if not 0.0 < self.c1 <= self.c2:
-            raise InvalidToughness("bounds must satisfy 0 < c1 <= c2")
 
     @property
     def is_constant(self) -> bool:
@@ -437,26 +423,21 @@ def classify_final_state(target: TargetState, kappa: Toughness, tol: float = 1e-
 
 def check_damping_bound(
     target: TargetState,
-    kappa_at_front_along_tau,
+    kappa_at_front: float,
     tol: float = 1e-9,
 ) -> CheckReport:
-    """Expansion-damping bound |ybar1 + ybar0'|^2 <= 2 kappa(.) on the grid.
+    """Expansion-damping bound |ybar1 + ybar0'|^2 <= 2 kappa on w_plus's grid.
 
-    The second argument supplies the toughness seen along the outgoing
-    characteristics (for static branches, the constant value at the target
-    front); it may be a SampledFunction, a Toughness, or a number.
+    ``kappa_at_front`` is the toughness seen along the outgoing characteristics:
+    for a static branch, its value at the target front.
     """
     w = target.w_plus()
-    grid = w.xs
-    if isinstance(kappa_at_front_along_tau, (int, float)):
-        kap = np.full(grid.shape, float(kappa_at_front_along_tau))
-    else:
-        kap = np.asarray(kappa_at_front_along_tau(grid), dtype=float)
+    kap = float(kappa_at_front)
     excess = w.vs * w.vs - 2.0 * kap
     worst = int(np.argmax(excess))
     item = CheckItem(
-        f"damping_bound_worst_at_x={grid[worst]:.6g}",
+        f"damping_bound_worst_at_x={w.xs[worst]:.6g}",
         float(excess[worst]),
-        tol * max(1.0, float(np.max(2.0 * kap))),
+        tol * max(1.0, 2.0 * kap),
     )
     return CheckReport((item,))

@@ -150,7 +150,7 @@ def test_c1_terminal_slope_forced():
         n=800,
     )
     res = solve_final_branch(
-        tgt, Toughness(1.0), 4.0, BranchPolicy("prefer_moving", c1_mode=True, h=1e-3)
+        tgt, Toughness(1.0), 4.0, BranchPolicy("prefer_moving", h=1e-3)
     )
     assert res.alpha == pytest.approx(alpha, abs=1e-6)
     assert res.front_segment.speeds[-1] == pytest.approx(alpha, abs=1e-6)
@@ -167,11 +167,14 @@ def test_no_termination_for_short_horizon():
 def test_c1_switch_violation():
     # Passive target (alpha = 0) whose outgoing data leaves a positive moving
     # root at T: prefer_moving would need a jump there, which C1 rules forbid.
+    policy = BranchPolicy("prefer_moving", h=1e-3)
     tgt = make_target(1.0, lambda x: 0.5 * (x - 1.0), lambda x: 0.0, "C1", n=8)
     with pytest.raises(C1SwitchViolation):
-        solve_final_branch(
-            tgt, Toughness(1.0), 4.0, BranchPolicy("prefer_moving", c1_mode=True, h=1e-3)
-        )
+        solve_final_branch(tgt, Toughness(1.0), 4.0, policy)
+    # The same data tagged C01 follows no C1 rule, so the branch may end moving.
+    tgt = make_target(1.0, lambda x: 0.5 * (x - 1.0), lambda x: 0.0, "C01", n=8)
+    res = solve_final_branch(tgt, Toughness(1.0), 4.0, policy)
+    assert res.front_segment.speeds[-1] > 0.0
 
 
 # -- the march in r = t + L --------------------------------------------------------
@@ -277,7 +280,7 @@ def _reference_branch(target, kappa, T, policy):
                     f"moving root {root:.6g})"
                 )
             return (root if want_moving else 0.0), want_moving, alt
-        if not policy.c1_mode:
+        if target.regularity != "C1":
             return (root, True, alt) if prefer_moving and has_moving else (0.0, False, alt)
         if moving:
             if not has_moving or (not prefer_moving and root <= tol):
@@ -287,7 +290,7 @@ def _reference_branch(target, kappa, T, policy):
             return root, True, alt
         return 0.0, False, alt
 
-    alpha = classify_final_state(target, kappa) if policy.c1_mode else None
+    alpha = classify_final_state(target, kappa) if target.regularity == "C1" else None
     xs = _nodes(w, target.ellbar0, policy.h).tolist()
     L = target.ellbar0
     v, moving, alt = choose(xs[-1], L, False, forced=alpha)
@@ -359,13 +362,13 @@ def test_scan_matches_the_node_by_node_march(mode, kappa):
 def test_c1_scan_matches_the_node_by_node_march(mode, kappa):
     # The forced terminal node and the moving flag carried from node to node.
     res = _assert_matches_reference(_c1_passive_target(kappa), kappa, 4.0,
-                                    BranchPolicy(mode, c1_mode=True, h=1e-3))
+                                    BranchPolicy(mode, h=1e-3))
     assert res.alpha == 0.0
     moving = res.front_segment.speeds > 0.0
     assert np.any(moving) == (mode == "prefer_moving")
     if mode == "prefer_moving":
         res = _assert_matches_reference(_c1_switching_target(kappa), kappa, 4.0,
-                                        BranchPolicy(mode, c1_mode=True, h=1e-3))
+                                        BranchPolicy(mode, h=1e-3))
         assert res.alpha > 0.0
         moving = res.front_segment.speeds > 0.0
         assert np.count_nonzero(moving[1:] != moving[:-1]) == 2  # leaves, then joins
@@ -406,7 +409,7 @@ def test_branch_leaving_kappa_samples_matches_the_node_by_node_march():
 
 def test_c1_switch_violation_matches_the_node_by_node_march():
     tgt = make_target(1.0, lambda x: 0.5 * (x - 1.0), lambda x: 0.0, "C1", n=8)
-    policy = BranchPolicy("prefer_moving", c1_mode=True, h=1e-3)
+    policy = BranchPolicy("prefer_moving", h=1e-3)
     new = _raised(lambda: solve_final_branch(tgt, Toughness(1.0), 4.0, policy))
     assert new[0] is C1SwitchViolation
     assert new == _raised(lambda: _reference_branch(tgt, Toughness(1.0), 4.0, policy))

@@ -226,6 +226,10 @@ def test_synthesize_expansion_records_v(tmp_path):
     assert code == 0
     plan = read_keyvals(out / "plan.txt")
     assert float(plan["v"]) == pytest.approx(1.0 / 3.0, abs=1e-9)
+    # the keys come from the plan, the initial branch and the final branch
+    assert list(plan) == ["case", "v", "delta", "t_circ", "t_star", "ell_star", "ell_star_prime",
+                          "t_bar_star", "ell_bar_star", "ell_bar_star_prime", "alpha",
+                          "stage_s1", "stage_s2", "stage_s3"]
     assert (out / "control.csv").exists() and (out / "branch.csv").exists()
 
 
@@ -310,6 +314,15 @@ def test_h_override(tmp_path):
     assert front["t"].size == 301
 
 
+@pytest.mark.parametrize("h", ["0", "-1", "nan", "inf"])
+def test_h_override_must_be_positive_and_finite(tmp_path, capsys, h):
+    # a bad --h is a configuration problem, like a bad solver.h
+    code, out = run(tmp_path, STATIC_ZERO, "simulate", "--h", h)
+    assert code == 2
+    assert "'--h'" in capsys.readouterr().err
+    assert not (out / "front.csv").exists()
+
+
 def test_step_above_a_tenth_of_ell0(tmp_path):
     # The step needs no bound relative to ell0.
     doc = (STATIC_ZERO.replace("ell0: 1.0", "ell0: 0.05").replace("h: 1.0e-3", "h: 0.01")
@@ -338,6 +351,14 @@ def test_verify_replay_of_own_control_is_identical(tmp_path):
 def test_removed_speed_clamp_key_is_ignored(tmp_path):
     doc = STATIC_ZERO.replace("scheme: heun}", "scheme: heun, speed_clamp_eps: 1.0e-6}")
     assert parse_config(doc).solver == parse_config(STATIC_ZERO).solver
+    code, _ = run(tmp_path, doc, "simulate")
+    assert code == 0
+
+
+def test_removed_toughness_bounds_are_ignored(tmp_path):
+    doc = STATIC_ZERO.replace("value: 1.0}", "value: 1.0, c1: 2.0, c2: 0.5}", 1)
+    assert doc != STATIC_ZERO
+    assert parse_config(doc).toughness == parse_config(STATIC_ZERO).toughness
     code, _ = run(tmp_path, doc, "simulate")
     assert code == 0
 

@@ -379,7 +379,8 @@ def test_case_d_c1_roundtrip():
     assert rep.plan.delta > 0.0
     # zero-speed intervals at both ends and around the middle of stage 1
     seg = rep.plan.front_segment
-    for t_probe in (rep.plan.t_star + 1e-6, rep.plan.t_circ, rep.plan.t_bar_star - 1e-6):
+    for t_probe in (rep.initial_branch.t_star + 1e-6, rep.plan.t_circ,
+                    rep.branch.t_bar_star - 1e-6):
         assert seg.ell_prime(t_probe) <= 1e-9
     jump_tol = 1e-6 + 10 * H
     assert rep.control.max_uprime_jump() <= jump_tol

@@ -17,7 +17,6 @@ from debond import (
 )
 from debond import forward
 from debond.control import uprime_from_fprime
-from debond.forward import reconstruct_state
 from debond.func1d import scan
 
 
@@ -178,7 +177,7 @@ def test_initial_branch_horizon_exceeded():
 def test_reconstruct_zero_everywhere():
     st = zero_state()
     sol = solve_front(st, ControlSignal.zero(3.0), Toughness(1.0), SolverConfig(h=1e-3, T=3.0))
-    y, dty, dxy = reconstruct_state(sol, 2.0, [0.0, 0.3, 0.9, 1.0])
+    y, dty, dxy = sol.reconstruct(2.0, [0.0, 0.3, 0.9, 1.0])
     assert np.max(np.abs(np.concatenate([y, dty, dxy]))) <= 1e-12
 
 
@@ -187,7 +186,7 @@ def test_reconstruct_interior_d_alembert_sine():
     # (y0(x+t) + y0(x-t))/2 for zero initial velocity.
     st = make_state(1.0, lambda x: math.sin(math.pi * x), lambda x: 0.0, n=4096)
     sol = solve_front(st, ControlSignal.zero(3.0), Toughness(50.0), SolverConfig(h=1e-3, T=3.0))
-    y, _, _ = reconstruct_state(sol, 0.25, [0.5])
+    y, _, _ = sol.reconstruct(0.25, [0.5])
     oracle = 0.5 * (math.sin(0.75 * math.pi) + math.sin(0.25 * math.pi))
     assert y[0] == pytest.approx(oracle, abs=1e-6)
     assert y[0] == pytest.approx(0.7071067811865476, abs=1e-6)
@@ -196,7 +195,7 @@ def test_reconstruct_interior_d_alembert_sine():
 def test_reconstruct_outgoing_characteristic_value():
     st = make_state(1.0, lambda x: 0.0, lambda x: 2.0)
     sol = solve_front(st, ControlSignal.zero(6.0), Toughness(0.5), SolverConfig(h=1e-3, T=6.0))
-    y, dty, dxy = reconstruct_state(sol, 2.0, [1.0])
+    y, dty, dxy = sol.reconstruct(2.0, [1.0])
     assert 0.5 * (dty[0] - dxy[0]) == pytest.approx(-1.0, abs=1e-6)
 
 

@@ -9,26 +9,24 @@ from debond import (
     constant,
     definite_integral,
     derivative,
-    evaluate,
     from_callable,
-    invert,
 )
 from debond.func1d import cumulative_trapezoid
 
 
 def test_evaluate_constant():
     fn = constant(2.0, 0.0, 1.0)
-    assert evaluate(fn, 0.5) == 2.0
+    assert fn(0.5) == 2.0
 
 
 def test_evaluate_identity_interpolation():
     fn = SampledFunction([0.0, 1.0], [0.0, 1.0])
-    assert evaluate(fn, 0.25) == 0.25
+    assert fn(0.25) == 0.25
 
 
 def test_evaluate_midpoint_of_segment():
     fn = SampledFunction([0.0, 2.0], [0.0, 4.0])
-    assert evaluate(fn, 1.0) == 2.0
+    assert fn(1.0) == 2.0
 
 
 def test_scalar_and_array_evaluation_agree():
@@ -48,9 +46,9 @@ def test_scalar_and_array_evaluation_agree():
 def test_evaluate_rejects_extrapolation():
     fn = constant(1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
-        evaluate(fn, 1.5)
+        fn(1.5)
     with pytest.raises(DomainError):
-        evaluate(fn, -0.5)
+        fn(-0.5)
 
 
 def test_evaluate_exact_at_sample_points():
@@ -58,7 +56,7 @@ def test_evaluate_exact_at_sample_points():
     vs = np.array([1.0, -2.0, 5.0, 0.5])
     fn = SampledFunction(xs, vs)
     for x, v in zip(xs, vs):
-        assert evaluate(fn, x) == v
+        assert fn(x) == v
 
 
 def test_invariant_rejects_bad_spacing():
@@ -95,26 +93,26 @@ def test_definite_integral_partial_segments():
 
 def test_invert_identity():
     m = MonotoneMap.from_samples([0.0, 1.0], [0.0, 1.0])
-    assert invert(m, 0.7) == pytest.approx(0.7, abs=1e-15)
+    assert m.invert(0.7) == pytest.approx(0.7, abs=1e-15)
 
 
 def test_invert_unit_shift():
     # tau_plus for a static unit front: t -> t + 1
     m = MonotoneMap.from_samples([0.0, 5.0], [1.0, 6.0])
-    assert invert(m, 3.0) == pytest.approx(2.0, abs=1e-12)
+    assert m.invert(3.0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_invert_moving_front_tau_minus():
     # tau_minus for ell(t) = 1 + 0.6 t: t -> 0.4 t - 1; hand-solve 0.4 t - 1 = 0
     t = np.linspace(0.0, 5.0, 11)
     m = MonotoneMap.from_samples(t, 0.4 * t - 1.0)
-    assert invert(m, 0.0) == pytest.approx(2.5, abs=1e-12)
+    assert m.invert(0.0) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_invert_rejects_out_of_range():
     m = MonotoneMap.from_samples([0.0, 1.0], [0.0, 1.0])
     with pytest.raises(RangeError):
-        invert(m, 2.0)
+        m.invert(2.0)
 
 
 def test_monotone_map_rejects_nonincreasing_values():

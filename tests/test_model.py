@@ -143,7 +143,6 @@ def test_toughness_constant_and_sampled():
     assert k(123.4) == 0.5 and k.is_constant
     ks = Toughness(SampledFunction([0.0, 4.0], [1.0, 2.0]))
     assert ks(2.0) == pytest.approx(1.5)
-    assert (ks.c1, ks.c2) == (1.0, 2.0)
     with pytest.raises(InvalidToughness):
         Toughness(-1.0)
 
