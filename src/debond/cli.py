@@ -6,14 +6,15 @@ synthesize, verify.  Exit codes are the scripting contract:
     0  success (verify: all tolerances met)
     1  verify ran but at least one error exceeds its tolerance
     2  configuration problem (message names the offending field)
-    3  solver failure (incompatible data, step trouble, horizon, ...)
+    3  solver failure (incompatible data, step trouble, horizon, memory, ...)
     4  control-time infeasibility
     5  no admissible branch / size constraint violated
     6  continuity assertion failed while assembling a C1 control
 
 Every number is written as Python's ``"%.17g"`` prints it, so identical
 configs produce byte-identical outputs.  CSV cells go through one vectorized
-numpy formatter that writes the same bytes.
+numpy formatter that writes the same bytes.  Each command imports its solver
+modules when it is dispatched, so importing this module loads none of them.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ import sys
 
 import numpy as np
 
-from .branch import solve_final_branch
-from .config import ConfigError, _number, emit_config, load_config
-from .control import synthesize_c01, synthesize_c1, verify_control, verify_synthesis
+from .config import ConfigError, _number, load_config
 from .errors import (
     C1SwitchViolation,
     ConstraintViolated,
@@ -36,7 +35,6 @@ from .errors import (
     IncompatibleTarget,
     InfeasibleTime,
 )
-from .forward import solve_front, solve_initial_branch
 from .func1d import SampledFunction
 from .model import ControlSignal, check_damping_bound, classify_final_state
 
@@ -195,6 +193,8 @@ def _front_csv(path, front, header=("t", "ell", "ellprime")):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg, args):
+    from .forward import solve_front
+
     initial = cfg.build_initial()
     control = cfg.build_control()
     kappa = cfg.build_toughness()
@@ -216,6 +216,8 @@ def cmd_simulate(cfg, args):
 
 
 def cmd_initial_branch(cfg, args):
+    from .forward import solve_initial_branch
+
     initial = cfg.build_initial()
     kappa = cfg.build_toughness()
     res = solve_initial_branch(initial, kappa, cfg.solver_config())
@@ -228,6 +230,8 @@ def cmd_initial_branch(cfg, args):
 
 
 def cmd_final_branch(cfg, args):
+    from .branch import solve_final_branch
+
     target = cfg.build_target()
     kappa = cfg.build_toughness()
     res = solve_final_branch(target, kappa, cfg.T, cfg.branch_policy())
@@ -269,6 +273,9 @@ def cmd_check_admissible(cfg, args):
 
 
 def _synthesize(cfg):
+    from .branch import solve_final_branch
+    from .control import synthesize_c01, synthesize_c1
+
     initial = cfg.build_initial()
     target = cfg.build_target()
     kappa = cfg.build_toughness()
@@ -324,6 +331,8 @@ def _load_control_csv(path, regularity):
 
 
 def cmd_verify(cfg, args):
+    from .control import verify_control, verify_synthesis
+
     out = _outdir(cfg, args)
     tol_front, tol_disp, tol_vel = cfg.verify_tolerances()
     if args.control_csv:
@@ -419,6 +428,9 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except (RecursionError, FloatingPointError, OverflowError) as err:
         print(f"error: numerical failure ({type(err).__name__}): {err}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as err:  # numpy's message names the failed allocation
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_SOLVER
     return code
 

@@ -172,6 +172,32 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and "OverflowError" in err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("u: {preset: constant, value: 0.0}",
+     "u: {preset: constant, value: 0.0, resolution: 1000000000000}"),
+    ("{h: 1.0e-3,", "{h: 1.0e-12,"),
+])
+def test_failed_allocation_exits_3_naming_it(tmp_path, capsys, old, new):
+    # Both arrays are terabytes.  Capping the address space at 1 TiB makes their
+    # allocation fail at once whatever the kernel's overcommit policy; a size that
+    # could be allocated would be touched and fill the memory instead.
+    import resource
+
+    doc = STATIC_ZERO.replace(old, new, 1)
+    assert doc != STATIC_ZERO
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    cap = min(v for v in (*limits, 1 << 40) if v != resource.RLIM_INFINITY)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+    try:
+        code, out = run(tmp_path, doc, "simulate")
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+    assert not (out / "front.csv").exists()
+
+
 def test_incompatible_data_exits_3(tmp_path):
     doc = STATIC_ZERO.replace(
         "y1: {preset: constant, value: 0.0}\ncontrol",
