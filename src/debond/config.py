@@ -285,8 +285,10 @@ def parse_config(text: str) -> ScenarioConfig:
         if "directory" in section:
             cfg.output["directory"] = str(section["directory"])
         if "state_points" in section:
-            points = _number(section, "state_points", "output.", positive=True)
-            cfg.output["state_points"] = int(points)
+            points = int(_number(section, "state_points", "output.", positive=True))
+            if points < 1:
+                raise ConfigError("output.state_points", "state_points must be at least 1")
+            cfg.output["state_points"] = points
     return cfg
 
 

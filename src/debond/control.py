@@ -380,8 +380,8 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
         )
     if ell_bar >= t_bar - len_tol:
         raise InfeasibleTime(
-            f"final branch start (t, ell) = ({t_bar:.6g}, {ell_bar:.6g}) leaves no "
-            f"time to inflate the domain"
+            f"final branch start (t, ell) = ({t_bar:.6g}, {ell_bar:.6g}) leaves no time to "
+            f"inflate the domain: need T > 2 ell_bar_star = {2.0 * ell_bar:.6g}"
         )
     equal_len = abs(ell_bar - ell_star) <= max(len_tol, 1e-7)
     if c1_mode and equal_len and (v_star > _SLOPE_TOL or v_bar > _SLOPE_TOL):
@@ -662,5 +662,8 @@ def verify_control(
     disp_err = float(np.max(np.abs(y - target.ybar0(xs))))
     margin = max(4.0 * cfg.h, 1e-3 * hi)
     inner = (xs >= margin) & (xs <= hi - margin)
+    if not inner.any():
+        raise ValueError(f"step h = {cfg.h:g} too coarse to verify: a margin of {margin:g} at "
+                         f"each end leaves no velocity check point in [0, {hi:g}]")
     vel_err = float(np.max(np.abs(dty[inner] - target.ybar1(xs[inner]))))
     return VerificationResult(front_err, disp_err, vel_err, sol)

@@ -93,9 +93,11 @@ class _SeedData:
     def fprime(self, q, up_xs, up_vs):
         """Trace slope on an array q <= ell0: the data, and the control u' on (0, ell0]."""
         neg, out = q <= 0.0, np.empty(np.shape(q))
-        out[neg] = np.interp(q[neg], self.minus_xs, self.minus_vs)
-        pos = q[~neg]
-        out[~neg] = np.interp(pos, up_xs, up_vs) - np.interp(pos, self.plus_xs, self.plus_vs)
+        if neg.any():
+            out[neg] = np.interp(q[neg], self.minus_xs, self.minus_vs)
+        if not neg.all():
+            pos = q[~neg]
+            out[~neg] = np.interp(pos, up_xs, up_vs) - np.interp(pos, self.plus_xs, self.plus_vs)
         return out
 
 
@@ -125,7 +127,7 @@ class _Core:
         self.seed = _SeedData(initial)
         self.up_xs, self.up_vs = up_xs, up_vs
         self.eps = pair_width(cfg.T, initial.ell0)
-        close = (np.diff(up_xs) < _JUMP_SPAN * max(cfg.T, 1.0)) & (np.diff(up_vs) != 0.0)
+        close = (up_xs[1:] - up_xs[:-1] < _JUMP_SPAN * max(cfg.T, 1.0)) & (up_vs[1:] != up_vs[:-1])
         self.up_jumps = up_xs[np.append(close, False) | np.insert(close, 0, False)]
         size = int((s_end + initial.ell0) / cfg.h) + 4 * self.up_jumps.size + 64
         for name in _FIELDS:
@@ -174,7 +176,7 @@ class _Core:
             order = np.argsort(q, kind="stable")
             q, tracked = q[order], tracked[order]
             # Nodes closer than eps / 2 merge into the first; a merged jump stays tracked.
-            first = np.flatnonzero(np.diff(q, prepend=a) > 0.5 * self.eps)
+            first = np.flatnonzero(q - np.concatenate(([a], q[:-1])) > 0.5 * self.eps)
             q, tracked = q[first], np.logical_or.reduceat(tracked, first)
         fp = self._reflect(q, a) if reflect else self.seed.fprime(q, self.up_xs, self.up_vs)
         self._add(q, fp, tracked, reflect)
@@ -202,7 +204,7 @@ class _Core:
             if self.cfg.scheme == "heun":
                 ell = l0 + cumulative_trapezoid(x, g_all)[1:]
             else:
-                ell = l0 + np.cumsum(np.diff(x) * g_all[:-1])
+                ell = l0 + np.cumsum((x[1:] - x[:-1]) * g_all[:-1])
         else:
             ell, g = self._march(q, fp, s0, l0, g0)
         t = q + ell
@@ -228,7 +230,7 @@ class _Core:
         first argument of the solution, in node order, outside them.
         """
         kappa, heun = self.kappa, self.cfg.scheme == "heun"
-        d, f2, top = np.diff(q, prepend=s0), fp * fp, self.cfg.T - q
+        d, f2, top = q - np.concatenate(([s0], q[:-1])), fp * fp, self.cfg.T - q
 
         def rate(x, nodes):  # g at the nodes, kappa read at x
             return np.minimum(np.maximum(f2[nodes] / kappa.clamped(x) - 0.5, 0.0), _G_CAP)
@@ -290,8 +292,10 @@ class SolutionRecord:
         s = np.asarray(s, dtype=float)
         core = self._core
         seeded, out = s <= self.initial.ell0, np.empty(s.shape)
-        out[seeded] = core.seed.fprime(s[seeded], core.up_xs, core.up_vs)
-        out[~seeded] = np.interp(s[~seeded], core.s, core.fp)
+        if seeded.any():
+            out[seeded] = core.seed.fprime(s[seeded], core.up_xs, core.up_vs)
+        if not seeded.all():
+            out[~seeded] = np.interp(s[~seeded], core.s, core.fp)
         return float(out) if out.ndim == 0 else out
 
     def trace_value(self, s):
@@ -322,14 +326,16 @@ class SolutionRecord:
             active = active[echo > ell0]
         f = np.empty_like(q)
         neg = q <= 0.0
-        # f(s <= 0) = integral_0^{-s} (y0' - y1)/2 = -integral of the seed slope
-        f[neg] = -definite_integral(self._core.seed.minus_fn, 0.0, -q[neg])
-        mid = q[~neg]
-        half = 0.5 * (
-            definite_integral(self.initial.y0_prime, 0.0, mid)
-            + definite_integral(self.initial.y1, 0.0, mid)
-        )
-        f[~neg] = self.control.u(mid) - self.control.u(0.0) - half
+        # The data's polylines start at 0 (up to the domain slack): an antiderivative is
+        # the integral from 0.
+        if neg.any():
+            # f(s <= 0) = integral_0^{-s} (y0' - y1)/2 = -integral of the seed slope
+            f[neg] = -self._core.seed.minus_fn.antiderivative_at(-q[neg])
+        if not neg.all():
+            mid = q[~neg]
+            init = self.initial
+            half = 0.5 * (init.y0_prime.antiderivative_at(mid) + init.y1.antiderivative_at(mid))
+            f[~neg] = self.control.u(mid) - self.control.u(0.0) - half
         for active, u in reversed(levels):
             f[active] = u + f[active]
         return f
@@ -366,21 +372,22 @@ class SolutionRecord:
         f = self.trace_value(np.concatenate((t - xo, echo)))  # one walk for both feet
         y[outside] = f[: xo.size] - f[xo.size :]
         a_out[outside] = -self.trace_slope(echo) * factor
-        # Data cone: d'Alembert from the initial data, plus the control once
-        # the backward characteristic reaches the boundary (t > x).
-        early = ~outside & (t <= x)
-        xe = x[early]
-        y[early] = 0.5 * (
-            init.y0(xe + t) + init.y0(xe - t) + definite_integral(init.y1, xe - t, xe + t)
-        )
-        late = ~outside & (t > x)
-        xl = x[late]
-        y[late] = self.control.u(t - xl) + 0.5 * (
-            definite_integral(init.y0_prime, t - xl, t + xl)
-            + definite_integral(init.y1, t - xl, t + xl)
-        )
-        xc = x[~outside]
-        a_out[~outside] = 0.5 * (init.y0_prime(t + xc) + init.y1(t + xc))
+        if not outside.all():
+            # Data cone: d'Alembert from the initial data, plus the control once
+            # the backward characteristic reaches the boundary (t > x).
+            early = ~outside & (t <= x)
+            xe = x[early]
+            y[early] = 0.5 * (
+                init.y0(xe + t) + init.y0(xe - t) + definite_integral(init.y1, xe - t, xe + t)
+            )
+            late = ~outside & (t > x)
+            xl = x[late]
+            y[late] = self.control.u(t - xl) + 0.5 * (
+                definite_integral(init.y0_prime, t - xl, t + xl)
+                + definite_integral(init.y1, t - xl, t + xl)
+            )
+            xc = x[~outside]
+            a_out[~outside] = 0.5 * (init.y0_prime(t + xc) + init.y1(t + xc))
         return y, fp_back + a_out, -fp_back + a_out
 
     def griffith_residuals(self) -> np.ndarray:

@@ -10,7 +10,8 @@ consistent with functions whose derivative exists only almost everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +46,6 @@ class SampledFunction:
 
     xs: np.ndarray
     vs: np.ndarray
-    _cum: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         xs = np.ascontiguousarray(self.xs, dtype=float)
@@ -57,11 +57,9 @@ class SampledFunction:
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
             raise ValueError("abscissae and values must be finite")
         span = xs[-1] - xs[0]
-        if span <= 0.0 or np.any(np.diff(xs) < _MIN_SPACING * span):
+        if span <= 0.0 or np.any(xs[1:] - xs[:-1] < _MIN_SPACING * span):
             raise ValueError("abscissae must increase with spacing >= 1e-12 * span")
-        # Exact trapezoid antiderivative at the nodes, anchored at xs[0].
-        cum = cumulative_trapezoid(xs, vs)
-        for name, arr in (("xs", xs), ("vs", vs), ("_cum", cum)):
+        for name, arr in (("xs", xs), ("vs", vs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -87,14 +85,24 @@ class SampledFunction:
         out = np.interp(self._check(x), self.xs, self.vs)
         return float(out) if out.ndim == 0 else out
 
+    @functools.cached_property
+    def _segments(self):
+        """Per segment, cached: left node, its value, exact trapezoid integral to it, slope."""
+        xs, vs = self.xs, self.vs
+        table = np.stack((xs[:-1], vs[:-1], cumulative_trapezoid(xs, vs)[:-1],
+                          (vs[1:] - vs[:-1]) / (xs[1:] - xs[:-1])))
+        table.setflags(write=False)
+        return table
+
     def antiderivative_at(self, x):
         """Exact integral of the interpolant from ``lo`` to ``x``."""
-        x = np.clip(self._check(x), self.xs[0], self.xs[-1])
+        x = self._check(x)
+        if x.size == 0:
+            return x
+        x = np.minimum(np.maximum(x, self.xs[0]), self.xs[-1])
         # The last node at or below x (the one before it at x = hi): an interior search.
         idx = self.xs[1:-1].searchsorted(x, side="right")
-        x0, v0, cum = self.xs.take(idx), self.vs.take(idx), self._cum.take(idx)
-        idx += 1
-        slope = (self.vs.take(idx) - v0) / (self.xs.take(idx) - x0)
+        x0, v0, cum, slope = self._segments.take(idx, axis=1)
         d = x - x0
         out = cum + v0 * d + 0.5 * slope * d * d
         if not np.all(np.isfinite(out)):
@@ -113,7 +121,7 @@ def pair_width(T, ell0):
 
 def cumulative_trapezoid(xs, vs):
     """Trapezoid-rule integral of the samples from ``xs[0]`` to every node."""
-    return np.concatenate(([0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(xs))))
+    return np.concatenate(([0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * (xs[1:] - xs[:-1]))))
 
 
 # Nodes one pass of ``scan`` solves at once: a pass costs O(_SCAN_WINDOW)
@@ -167,7 +175,7 @@ def derivative(fn: SampledFunction) -> SampledFunction:
     pointwise error is O(h).
     """
     xs, vs = fn.xs, fn.vs
-    slopes = np.diff(vs) / np.diff(xs)
+    slopes = (vs[1:] - vs[:-1]) / (xs[1:] - xs[:-1])
     if xs.size == 2:
         return SampledFunction(xs, np.array([slopes[0], slopes[0]]))
     mids = 0.5 * (xs[:-1] + xs[1:])
@@ -199,7 +207,7 @@ class MonotoneMap:
     fn: SampledFunction
 
     def __post_init__(self):
-        if np.any(np.diff(self.fn.vs) <= 0.0):
+        if np.any(self.fn.vs[1:] - self.fn.vs[:-1] <= 0.0):
             raise ValueError("values must be strictly increasing")
 
     @classmethod

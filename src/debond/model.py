@@ -210,7 +210,7 @@ class FrontCurve:
         v = np.ascontiguousarray(self.speeds, dtype=float)
         if not (t.shape == p.shape == v.shape) or t.ndim != 1 or t.size < 2:
             raise ValueError("times, positions, speeds must be equal-length 1-D arrays")
-        dt, dp = np.diff(t), np.diff(p)
+        dt, dp = t[1:] - t[:-1], p[1:] - p[:-1]
         if np.any(dt <= 0.0):
             raise ValueError("times must be strictly increasing")
         if np.any(dp < -1e-9 * max(np.max(p), 1.0)):

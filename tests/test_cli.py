@@ -150,6 +150,7 @@ def test_non_finite_number_names_field(tmp_path, capsys, old, new, field):
         ("T: 3.0", "T: -1.0", "'T'"),
         ("T: 3.0", "T: 0.0", "'T'"),
         ("{h: 1.0e-3,", "{h: -1.0e-3,", "'solver.h'"),
+        ("T: 3.0", "T: 3.0\noutput: {state_points: 0.5}", "'output.state_points'"),
     ],
 )
 def test_invalid_input_exits_2_naming_field(tmp_path, capsys, old, new, field):
@@ -259,10 +260,11 @@ def test_synthesize_expansion_records_v(tmp_path):
     assert (out / "control.csv").exists() and (out / "branch.csv").exists()
 
 
-def test_synthesize_boundary_time_exit_4(tmp_path):
+def test_synthesize_boundary_time_exit_4(tmp_path, capsys):
     doc = EXPANSION.replace("T: 6.0", "T: 4.0")
     code, _ = run(tmp_path, doc, "synthesize")
     assert code == 4
+    assert "need T > 2 ell_bar_star = 4\n" in capsys.readouterr().err
 
 
 def test_synthesize_dead_end_exit_5(tmp_path):
@@ -540,6 +542,9 @@ control:
     # the front leaves ell0 = 1 at speed 0.6 and kappa's samples on [0, 1.5] soon after
     (PAST_KAPPA_DOMAIN, "simulate", 3, "evaluation at 1.5001094960718018 outside domain "
      "[0, 1.5]"),
+    # verify leaves out max(4h, 1e-3 hi) at each end of [0, hi]: at h = 0.5 all of [0, 2]
+    (EXPANSION.replace("h: 1.0e-3", "h: 0.5"), "verify", 3, "step h = 0.5 too coarse to "
+     "verify: a margin of 2 at each end leaves no velocity check point in [0, 2]"),
 ])
 def test_solver_failures_keep_their_exit_code_and_message(tmp_path, capsys, doc, command,
                                                           code, message):

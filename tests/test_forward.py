@@ -316,9 +316,15 @@ def test_damping_bound_at_horizon():
 
 # -- array queries ---------------------------------------------------------------
 
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_array_queries_equal_pointwise_queries():
     # Sampled toughness, non-zero data and a stepwise control: every array
-    # query must give exactly the values of the same query point by point.
+    # query must give the bits of the same query point by point, so a query
+    # whose points all fall on one side of a branch gives what the mixed one does.
     T = 4.0
     xs = np.linspace(0.0, 8.0, 65)
     kappa = Toughness(SampledFunction(xs, 0.8 * (1.0 + 0.3 * np.sin(1.3 * xs + 0.2))))
@@ -329,7 +335,7 @@ def test_array_queries_equal_pointwise_queries():
     s = np.concatenate([np.linspace(-1.0, T, 157), sol.trace_function().xs[::37]])
     for query in (sol.trace_value, sol.trace_slope):
         assert isinstance(query(1.5), float)
-        assert np.all(query(s) == np.array([query(q) for q in s]))
+        assert _same_bits(query(s), [query(q) for q in s])
 
     s_up = s[s >= 0.0]
     up = uprime_from_fprime(sol.trace_slope, sol.front, st, s_up)
@@ -338,9 +344,11 @@ def test_array_queries_equal_pointwise_queries():
 
     for t in (0.3, 2.2, T):
         xg = np.linspace(0.0, sol.front.ell(t), 41)
+        if t < st.ell0:  # points in both data-cone branches and outside the cone
+            assert np.any(xg < t) and np.any((xg >= t) & (xg + t < 1.0)) and np.any(xg + t > 1.0)
         whole = np.array(sol.reconstruct(t, xg))
         single = np.array([sol.reconstruct(t, [x]) for x in xg])[:, :, 0].T
-        assert np.all(whole == single)
+        assert _same_bits(whole, single)
 
 
 def test_deep_reflection_chain_beyond_recursion_limit():

@@ -255,3 +255,15 @@ def test_cumulative_trapezoid_matches_running_sum():
     for i in range(29):
         running.append(running[-1] + 0.5 * (vs[i + 1] + vs[i]) * (xs[i + 1] - xs[i]))
     assert cumulative_trapezoid(np.array(xs), np.array(vs)).tolist() == running
+
+
+def test_segment_tables_are_built_on_the_first_integral():
+    from debond import FrontCurve
+
+    fn = SampledFunction([0.0, 1.0, 3.0], [1.0, 2.0, 0.0])
+    front = FrontCurve([0.0, 1.0, 2.0], [1.0, 1.5, 1.5], [0.5, 0.0, 0.0])
+    front.echo(np.array([2.5, 3.0]))
+    for table_owner in (fn, front.tau_plus.fn, front.tau_minus.fn):
+        assert "_segments" not in vars(table_owner)
+    assert fn.antiderivative_at(2.0) == 3.0
+    assert "_segments" in vars(fn)

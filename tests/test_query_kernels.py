@@ -52,7 +52,8 @@ def _seed_antiderivative_at(fn, x):
     v0 = fn.vs[idx]
     slope = (fn.vs[idx + 1] - v0) / (fn.xs[idx + 1] - x0)
     d = x - x0
-    out = fn._cum[idx] + v0 * d + 0.5 * slope * d * d
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (fn.vs[1:] + fn.vs[:-1]) * np.diff(fn.xs))))
+    out = cum[idx] + v0 * d + 0.5 * slope * d * d
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"integral of the interpolant from {fn.lo:.17g} overflows")
     return float(out[0]) if scalar else out
