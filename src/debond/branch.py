@@ -62,9 +62,14 @@ class BranchPolicy:
 
 
 def _roots(Y, K):
-    """Moving root, whether it is an option (in (0, 1)), and whether Y <= K fails, elementwise."""
+    """Moving root and whether it is an option (in (0, 1)), elementwise."""
     root = (K - Y) / (K + Y)
-    return root, (0.0 < root) & (root < 1.0), Y > K + 1e-12 * K
+    return root, (0.0 < root) & (root < 1.0)
+
+
+def _violated(Y, K):
+    """Whether the size constraint Y <= K fails, elementwise."""
+    return Y > K + 1e-12 * K
 
 
 def _size_violated(Y, K):
@@ -82,8 +87,8 @@ def branch_speed_options(Y: float, K: float):
     """
     if K <= 0.0:
         raise DeadEnd("toughness threshold must be positive")
-    root, moving, violated = _roots(Y, K)
-    if violated:
+    root, moving = _roots(Y, K)
+    if _violated(Y, K):
         raise _size_violated(Y, K)
     return (0.0, root) if moving else (0.0,)
 
@@ -104,7 +109,7 @@ def _switch_tol(policy):
 
 
 def _choose(policy, c1, root, has_moving, moving):
-    """Speed and moving flag at nodes with moving root ``root`` after a node on ``moving``."""
+    """Moving flag at nodes with moving root ``root`` after a node on ``moving``."""
     tol = _switch_tol(policy)
     if not c1:
         moving = has_moving & (policy.mode == "prefer_moving")
@@ -114,7 +119,7 @@ def _choose(policy, c1, root, has_moving, moving):
     else:
         # C1: leave where the root collapses (the branches merge) or a static policy may switch
         moving = moving & has_moving & (root > tol)
-    return np.where(moving, root, 0.0), moving
+    return moving
 
 
 def _terminal(policy, root, alpha):
@@ -170,30 +175,46 @@ def solve_final_branch(
 
     opts = branch_speed_options(Y[0], 2.0 * kappa(target.ellbar0))
     if alpha is None:
-        start = _choose(policy, c1, opts[-1], len(opts) == 2, False)
+        moving = _choose(policy, c1, opts[-1], len(opts) == 2, False)
+        start = (opts[-1] if moving else 0.0), moving
     else:
         start = _terminal(policy, opts[-1], alpha)
+    if kappa.is_constant:
+        def twice_kappa(L):
+            return 2.0 * kappa.kappa
+    else:
+        def twice_kappa(L):  # held to kappa's samples: for guesses
+            return 2.0 * np.interp(L, kappa.kappa.xs, kappa.kappa.vs)
+    neg_half = -0.5 * dx
+    # Per pass, L at the node before the window, then the decrements: one in-place
+    # cumsum rounds like L -= inc node by node.
+    buf = np.empty(dx.size + 1)
 
-    def options(L, nodes):  # moving root and whether it is an option, kappa read at L
-        return _roots(Y[nodes], 2.0 * kappa.clamped(L))[:2]
+    def speed(L, Y, moving):  # speed and moving flag at nodes of data Y after ``moving``
+        root, has_moving = _roots(Y, twice_kappa(L))
+        moving = _choose(policy, c1, root, has_moving, moving)
+        root[~moving] = 0.0
+        return root, moving
 
     def step(lo, hi, L, v, moving):
-        nodes, g = slice(lo + 1, hi + 1), v / (1.0 + v)
-        v_mid, moving = _choose(policy, c1, *options(L - dx[lo:hi] * g, nodes), moving)
-        inc = 0.5 * dx[lo:hi] * (g + v_mid / (1.0 + v_mid))
-        L = np.cumsum(np.concatenate((L[:1], -inc)))[1:]
-        return (L, *_choose(policy, c1, *options(L, nodes), moving))
+        Y_, g = Y[lo + 1 : hi + 1], v / (1.0 + v)
+        v_mid, moving = speed(L - dx[lo:hi] * g, Y_, moving)
+        g += v_mid / (1.0 + v_mid)
+        np.multiply(neg_half[lo:hi], g, out=buf[lo + 1 : hi + 1])
+        buf[lo] = L[0]
+        L = np.cumsum(buf[lo : hi + 1], out=buf[lo : hi + 1])[1:]
+        return (L, *speed(L, Y_, moving))
 
     L, v, _ = scan(step, (target.ellbar0, *start), dx.size)
     # kappa's arguments in the order of the node-by-node march: the first one that
     # leaves kappa's domain or violates the size constraint raises
     args = np.column_stack((L[:-1] - dx * (v[:-1] / (1.0 + v[:-1])), L[1:])).ravel()
     Ys, Ks = np.repeat(Y[1:], 2), 2.0 * kappa.clamped(args)
-    violated = np.flatnonzero(_roots(Ys, Ks)[2])
+    violated = np.flatnonzero(_violated(Ys, Ks))
     kappa(args[: violated[0] + 1 if violated.size else args.size])
     if violated.size:
         raise _size_violated(Ys[violated[0]], Ks[violated[0]])
-    root, has_moving = options(L, slice(None))
+    root, has_moving = _roots(Y, twice_kappa(L))
     alts = has_moving & (root > _switch_tol(policy))
     return _package(T, xs, L[::-1], v[::-1], alts[::-1], v[0] if alpha is None else alpha)
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, HorizonExceeded, IncompatibleData
 from .func1d import (
-    SampledFunction, cumulative_trapezoid, definite_integral, merged_eval, pair_width, scan,
+    SampledFunction, cumulative_trapezoid, definite_integral, pair_width, scan,
 )
 from .model import (
     SPEED_CAP,
@@ -77,13 +77,11 @@ class _SeedData:
     """Raw piecewise-linear arrays for the data-determined part of the trace."""
 
     def __init__(self, initial: InitialState):
-        y0p, y1 = initial.y0_prime, initial.y1
-        # f'(s) = (y1 - y0')(-s)/2 on [-ell0, 0], stored directly in s.
-        grid, diff = merged_eval(y1, y0p, lambda a, b: 0.5 * (a - b))
+        # f'(s) = (y1 - y0')(-s)/2 on [-ell0, 0], stored directly in s; the outgoing
+        # half (y0' + y1)/2 on [0, ell0] is queried by line 2.
+        (grid, diff), (self.plus_xs, self.plus_vs) = initial.data_halves
         self.minus_xs = np.ascontiguousarray(-grid[::-1])
         self.minus_vs = np.ascontiguousarray(diff[::-1])
-        # Outgoing data combination (y0' + y1)/2 on [0, ell0], queried by line 2.
-        self.plus_xs, self.plus_vs = merged_eval(y0p, y1, lambda a, b: 0.5 * (a + b))
 
     @functools.cached_property
     def minus_fn(self) -> SampledFunction:
@@ -230,23 +228,31 @@ class _Core:
         first argument of the solution, in node order, outside them.
         """
         kappa, heun = self.kappa, self.cfg.scheme == "heun"
+        kxs, kvs = kappa.kappa.xs, kappa.kappa.vs
         d, f2, top = q - np.concatenate(([s0], q[:-1])), fp * fp, self.cfg.T - q
+        reach, half = top + d, 0.5 * d
+        # Per pass, ell at the node before the window, then the increments: one
+        # in-place cumsum rounds like ell = ell + inc node by node.
+        buf = np.empty(q.size + 1)
 
-        def rate(x, nodes):  # g at the nodes, kappa read at x
-            return np.minimum(np.maximum(f2[nodes] / kappa.clamped(x) - 0.5, 0.0), _G_CAP)
+        def rate(x, f2):  # g at nodes of squared slope f2, kappa read at x held to its samples
+            return np.minimum(np.maximum(f2 / np.interp(x, kxs, kvs) - 0.5, 0.0), _G_CAP)
 
         def step(lo, hi, ell, g):
-            nodes = slice(lo, hi)
-            run = ell < top[nodes] + d[nodes]  # the previous node lies before the horizon
-            inc = d[nodes] * g
+            top_, f2_, stop = top[lo:hi], f2[lo:hi], ~(ell < reach[lo:hi])
+            inc = np.multiply(d[lo:hi], g, out=buf[lo + 1 : hi + 1])
             if heun:
-                inc = 0.5 * d[nodes] * (g + rate(np.minimum(ell + inc, top[nodes]), nodes))
-            ell = np.cumsum(np.concatenate((ell[:1], np.where(run, inc, 0.0))))[1:]
-            return ell, np.where(run, rate(np.minimum(ell, top[nodes]), nodes), 0.0)
+                np.multiply(half[lo:hi], g + rate(np.minimum(ell + inc, top_), f2_), out=inc)
+            inc[stop] = 0.0  # the previous node lies at or past the horizon: hold
+            buf[lo] = ell[0]
+            ell = np.cumsum(buf[lo : hi + 1], out=buf[lo : hi + 1])[1:]
+            g = rate(np.minimum(ell, top_), f2_)
+            g[stop] = 0.0
+            return ell, g
 
         ell, g = scan(step, (l0, g0), q.size)
         # kappa's arguments in the order of the node-by-node march, checked against its domain
-        run = ell[:-1] < top + d
+        run = ell[:-1] < reach
         args = [np.minimum(ell[:-1] + d * g[:-1], top)] if heun else []
         kappa(np.column_stack(args + [np.minimum(ell[1:], top)])[run].ravel())
         return ell[1:], g[1:]

@@ -161,6 +161,15 @@ class InitialState:
                              ("ell0", "y0", "y1"))
         object.__setattr__(self, "y0_prime", slope)
 
+    @functools.cached_property
+    def data_halves(self):
+        """(grid, values) of (y1 - y0')/2 and (y0' + y1)/2 on merged grids, built once."""
+        halves = (merged_eval(self.y1, self.y0_prime, lambda a, b: 0.5 * (a - b)),
+                  merged_eval(self.y0_prime, self.y1, lambda a, b: 0.5 * (a + b)))
+        for arr in (*halves[0], *halves[1]):
+            arr.setflags(write=False)
+        return halves
+
 
 @dataclass(frozen=True)
 class TargetState:
@@ -179,11 +188,19 @@ class TargetState:
         object.__setattr__(self, "ybar0_prime", slope)
 
     def w_plus(self) -> SampledFunction:
-        """The outgoing terminal combination ybar1 + ybar0' on a merged grid."""
-        return SampledFunction(*merged_eval(self.ybar1, self.ybar0_prime, np.add))
+        """The outgoing terminal combination ybar1 + ybar0' on a merged grid, built once."""
+        return self._w_plus
 
     def w_minus(self) -> SampledFunction:
-        """The incoming terminal combination ybar1 - ybar0' on a merged grid."""
+        """The incoming terminal combination ybar1 - ybar0' on a merged grid, built once."""
+        return self._w_minus
+
+    @functools.cached_property
+    def _w_plus(self):
+        return SampledFunction(*merged_eval(self.ybar1, self.ybar0_prime, np.add))
+
+    @functools.cached_property
+    def _w_minus(self):
         return SampledFunction(*merged_eval(self.ybar1, self.ybar0_prime, np.subtract))
 
 

@@ -12,6 +12,7 @@ from debond import (
     Toughness,
     griffith_speed,
 )
+from debond import func1d
 from debond.branch import (
     BranchPolicy,
     _nodes,
@@ -413,3 +414,23 @@ def test_c1_switch_violation_matches_the_node_by_node_march():
     new = _raised(lambda: solve_final_branch(tgt, Toughness(1.0), 4.0, policy))
     assert new[0] is C1SwitchViolation
     assert new == _raised(lambda: _reference_branch(tgt, Toughness(1.0), 4.0, policy))
+
+
+@pytest.mark.parametrize("rules", ["C01", "C1"])
+def test_branch_does_not_depend_on_the_scan_window(monkeypatch, rules):
+    kappa = _sampled_kappa()
+    if rules == "C01":
+        target, T = _kinked_moving_target()[0], 6.0
+    else:  # the moving flag leaves the moving root, then joins it again
+        target, T = _c1_switching_target(kappa), 4.0
+    policy = BranchPolicy("prefer_moving", h=1e-3)
+    results = []
+    for window in (1, 7, 64, 512, 1024, 4096):
+        monkeypatch.setattr(func1d, "_SCAN_WINDOW", window)
+        results.append(solve_final_branch(target, kappa, T, policy))
+    first = results[0].front_segment
+    for res in results[1:]:
+        f = res.front_segment
+        assert np.array_equal(f.times, first.times) and np.array_equal(f.positions, first.positions)
+        assert np.array_equal(f.speeds, first.speeds)
+        assert np.array_equal(res.alternative_admissible, results[0].alternative_admissible)

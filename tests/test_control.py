@@ -1,10 +1,14 @@
+import collections
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from debond import (
     ConstraintViolated,
+    ContinuityFailure,
     FrontCurve,
     IncompatibleData,
     InfeasibleTime,
@@ -25,7 +29,8 @@ from debond.control import (
     uprime_from_fprime,
     verify_synthesis,
 )
-from debond.func1d import pair_width
+from debond import model
+from debond.func1d import merged_eval, pair_width
 
 H = 1e-3
 
@@ -411,3 +416,52 @@ def test_c1_rejects_lipschitz_tagged_data():
     cfg = SolverConfig(h=H, T=3.0)
     with pytest.raises(IncompatibleData):
         synthesize_c1(initial, target, kappa, 3.0, static_branch(target, kappa, 3.0), cfg)
+
+
+def test_round_trip_builds_each_state_combination_once(monkeypatch):
+    initial, target, kappa, T = case_d_problem()
+    calls = collections.Counter()
+
+    def counting(fn_a, fn_b, combine):
+        calls[id(fn_a), id(fn_b), combine if isinstance(combine, np.ufunc) else None] += 1
+        return merged_eval(fn_a, fn_b, combine)
+
+    monkeypatch.setattr(model, "merged_eval", counting)
+    cfg = SolverConfig(h=H, T=T)
+    verify_synthesis(synthesize_static_c1(initial, target, kappa, T, cfg), initial, target,
+                     kappa, cfg)
+    ybar = id(target.ybar1), id(target.ybar0_prime)
+    assert calls == {(*ybar, np.add): 1, (*ybar, np.subtract): 1,
+                     (id(initial.y1), id(initial.y0_prime), None): 1,
+                     (id(initial.y0_prime), id(initial.y1), None): 1}
+
+
+def _c1_moving_problem(short):
+    """An active C1 target (alpha = 0.3) whose tables end ``short`` before ellbar0 = 2."""
+    xk = np.linspace(0.0, 8.0, 65)
+    kappa = Toughness(SampledFunction(xk, 1.0 + 0.1 * np.sin(1.3 * xk + 0.4)))
+    c = math.sqrt(2.0 * kappa(2.0) / (1.0 - 0.3 * 0.3))
+    xs = np.linspace(0.0, 2.0 - short, 401)
+    target = TargetState(2.0, SampledFunction(xs, c * (2.0 - xs)),
+                         SampledFunction(xs, np.full(xs.size, 0.3 * c)), "C1")
+    return zero_initial(regularity="C1"), target, kappa
+
+
+@pytest.mark.parametrize("short, message", [(0.0, "designed trace jumps by"),
+                                            (5e-10, "at tau_minus(T)")])
+def test_c1_trace_jump_at_tau_minus_T_is_caught_whether_stages_abut_or_not(short, message):
+    # The branch's terminal speed is raised by 0.6 ctol: the prescribed front's speed
+    # stays continuous within ctol, while the stage-2 limit moves by about 2.2 times as
+    # much.  Tables ending inside the domain slack end the branch 5e-10 before T, so
+    # stages 2 and 3 no longer abut and only the check at tau_minus(T) sees the jump.
+    initial, target, kappa = _c1_moving_problem(short)
+    cfg = SolverConfig(h=H, T=6.0)
+    branch = solve_final_branch(target, kappa, 6.0, BranchPolicy("prefer_moving", h=H))
+    assert branch.front_segment.t_end == pytest.approx(6.0 - short, abs=1e-13)
+    synthesize_c1(initial, target, kappa, 6.0, branch, cfg)  # consistent: no jump
+    f = branch.front_segment
+    speeds = f.speeds.copy()
+    speeds[-1] += 0.6 * (1e-6 + 10.0 * H)
+    off = dataclasses.replace(branch, front_segment=FrontCurve(f.times, f.positions, speeds))
+    with pytest.raises(ContinuityFailure, match=re.escape(message)):
+        synthesize_c1(initial, target, kappa, 6.0, off, cfg)

@@ -15,7 +15,7 @@ from debond import (
     solve_front,
     solve_initial_branch,
 )
-from debond import forward
+from debond import forward, func1d
 from debond.control import uprime_from_fprime
 from debond.func1d import scan
 
@@ -512,3 +512,18 @@ def test_front_past_sampled_kappa_domain_raises_like_the_node_by_node_march(monk
                 solve_front(*args, cfg)
         assert "outside domain [0, 1.5]" in str(new.value)
         assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+def test_sampled_kappa_solve_does_not_depend_on_the_scan_window(monkeypatch, scheme):
+    # From node by node up to wider than any block, every window commits the same nodes.
+    kappa = _sampled_kappa(lambda x: 1.0 + 0.1 * np.sin(1.3 * x + 0.4))
+    st = make_state(1.0, lambda x: 0.0, lambda x: 1.5)
+    cfg = SolverConfig(h=2e-3, T=4.0, scheme=scheme)
+    sols = []
+    for window in (1, 7, 64, 512, 1024, 4096):
+        monkeypatch.setattr(func1d, "_SCAN_WINDOW", window)
+        sols.append(solve_front(st, _stepwise_draws()[0], kappa, cfg))
+    for sol in sols[1:]:
+        _assert_same_core(sol, sols[0])
+        assert np.array_equal(sol.front.times, sols[0].front.times)

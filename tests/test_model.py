@@ -21,6 +21,7 @@ from debond import (
     griffith_speed,
     speed_to_fprime_magnitude,
 )
+from debond.func1d import merged_eval
 
 
 def make_state(ell0, y0_fn, y1_fn, regularity="C01", n=200):
@@ -265,3 +266,22 @@ def test_front_reflect_inverts_once_with_the_same_bits(s):
     np.testing.assert_array_equal(echo, s - 2.0 * front.ell(foot))
     np.testing.assert_array_equal(factor, (1.0 - v) / (1.0 + v))
     np.testing.assert_array_equal(factor, front.reflection_factor(s))
+
+
+def test_state_combinations_are_built_once_and_equal_a_fresh_merge():
+    # ybar1 and ybar0' on different grids, so the merged grid is the union of both
+    tgt = TargetState(1.5, SampledFunction(np.linspace(0.0, 1.5, 7), np.linspace(0.9, 0.0, 7)),
+                      SampledFunction([0.0, 0.4, 1.1, 1.5], [0.3, -0.2, 0.5, 0.1]))
+    for method, combine in ((tgt.w_plus, np.add), (tgt.w_minus, np.subtract)):
+        w = method()
+        assert method() is w
+        grid, values = merged_eval(tgt.ybar1, tgt.ybar0_prime, combine)
+        assert w.xs.tobytes() == grid.tobytes() and w.vs.tobytes() == values.tobytes()
+    st = make_state(1.0, lambda x: 0.2 * math.sin(3.0 * x) * (1.0 - x), lambda x: x * x, n=9)
+    halves = st.data_halves
+    assert st.data_halves is halves
+    fresh = (merged_eval(st.y1, st.y0_prime, lambda a, b: 0.5 * (a - b)),
+             merged_eval(st.y0_prime, st.y1, lambda a, b: 0.5 * (a + b)))
+    for (grid, values), (grid_ref, values_ref) in zip(halves, fresh):
+        assert grid.tobytes() == grid_ref.tobytes() and values.tobytes() == values_ref.tobytes()
+        assert not (grid.flags.writeable or values.flags.writeable)  # shared by every solve

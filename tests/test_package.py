@@ -1,6 +1,8 @@
 """The package namespace and the import graph: which modules each entry point loads."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 import types
@@ -89,3 +91,22 @@ def test_simulate_loads_forward_but_not_synthesis(tmp_path):
     argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]
     loaded = _debond_modules_after(f"import debond.cli\nassert debond.cli.main({argv!r}) == 0")
     assert loaded & SOLVERS == {"debond.forward"}
+
+
+def test_no_module_reaches_numpy_private_packages():
+    # numpy >= 1.24 is declared: numpy._core exists only from numpy 2, and numpy.core
+    # is deprecated there.  No module imports either or reaches one as an attribute.
+    def private(name):
+        return any(name == p or name.startswith(p + ".") for p in ("numpy._core", "numpy.core"))
+
+    for path in sorted(pathlib.Path(debond.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"numpy.{node.attr}"] if node.value.id in ("np", "numpy") else []
+            else:
+                continue
+            assert not any(map(private, names)), f"{path.name}: {names}"
