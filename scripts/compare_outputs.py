@@ -18,7 +18,8 @@ with each changed value (REV's beside this checkout's), any other CSV with
 its row counts and, when they are equal, the largest change of each
 changed column, absolute and relative to REV's largest magnitude in it, a
 file present on one side only as such.  It also prints the line count of
-``src/debond/*.py`` on both sides, as ``wc -l`` counts it.  Exit status: 0
+``src/debond/*.py`` on both sides, as ``wc -l`` counts it, and each module
+whose count differs.  Exit status: 0
 when all are identical, 1 when anything differs, 2 when REV cannot be
 extracted.  Needs only the standard library plus the package's own
 dependencies (numpy, PyYAML).
@@ -167,8 +168,8 @@ def extract_src(rev, dest):
 
 
 def count_lines(src):
-    """Lines of ``src/debond/*.py``, counted as ``wc -l`` counts them."""
-    return sum(p.read_bytes().count(b"\n") for p in (Path(src) / "debond").glob("*.py"))
+    """{file name: lines} of ``src/debond/*.py``, counted as ``wc -l`` counts them."""
+    return {p.name: p.read_bytes().count(b"\n") for p in (Path(src) / "debond").glob("*.py")}
 
 
 def run_all(src, config_dir, out_dir):
@@ -265,8 +266,13 @@ def main(argv):
         except (RuntimeError, OSError, tarfile.TarError) as err:
             print(f"error: cannot extract src/ of {argv[0]}: {err}", file=sys.stderr)
             return 2
-        print(f"src/debond/*.py: {count_lines(rev_src)} lines at {argv[0]}, "
-              f"{count_lines(ROOT / 'src')} here")
+        lines_rev, lines_here = count_lines(rev_src), count_lines(ROOT / "src")
+        print(f"src/debond/*.py: {sum(lines_rev.values())} lines at {argv[0]}, "
+              f"{sum(lines_here.values())} here")
+        for name in sorted(lines_rev.keys() | lines_here.keys()):
+            if lines_rev.get(name) != lines_here.get(name):
+                print(f"    {name}: {lines_rev.get(name, '-')} at {argv[0]}, "
+                      f"{lines_here.get(name, '-')} here")
         configs = tmp / "configs"
         configs.mkdir()
         for name, text in SCENARIOS.items():

@@ -134,25 +134,13 @@ def fprime_for_prescribed_front(
     # Static runs [i, j]: edges of the runs of non-moving nodes.
     edges = np.flatnonzero(np.diff(np.concatenate(([0], (~moving).astype(np.int8), [0]))))
     for i, j in zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()):
-        if i > 0:
-            sa, va = s_nodes[i - 1], vals[i - 1]
-        elif left_value is not None:
-            sa, va = s_nodes[i], float(left_value)
-        else:
-            sa = va = None
-        if j + 1 < n:
-            sb, vb = s_nodes[j + 1], vals[j + 1]
-        elif right_value is not None:
-            sb, vb = s_nodes[j], float(right_value)
-        else:
-            sb = vb = None
-        if va is None and vb is None:
-            va = vb = 0.0
-            sa, sb = s_nodes[i], s_nodes[j]
-        elif va is None:
-            va, sa = vb, s_nodes[i]
-        elif vb is None:
-            vb, sb = va, s_nodes[j]
+        sa, va = (s_nodes[i - 1], vals[i - 1]) if i > 0 else (s_nodes[i], left_value)
+        sb, vb = (s_nodes[j + 1], vals[j + 1]) if j + 1 < n else (s_nodes[j], right_value)
+        # A missing end takes the other end's value, or 0 when both are missing.
+        if va is None:
+            va = 0.0 if vb is None else vb
+        if vb is None:
+            vb = va
         run = slice(i, j + 1)
         w = np.clip((s_nodes[run] - sa) / (sb - sa), 0.0, 1.0) if sb > sa else 0.0
         raw = va * (1.0 - w) + vb * w
@@ -201,8 +189,6 @@ def _speed_profile(p, q, va, vb, gain, h):
     is admissible).
     """
     L = q - p
-    if L <= 0.0:
-        raise InfeasibleTime("moving interval has no time budget")
     ts = np.linspace(p, q, max(int(np.ceil(L / h)), 8) + 1)
     # cubic Hermite for the position: slope is quadratic in t
     c2 = 3.0 * gain / L**2 - (2.0 * va + vb) / L
@@ -235,30 +221,35 @@ def _stage1_case(dl_zero, a_moving, b_moving):
     ]
 
 
-def _build_stage1_c01(t0, ell0_, t1, ell1, h):
-    v = (ell1 - ell0_) / (t1 - t0)
+def _static_piece(t0, t1, length, h):
+    """Resting front samples on [t0, t1]; ``length`` (= t1 - t0) sets the node count."""
+    n = max(int(np.ceil(length / h)), 4)
+    return np.linspace(t0, t1, n + 1), np.zeros(n + 1)
+
+
+# Both stage-1 builders map the start (t0, ell0_, v0), the end (t1, ell1, v1),
+# the average speed v and the step h to (times, positions, speeds, t_circ, delta).
+def _build_stage1_c01(t0, ell0_, v0, t1, ell1, v1, v, h):
     n = max(int(np.ceil((t1 - t0) / h)), 4)
     ts = np.linspace(t0, t1, n + 1)
     ells = ell0_ + v * (ts - t0)
     ells[-1] = ell1
-    return ts, ells, np.full(n + 1, v), v, 0.5 * (t0 + t1), 0.0
+    return ts, ells, np.full(n + 1, v), 0.5 * (t0 + t1), 0.0
 
 
-def _build_stage1_c1(t0, ell0_, v0, t1, ell1, v1, h):
+def _build_stage1_c1(t0, ell0_, v0, t1, ell1, v1, v, h):
     dt = t1 - t0
     dl = ell1 - ell0_
-    slack = dt - dl
-    if slack <= 0.0:
-        raise InfeasibleTime("no slack for a C1 inflation below unit speed")
+    t_mid = 0.5 * (t0 + t1)
+    if dl <= _SLOPE_TOL * max(1.0, ell1):
+        ts, rest = _static_piece(t0, t1, dt, h)
+        return ts, np.full(ts.size, ell0_), rest, t_mid, 0.0
+
     a_moving = v0 > _SLOPE_TOL
     b_moving = v1 > _SLOPE_TOL
-    if dl <= _SLOPE_TOL * max(1.0, ell1):
-        n = max(int(np.ceil(dt / h)), 4)
-        ts = np.linspace(t0, t1, n + 1)
-        return ts, np.full(n + 1, ell0_), np.zeros(n + 1), 0.5 * (t0 + t1), 0.0
-
-    delta = min(0.05 * dt, slack / 8.0)
-    t_mid = 0.5 * (t0 + t1)
+    # The initial branch ends where t0 = ell0_, so dt - dl = t1 - ell1 > 0 once
+    # T > T_min; both moving intervals then keep at least 0.4 dt.
+    delta = min(0.05 * dt, (dt - dl) / 8.0)
     left = t0 + delta if not a_moving else t0
     right = t1 - delta if not b_moving else t1
     m1 = (left, t_mid - delta)
@@ -268,17 +259,16 @@ def _build_stage1_c1(t0, ell0_, v0, t1, ell1, v1, h):
     gain1 = dl * len1 / (len1 + len2)
     gain2 = dl - gain1
 
+    # Each resting piece's length is passed as computed here, not as t1 - t0,
+    # whose rounding can change the node count.
     pieces = []
     if not a_moving:
-        n = max(int(np.ceil(delta / h)), 4)
-        pieces.append((np.linspace(t0, left, n + 1), np.zeros(n + 1)))
+        pieces.append(_static_piece(t0, left, delta, h))
     pieces.append(_speed_profile(m1[0], m1[1], v0 if a_moving else 0.0, 0.0, gain1, h))
-    n = max(int(np.ceil(2 * delta / h)), 4)
-    pieces.append((np.linspace(t_mid - delta, t_mid + delta, n + 1), np.zeros(n + 1)))
+    pieces.append(_static_piece(t_mid - delta, t_mid + delta, 2 * delta, h))
     pieces.append(_speed_profile(m2[0], m2[1], 0.0, v1 if b_moving else 0.0, gain2, h))
     if not b_moving:
-        n = max(int(np.ceil(delta / h)), 4)
-        pieces.append((np.linspace(right, t1, n + 1), np.zeros(n + 1)))
+        pieces.append(_static_piece(right, t1, delta, h))
 
     ts = np.concatenate([p[0] if i == 0 else p[0][1:] for i, p in enumerate(pieces)])
     sigma = np.concatenate([p[1] if i == 0 else p[1][1:] for i, p in enumerate(pieces)])
@@ -343,7 +333,7 @@ def _check_branch(branch: BranchResult, target: TargetState, T: float):
         raise ValueError("branch start does not close the characteristic triangle")
 
 
-def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=None):
+def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode):
     _check_branch(branch, target, T)
     ctol = 1e-6 + 10.0 * cfg.h
 
@@ -360,7 +350,7 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
                 f"{worst.residual:.3g}"
             )
         alpha = classify_final_state(target, kappa, tol=1e-6)
-        if abs(branch.alpha - alpha) > 1e-6 + 10.0 * cfg.h:
+        if abs(branch.alpha - alpha) > ctol:
             raise IncompatibleTarget(
                 f"branch terminal speed {branch.alpha:.6g} does not match the "
                 f"classification alpha = {alpha:.6g}"
@@ -368,20 +358,20 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
     else:
         alpha = branch.alpha
 
-    ib = initial_branch or solve_initial_branch(initial, kappa, cfg)
-    t_star, ell_star, v_star = ib.t_star, ib.ell_star, ib.ell_star_prime
     t_bar, ell_bar, v_bar = branch.t_bar_star, branch.ell_bar_star, branch.ell_bar_star_prime
-
     len_tol = 1e-9 * max(ell_bar, 1.0)
-    if ell_bar < ell_star - len_tol:
-        raise InfeasibleTime(
-            f"final branch starts at ell = {ell_bar:.6g} left of the initial branch "
-            f"end {ell_star:.6g}"
-        )
     if ell_bar >= t_bar - len_tol:
         raise InfeasibleTime(
             f"final branch start (t, ell) = ({t_bar:.6g}, {ell_bar:.6g}) leaves no time to "
             f"inflate the domain: need T > 2 ell_bar_star = {2.0 * ell_bar:.6g}"
+        )
+
+    ib = solve_initial_branch(initial, kappa, cfg)
+    t_star, ell_star, v_star = ib.t_star, ib.ell_star, ib.ell_star_prime
+    if ell_bar < ell_star - len_tol:
+        raise InfeasibleTime(
+            f"final branch starts at ell = {ell_bar:.6g} left of the initial branch "
+            f"end {ell_star:.6g}"
         )
     equal_len = abs(ell_bar - ell_star) <= max(len_tol, 1e-7)
     if c1_mode and equal_len and (v_star > _SLOPE_TOL or v_bar > _SLOPE_TOL):
@@ -389,21 +379,13 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
             "equal branch lengths require both endpoint front speeds to vanish"
         )
 
-    # Stage-1 prescribed front
-    if c1_mode:
-        if equal_len:
-            s1_parts = _build_stage1_c1(t_star, ell_star, 0.0, t_bar, ell_star, 0.0, cfg.h)
-            ts1, ells1, sig1, t_circ, delta = s1_parts
-            v_lin = 0.0
-        else:
-            ts1, ells1, sig1, t_circ, delta = _build_stage1_c1(
-                t_star, ell_star, v_star, t_bar, ell_bar, v_bar, cfg.h
-            )
-            v_lin = (ell_bar - ell_star) / (t_bar - t_star)
-    else:
-        ts1, ells1, sig1, v_lin, t_circ, delta = _build_stage1_c01(
-            t_star, ell_star, t_bar, ell_bar, cfg.h
-        )
+    # Stage-1 prescribed front; a C1 inflation between equal lengths rests at ell_star.
+    ell_end = ell_star if c1_mode and equal_len else ell_bar
+    v_lin = (ell_end - ell_star) / (t_bar - t_star)
+    build = _build_stage1_c1 if c1_mode else _build_stage1_c01
+    ts1, ells1, sig1, t_circ, delta = build(
+        t_star, ell_star, v_star, t_bar, ell_end, v_bar, v_lin, cfg.h
+    )
     case = _stage1_case(equal_len, v_star > _SLOPE_TOL, v_bar > _SLOPE_TOL)
     stage1_front = FrontCurve(ts1, ells1, np.minimum(sig1, SPEED_CAP))
 
@@ -429,14 +411,10 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
     w_plus = target.w_plus()
     w_minus = target.w_minus()
     fp0 = 0.5 * (initial.y1(0.0) - initial.y0_prime(0.0))
-    r_w = w_plus(0.0)
-    junction = -0.5 * r_w * (1.0 + v_bar) / (1.0 - v_bar)
+    junction = -0.5 * w_plus(0.0) * (1.0 + v_bar) / (1.0 - v_bar)
 
     sgn_r = math.copysign(1.0, junction) if abs(junction) > 0.0 else 1.0
-    if v_star > _SLOPE_TOL and abs(fp0) > 0.0:
-        sgn_l = math.copysign(1.0, fp0)
-    else:
-        sgn_l = sgn_r
+    sgn_l = math.copysign(1.0, fp0) if v_star > _SLOPE_TOL and abs(fp0) > 0.0 else sgn_r
 
     s1_nodes, s1_vals = fprime_for_prescribed_front(
         stage1_front,
@@ -484,20 +462,17 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=
 
     # Boundary rate on a grid carrying every designed node plus echo images
     breakpoints = [0.0, initial.ell0, s1, s2, T]
-    images = _echo_images(front, breakpoints, T)
+    marks = np.array(breakpoints + _echo_images(front, breakpoints, T))
     base = trace_s[trace_s > 0.0]
     grid = np.union1d(np.union1d(base, np.linspace(0.0, T, int(np.ceil(T / cfg.h)) + 1)),
-                      np.array(breakpoints + images))
+                      marks)
     if not c1_mode:
         # The +side sample's echo must clear the jump sliver of the designed
         # trace, so this offset has to dominate the trace pair spacing even
         # after the echo map contracts it.
         off = 1e-7 * max(T, 1.0)
-        pairs = []
-        for b in [initial.ell0, s1, s2] + images:
-            if 0.0 < b < T:
-                pairs += [b - off, b + off]
-        grid = np.union1d(grid, np.array(pairs))
+        inner = marks[(marks > 0.0) & (marks < T)]
+        grid = np.union1d(grid, np.concatenate((inner - off, inner + off)))
     grid = grid[(grid >= 0.0) & (grid <= T)]
     keep = np.concatenate(([True], np.diff(grid) > max(1e-12 * T, 1e-14)))
     grid = grid[keep]
@@ -558,33 +533,14 @@ def synthesize_c1(
 
 
 def _synthesize_static(initial, target, kappa, T, cfg, c1_mode):
-    """Static-final-branch shortcut: constraint and feasibility checks, then synthesis."""
+    """The damping bound a static branch needs, then the general path on that branch."""
     check = check_damping_bound(target, kappa(target.ellbar0)).worst
     if not check.passed:
         raise ConstraintViolated(
             f"sup |ybar1 + ybar0'|^2 exceeds 2 kappa(ellbar0) by {check.residual:.6g}",
             excess=check.residual,
         )
-    if c1_mode and abs(target.ybar1(target.ellbar0)) > 1e-6:
-        raise IncompatibleTarget(
-            "a static C1 branch needs a passive target: ybar1(ellbar0) must vanish"
-        )
-    if T <= 2.0 * target.ellbar0:
-        raise InfeasibleTime(f"need T > 2 ellbar0 = {2 * target.ellbar0:g}, got {T:g}")
-    ib = solve_initial_branch(initial, kappa, cfg)
-    strict = ib.ell_star_prime > _SLOPE_TOL
-    if target.ellbar0 < ib.ell_star - 1e-9 or (
-        c1_mode and strict and target.ellbar0 <= ib.ell_star + 1e-9
-    ):
-        raise InfeasibleTime(
-            f"target front {target.ellbar0:g} too small for the initial branch end "
-            f"{ib.ell_star:.6g} (strict: {strict})"
-            if c1_mode
-            else f"target front {target.ellbar0:g} lies left of the initial branch end "
-            f"{ib.ell_star:.6g}"
-        )
-    branch = static_branch(target, kappa, T)
-    return _synthesize(initial, target, kappa, T, branch, cfg, c1_mode, initial_branch=ib)
+    return _synthesize(initial, target, kappa, T, static_branch(target, kappa, T), cfg, c1_mode)
 
 
 def synthesize_static_c01(
@@ -594,7 +550,7 @@ def synthesize_static_c01(
     T: float,
     cfg: SolverConfig,
 ) -> SynthesisReport:
-    """Static-final-branch shortcut: constraint check, then plain synthesis."""
+    """Static-final-branch shortcut: size constraint, then the general path."""
     return _synthesize_static(initial, target, kappa, T, cfg, c1_mode=False)
 
 
@@ -605,7 +561,7 @@ def synthesize_static_c1(
     T: float,
     cfg: SolverConfig,
 ) -> SynthesisReport:
-    """C1 variant of the static shortcut; the target must be passive."""
+    """C1 static shortcut: size constraint, then the general path (passive targets only)."""
     return _synthesize_static(initial, target, kappa, T, cfg, c1_mode=True)
 
 

@@ -37,16 +37,16 @@ class DeadEnd(DebondError):
     """No admissible front speed exists at some node of the backward march."""
 
 
-class NoTermination(DebondError):
-    """The horizon is too short for a final branch: T <= ellbar0."""
-
-
 class C1SwitchViolation(DebondError):
     """A C1 branch policy demanded a speed jump away from a coincidence point."""
 
 
 class InfeasibleTime(DebondError):
     """The control-time inequality fails; the target cannot be reached by time T."""
+
+
+class NoTermination(InfeasibleTime):
+    """The horizon is too short for a final branch: T <= ellbar0."""
 
 
 class ConstraintViolated(DebondError):

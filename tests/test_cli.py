@@ -267,6 +267,24 @@ def test_synthesize_boundary_time_exit_4(tmp_path, capsys):
     assert "need T > 2 ell_bar_star = 4\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("T", ["1.5", "2.0"])
+@pytest.mark.parametrize("command", ["final-branch", "synthesize", "verify"])
+def test_horizon_too_short_for_a_final_branch_exits_4(tmp_path, capsys, command, T):
+    # T <= ellbar0 = 2 leaves no final branch: one too-short horizon, one exit code.
+    assert run(tmp_path, EXPANSION.replace("T: 6.0", f"T: {T}"), command)[0] == 4
+    assert capsys.readouterr().err == ("error: infeasible control time: horizon T = "
+                                       f"{float(T):g} too short for a final branch ending at 2\n")
+
+
+@pytest.mark.parametrize("command", ["synthesize", "verify"])
+def test_t_min_is_checked_before_the_initial_branch(tmp_path, capsys, command):
+    # The initial branch would not close by T = 2.2 (exit 3); T <= T_min = 4 is found first.
+    target = EXPANSION[EXPANSION.index("target:"):EXPANSION.index("branch:")]
+    doc = CONSTANT_SPEED.replace("T: 6.0", "T: 2.2") + target
+    assert run(tmp_path, doc, command)[0] == 4
+    assert "need T > 2 ell_bar_star = 4\n" in capsys.readouterr().err
+
+
 def test_synthesize_dead_end_exit_5(tmp_path):
     code, _ = run(tmp_path, BAD_TARGET, "synthesize")
     assert code == 5

@@ -11,6 +11,7 @@ from debond import (
     ContinuityFailure,
     FrontCurve,
     IncompatibleData,
+    IncompatibleTarget,
     InfeasibleTime,
     InitialState,
     SampledFunction,
@@ -238,8 +239,10 @@ def test_infeasible_time_when_branch_left_of_initial():
     T = 6.0
     cfg = SolverConfig(h=H, T=T)
     branch = static_branch(target, kappa, T)
-    with pytest.raises(InfeasibleTime):
+    with pytest.raises(InfeasibleTime, match="left of the initial branch end"):
         synthesize_c01(initial, target, kappa, T, branch, cfg)
+    with pytest.raises(InfeasibleTime, match="left of the initial branch end"):
+        synthesize_static_c01(initial, target, kappa, T, cfg)
 
 
 def test_moving_branch_roundtrip_c01():
@@ -336,7 +339,8 @@ def test_static_corollary_sine_target():
 def test_static_corollary_constraint_violation():
     initial = zero_initial()
     target = make_target(1.0, lambda x: 2.0 * (1.0 - x), lambda x: 4.0)
-    with pytest.raises(ConstraintViolated) as err:
+    message = re.escape("exceeds 2 kappa(ellbar0) by 2")
+    with pytest.raises(ConstraintViolated, match=message) as err:
         synthesize_static_c01(initial, target, Toughness(1.0), 5.0, SolverConfig(h=H, T=5.0))
     assert err.value.excess == pytest.approx(2.0, abs=1e-9)
 
@@ -344,8 +348,33 @@ def test_static_corollary_constraint_violation():
 def test_static_corollary_boundary_time_rejected():
     initial = zero_initial()
     target = zero_target(2.0)
-    with pytest.raises(InfeasibleTime):
+    with pytest.raises(InfeasibleTime, match="need T > 2 ell_bar_star = 4"):
         synthesize_static_c01(initial, target, Toughness(1.0), 4.0, SolverConfig(h=H, T=4.0))
+
+
+def _bits(rep):
+    """Every array the equivalence below compares, as uint64 words."""
+    c, f, d = rep.control, rep.front, rep.designed_trace
+    arrays = (c.u.xs, c.u.vs, c.uprime.xs, c.uprime.vs, f.times, f.positions, f.speeds,
+              d.xs, d.vs, rep.stage_boundaries, rep.stage3_junction)
+    return [np.asarray(a, dtype=float).view(np.uint64) for a in arrays]
+
+
+@pytest.mark.parametrize("regularity", ["C01", "C1"])
+def test_static_shortcut_is_the_general_path_on_a_static_branch(regularity):
+    if regularity == "C1":
+        initial, target, _, T = case_d_problem()
+        shortcut, general = synthesize_static_c1, synthesize_c1
+    else:  # the outgoing half ybar1 + ybar0' is nonzero, so stage 2 is too
+        initial, T = zero_initial(), 5.0
+        target = make_target(2.0, lambda x: 0.25 * math.sin(math.pi * x / 2.0), lambda x: 0.3)
+        shortcut, general = synthesize_static_c01, synthesize_c01
+    kappa = sampled_kappa()
+    cfg = SolverConfig(h=H, T=T)
+    a = shortcut(initial, target, kappa, T, cfg)
+    b = general(initial, target, kappa, T, static_branch(target, kappa, T), cfg)
+    for x, y in zip(_bits(a), _bits(b), strict=True):
+        assert np.array_equal(x, y)
 
 
 # -- C1 synthesis ------------------------------------------------------------------------
@@ -436,10 +465,14 @@ def test_round_trip_builds_each_state_combination_once(monkeypatch):
                      (id(initial.y0_prime), id(initial.y1), None): 1}
 
 
+def sampled_kappa():
+    xk = np.linspace(0.0, 8.0, 65)
+    return Toughness(SampledFunction(xk, 1.0 + 0.1 * np.sin(1.3 * xk + 0.4)))
+
+
 def _c1_moving_problem(short):
     """An active C1 target (alpha = 0.3) whose tables end ``short`` before ellbar0 = 2."""
-    xk = np.linspace(0.0, 8.0, 65)
-    kappa = Toughness(SampledFunction(xk, 1.0 + 0.1 * np.sin(1.3 * xk + 0.4)))
+    kappa = sampled_kappa()
     c = math.sqrt(2.0 * kappa(2.0) / (1.0 - 0.3 * 0.3))
     xs = np.linspace(0.0, 2.0 - short, 401)
     target = TargetState(2.0, SampledFunction(xs, c * (2.0 - xs)),
@@ -465,3 +498,10 @@ def test_c1_trace_jump_at_tau_minus_T_is_caught_whether_stages_abut_or_not(short
     off = dataclasses.replace(branch, front_segment=FrontCurve(f.times, f.positions, speeds))
     with pytest.raises(ContinuityFailure, match=re.escape(message)):
         synthesize_c1(initial, target, kappa, 6.0, off, cfg)
+
+
+def test_static_c1_rejects_an_active_target():
+    # A static branch ends at rest, so its terminal speed 0 misses alpha = 0.3.
+    initial, target, kappa = _c1_moving_problem(0.0)
+    with pytest.raises(IncompatibleTarget, match="does not match the classification alpha = 0.3"):
+        synthesize_static_c1(initial, target, kappa, 6.0, SolverConfig(h=H, T=6.0))
