@@ -16,8 +16,10 @@ take the static branch.  Every
 differing exit code and file is listed: a key=value file or ``verify.csv``
 with each changed value (REV's beside this checkout's), any other CSV with
 its row counts and, when they are equal, the largest change of each
-changed column, absolute and relative to REV's largest magnitude in it, a
-file present on one side only as such.  It also prints the line count of
+changed column, absolute and relative to REV's largest magnitude in it (or,
+when every value is equal as a float, the number of cells per column whose text
+differs and how many of those differ only in the sign of a zero), a file
+present on one side only as such.  It also prints the line count of
 ``src/debond/*.py`` on both sides, as ``wc -l`` counts it, and each module
 whose count differs.  Exit status: 0
 when all are identical, 1 when anything differs, 2 when REV cannot be
@@ -205,11 +207,15 @@ def _rows(path):
     return sum(1 for line in path.read_text(encoding="utf-8").splitlines()[1:] if line)
 
 
+def _cells(path):
+    """{column name: its cells as text} of a CSV."""
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line]
+    return dict(zip(lines[0].split(","), zip(*(line.split(",") for line in lines[1:]))))
+
+
 def _columns(path):
     """{column name: its values as floats} of a numeric CSV."""
-    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line]
-    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    return dict(zip(lines[0].split(","), zip(*rows)))
+    return {name: [float(cell) for cell in cells] for name, cells in _cells(path).items()}
 
 
 def _column_changes(rev, here):
@@ -230,6 +236,19 @@ def _column_changes(rev, here):
     return out
 
 
+def _text_changes(rev, here):
+    """Per column, the cells whose text differs and how many differ only in a zero's sign."""
+    cells_rev, cells_here = _cells(rev), _cells(here)
+    out = []
+    for name in sorted(cells_rev.keys() & cells_here.keys()):
+        pairs = [(a, b) for a, b in zip(cells_rev[name], cells_here[name]) if a != b]
+        if pairs:
+            signs = sum(1 for a, b in pairs if float(a) == float(b) == 0.0)
+            out.append(f"{name}: {len(pairs)} cells differ in text only, {signs} of them "
+                       "only in the sign of a zero")
+    return out
+
+
 def differences(a, b):
     """Every differing file as (relative path, detail lines; None if on one side only)."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
@@ -246,7 +265,7 @@ def differences(a, b):
             rows_a, rows_b = _rows(pa), _rows(pb)
             details = [f"rows: {rows_b} at REV, {rows_a} here"]
             if rows_a == rows_b:
-                details += _column_changes(pb, pa)
+                details += _column_changes(pb, pa) or _text_changes(pb, pa)
             out.append((rel, details))
             continue
         va, vb = _values(pa), _values(pb)

@@ -52,7 +52,6 @@ from .model import (
     check_damping_bound,
     check_initial_compatibility,
     classify_final_state,
-    griffith_speed,
     speed_to_fprime_magnitude,
 )
 
@@ -334,6 +333,8 @@ def _check_branch(branch: BranchResult, target: TargetState, T: float):
 
 
 def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode):
+    if T != cfg.T:
+        raise ValueError(f"synthesis horizon T = {T:.17g} is not the solver's T = {cfg.T:.17g}")
     _check_branch(branch, target, T)
     ctol = 1e-6 + 10.0 * cfg.h
 

@@ -29,10 +29,6 @@ class IncompatibleData(DebondError):
     """Initial data and control fail the well-posedness compatibility conditions."""
 
 
-class HorizonExceeded(DebondError):
-    """The initial branch did not terminate before the configured time cap."""
-
-
 class DeadEnd(DebondError):
     """No admissible front speed exists at some node of the backward march."""
 
@@ -43,6 +39,10 @@ class C1SwitchViolation(DebondError):
 
 class InfeasibleTime(DebondError):
     """The control-time inequality fails; the target cannot be reached by time T."""
+
+
+class HorizonExceeded(InfeasibleTime):
+    """The initial branch did not terminate before the configured time cap."""
 
 
 class NoTermination(InfeasibleTime):

@@ -68,11 +68,6 @@ class SolverConfig:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
 
 
-# Echo-chain values ``trace_value`` holds at once (about one per point and
-# reflection); deeper or larger queries are walked in batches.
-_CHAIN_BUDGET = 1 << 20
-
-
 class _SeedData:
     """Raw piecewise-linear arrays for the data-determined part of the trace."""
 
@@ -308,43 +303,31 @@ class SolutionRecord:
         """f(s), anchored at f(0) = 0, via the trace relation f(s) = u(s) + f(echo(s)).
 
         A float gives a float, an array an array of the same shape.  Each
-        point follows its echo chain down to [-ell0, ell0] in a loop, so the
-        number of reflections (about s / (2 ell0)) is not bounded by the
-        recursion limit; the u terms are then added back from the deepest
-        level out, in the order of the recursive definition.
+        point walks its echo chain down to [-ell0, ell0] once, adding u into a
+        sum that starts at -0.0 (so a point reflected at most once keeps the
+        bits of u + f(echo)), then the data formula at the end of the chain:
+        neither the recursion limit nor memory depends on the depth.
         """
-        q = np.asarray(s, dtype=float)
-        flat = q.ravel()
-        ell0 = self.initial.ell0
-        chain = flat.size + np.sum(np.maximum(flat - ell0, 0.0)) / (2.0 * ell0)
-        batches = np.array_split(flat, 1 + int(chain // _CHAIN_BUDGET))
-        out = np.concatenate([self._echo_chain(b) for b in batches]).reshape(q.shape)
-        return float(out) if out.ndim == 0 else out
-
-    def _echo_chain(self, q):
-        ell0 = self.initial.ell0
-        q = q.copy()
-        levels = []
-        active = np.flatnonzero(q > ell0)
+        q = np.array(s, dtype=float).ravel()
+        init, u = self.initial, self.control.u
+        f = np.full(q.shape, -0.0)
+        active = np.flatnonzero(q > init.ell0)
         while active.size:
-            levels.append((active, self.control.u(q[active])))
+            f[active] += u(q[active])
             q[active] = echo = self.front.echo(q[active])
-            active = active[echo > ell0]
-        f = np.empty_like(q)
+            active = active[echo > init.ell0]
         neg = q <= 0.0
         # The data's polylines start at 0 (up to the domain slack): an antiderivative is
         # the integral from 0.
         if neg.any():
             # f(s <= 0) = integral_0^{-s} (y0' - y1)/2 = -integral of the seed slope
-            f[neg] = -self._core.seed.minus_fn.antiderivative_at(-q[neg])
+            f[neg] -= self._core.seed.minus_fn.antiderivative_at(-q[neg])
         if not neg.all():
             mid = q[~neg]
-            init = self.initial
             half = 0.5 * (init.y0_prime.antiderivative_at(mid) + init.y1.antiderivative_at(mid))
-            f[~neg] = self.control.u(mid) - self.control.u(0.0) - half
-        for active, u in reversed(levels):
-            f[active] = u + f[active]
-        return f
+            f[~neg] += u(mid) - u(0.0) - half
+        f = f.reshape(np.shape(s))
+        return float(f) if f.ndim == 0 else f
 
     def trace_function(self) -> SampledFunction:
         """The trace slope on [-ell0, T] as one sampled function on the solver's nodes."""

@@ -276,9 +276,19 @@ def test_horizon_too_short_for_a_final_branch_exits_4(tmp_path, capsys, command,
                                        f"{float(T):g} too short for a final branch ending at 2\n")
 
 
+@pytest.mark.parametrize("command", ["initial-branch", "final-branch", "synthesize", "verify"])
+def test_horizon_too_short_for_the_initial_branch_exits_4(tmp_path, capsys, command):
+    # At T = 0.5 the initial branch (t_star = 1) does not close either: every command exits 4.
+    assert run(tmp_path, EXPANSION.replace("T: 6.0", "T: 0.5"), command)[0] == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: infeasible control time: ")
+    if command == "initial-branch":
+        assert err.endswith("initial branch did not close within the horizon T = 0.5\n")
+
+
 @pytest.mark.parametrize("command", ["synthesize", "verify"])
 def test_t_min_is_checked_before_the_initial_branch(tmp_path, capsys, command):
-    # The initial branch would not close by T = 2.2 (exit 3); T <= T_min = 4 is found first.
+    # The initial branch would not close by T = 2.2; T <= T_min = 4 is found first.
     target = EXPANSION[EXPANSION.index("target:"):EXPANSION.index("branch:")]
     doc = CONSTANT_SPEED.replace("T: 6.0", "T: 2.2") + target
     assert run(tmp_path, doc, command)[0] == 4

@@ -352,6 +352,17 @@ def test_static_corollary_boundary_time_rejected():
         synthesize_static_c01(initial, target, Toughness(1.0), 4.0, SolverConfig(h=H, T=4.0))
 
 
+def test_synthesis_horizon_must_be_the_solver_horizon():
+    # A control on [0, 6] would be verified on [0, 5]: both entry kinds refuse it.
+    initial, target, kappa = zero_initial(), zero_target(2.0), Toughness(1.0)
+    cfg = SolverConfig(h=H, T=5.0)
+    message = re.escape("synthesis horizon T = 6 is not the solver's T = 5")
+    with pytest.raises(ValueError, match=message):
+        synthesize_c01(initial, target, kappa, 6.0, static_branch(target, kappa, 6.0), cfg)
+    with pytest.raises(ValueError, match=message):
+        synthesize_static_c01(initial, target, kappa, 6.0, cfg)
+
+
 def _bits(rep):
     """Every array the equivalence below compares, as uint64 words."""
     c, f, d = rep.control, rep.front, rep.designed_trace

@@ -362,6 +362,24 @@ def test_deep_reflection_chain_beyond_recursion_limit():
     assert np.all(y == 0.0) and np.all(dty == 0.0) and np.all(dxy == 0.0)
     f = sol.trace_value(sol.trace_function().xs)
     assert np.all(np.isfinite(f)) and np.all(f == 0.0)
+    # A small control keeps the front nearly still and gives every level of the
+    # chain a non-zero u term; compare with the sum in the nested order
+    # u1 + (u2 + (... + f(end))), one level per reflection.
+    a, ts = 0.002, np.linspace(0.0, T, 9001)
+    control = ControlSignal(SampledFunction(ts, a * np.sin(2.0 * ts)),
+                            SampledFunction(ts, 2.0 * a * np.cos(2.0 * ts)))
+    sol = solve_front(zero_state(ell0=0.004), control, Toughness(1.0), SolverConfig(h=4e-4, T=T))
+    s = sol.trace_function().xs
+    q, levels = s.copy(), []
+    while np.any(q > 0.004):
+        deep = np.flatnonzero(q > 0.004)
+        levels.append((deep, control.u(q[deep])))
+        q[deep] = sol.front.echo(q[deep])
+    want = np.where(q > 0.0, control.u(np.maximum(q, 0.0)) - control.u(0.0), 0.0)
+    for deep, u in reversed(levels):
+        want[deep] = u + want[deep]
+    assert len(levels) > 1000 and np.max(np.abs(want)) > 100 * a
+    np.testing.assert_allclose(sol.trace_value(s), want, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -110,3 +110,16 @@ def test_no_module_reaches_numpy_private_packages():
             else:
                 continue
             assert not any(map(private, names)), f"{path.name}: {names}"
+
+
+def test_no_module_has_an_unused_import_from_the_package():
+    # A name imported from a sibling module (``from .model import x``) must be read in the
+    # module that imports it: as a name, an annotation or a decorator.
+    for path in sorted(pathlib.Path(debond.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [alias.asname or alias.name for alias in node.names]
+                unused = [name for name in names if name not in read]
+                assert not unused, f"{path.name}:{node.lineno}: from .{node.module} {unused}"
