@@ -9,7 +9,9 @@ its k-th change file, so list them as the alternating runs were made.  For
 each workload and each end-to-end metric that ``BENCHMARK.json`` names, the
 record holds each side's runs, median and quartiles, how many pairs the change
 won and lost (ties count for neither), the change of the median, whether that
-change exceeds the parent's interquartile range, and whether the change's
+change exceeds the parent's interquartile range, whether a claimed gain on
+the metric is met (the change won at least nine pairs in ten and its median
+gain exceeds the parent's interquartile range), and whether the change's
 median is worse than the parent's by no more than the metric's bound, taken
 as a fraction of the parent's median.  It also keeps each side's operation
 counts and the machine facts of the runs.  The record is written to
@@ -47,14 +49,17 @@ def _metric(spec, parent, change):
     sign = 1.0 if spec["better"] == "lower" else -1.0
     p, c = _summary(parent), _summary(change)
     gain = sign * (p["median"] - c["median"])  # > 0 when the change is better
+    won = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+    exceeds_iqr = gain > p["q3"] - p["q1"]
     return {
         "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
         "parent": p, "change": c,
-        "pairs_won": sum(sign * (a - b) > 0 for a, b in zip(parent, change)),
+        "pairs_won": won,
         "pairs_lost": sum(sign * (a - b) < 0 for a, b in zip(parent, change)),
         "median_change_pct": 100.0 * (c["median"] - p["median"]) / p["median"]
         if p["median"] else None,
-        "gain_exceeds_parent_iqr": gain > p["q3"] - p["q1"],
+        "gain_exceeds_parent_iqr": exceeds_iqr,
+        "claim_met": 10 * won >= 9 * len(parent) and exceeds_iqr,
         "within_bound": -gain <= spec["bound"] * abs(p["median"]),
     }
 
@@ -113,7 +118,8 @@ def main(argv=None):
     for name, wl in record["workloads"].items():
         for key, m in wl["metrics"].items():
             print(f"{name:16s} {key:12s} parent {m['parent']['median']:.6g} "
-                  f"change {m['change']['median']:.6g} won {m['pairs_won']}/{wl['pairs']}")
+                  f"change {m['change']['median']:.6g} won {m['pairs_won']}/{wl['pairs']} "
+                  f"claim_met {m['claim_met']}")
     print(f"wrote {out}")
     return 0
 

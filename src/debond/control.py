@@ -592,7 +592,12 @@ def verify_synthesis(
     kappa: Toughness,
     cfg: SolverConfig,
 ) -> VerificationResult:
-    """Simulate forward under the emitted control and compare against the target."""
+    """Simulate forward under the emitted control and compare against the target at ``cfg.T``.
+
+    ``cfg.T`` must be the report's horizon (its last stage boundary)."""
+    if report.stage_boundaries[-1] != cfg.T:
+        raise ValueError(f"report horizon T = {report.stage_boundaries[-1]:.17g} is not the "
+                         f"solver's T = {cfg.T:.17g}")
     return verify_control(report.control, initial, target, kappa, cfg)
 
 
@@ -604,6 +609,8 @@ def verify_control(
     cfg: SolverConfig,
 ) -> VerificationResult:
     """Simulate forward under ``control``; front, displacement and velocity errors at T.
+
+    A control that runs past ``cfg.T`` is accepted and verified at ``cfg.T``.
 
     The velocity comparison skips a thin margin at both domain ends: for
     Lipschitz controls the designed trace jumps map exactly onto the target

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, HorizonExceeded, IncompatibleData
 from .func1d import (
-    SampledFunction, cumulative_trapezoid, definite_integral, pair_width, scan,
+    SampledFunction, definite_integral, pair_width, scan,
 )
 from .model import (
     SPEED_CAP,
@@ -85,21 +85,17 @@ class _SeedData:
 
     def fprime(self, q, up_xs, up_vs):
         """Trace slope on an array q <= ell0: the data, and the control u' on (0, ell0]."""
-        neg, out = q <= 0.0, np.empty(np.shape(q))
-        if neg.any():
+        q = np.asarray(q, dtype=float)
+        if q.max(initial=-math.inf) <= 0.0:
+            out = np.interp(q, self.minus_xs, self.minus_vs)
+        elif q.min() > 0.0:
+            out = np.interp(q, up_xs, up_vs) - np.interp(q, self.plus_xs, self.plus_vs)
+        else:  # both sides of 0, or NaN (read on the control side)
+            neg, out = q <= 0.0, np.empty(q.shape)
             out[neg] = np.interp(q[neg], self.minus_xs, self.minus_vs)
-        if not neg.all():
             pos = q[~neg]
             out[~neg] = np.interp(pos, up_xs, up_vs) - np.interp(pos, self.plus_xs, self.plus_vs)
-        return out
-
-
-def _require_matching_endpoint(initial: InitialState, control: ControlSignal):
-    if abs(initial.y0(0.0) - control.u(0.0)) > 1e-6:
-        raise IncompatibleData(
-            f"control endpoint u(0) = {control.u(0.0):g} does not match y0(0) = "
-            f"{initial.y0(0.0):g}"
-        )
+        return out if q.ndim else np.asarray(out)
 
 
 _FIELDS = ("s", "t", "ell", "g", "v", "fp", "tracked")
@@ -124,7 +120,7 @@ class _Core:
         self.up_jumps = up_xs[np.append(close, False) | np.insert(close, 0, False)]
         size = int((s_end + initial.ell0) / cfg.h) + 4 * self.up_jumps.size + 64
         for name in _FIELDS:
-            setattr(self, name, np.zeros(size, dtype=bool if name == "tracked" else float))
+            setattr(self, name, np.empty(size, dtype=bool if name == "tracked" else float))
         self.n = 0
         self._solve(s_end)
         for name in _FIELDS:
@@ -160,12 +156,12 @@ class _Core:
         """Solve on (a, b]: the uniform grid plus the u' jumps and the tracked ``jumps``."""
         m = max(math.ceil((b - a) / self.cfg.h - 1e-9), 1)
         q = np.linspace(a, b, m + 1)[1:]
-        tracked = np.zeros(m, dtype=bool)
+        tracked = False
         lo, hi = np.searchsorted(self.up_jumps, (a, b), side="right")
         if jumps.size or hi > lo:
             jumps = np.concatenate((jumps, self.up_jumps[lo:hi]))
             q = np.concatenate((jumps, q))
-            tracked = np.concatenate((np.ones(jumps.size, bool), tracked))
+            tracked = np.arange(q.size) < jumps.size
             order = np.argsort(q, kind="stable")
             q, tracked = q[order], tracked[order]
             # Nodes closer than eps / 2 merge into the first; a merged jump stays tracked.
@@ -184,35 +180,47 @@ class _Core:
         return np.interp(q, self.up_xs, self.up_vs) + echo / (1.0 + 2.0 * g_echo)
 
     def _add(self, q, fp, tracked, reflected):
-        """Integrate ell~ over the new nodes q from the last stored node, and store them."""
+        """Integrate ell~ over the new nodes q from the last stored node, in the store.
+
+        The store grows first, then each field is computed in its slice.  Under a
+        constant kappa the ell slice holds the steps and t the increments, summed in
+        the order of l0 + cumulative_trapezoid (heun) or the left-point sum (euler).
+        """
         n, m = self.n, q.size
+        end = n + m
+        if end > self.s.size:
+            for name in _FIELDS:
+                setattr(self, name, np.resize(getattr(self, name), 2 * end))
         if n:
             s0, l0, g0 = self.s[n - 1], self.ell[n - 1], self.g[n - 1]
         else:
             s0, l0, g0 = q[0], self.initial.ell0, 0.0
-        kappa = self.kappa
+        s, t, ell, g = (getattr(self, name)[n:end] for name in _FIELDS[:4])
+        self.tracked[n:end] = tracked
+        kappa, T = self.kappa, self.cfg.T
         if kappa.is_constant:
-            g = np.minimum(np.maximum(fp * fp / kappa.kappa - 0.5, 0.0), _G_CAP)
-            x, g_all = np.concatenate(([s0], q)), np.concatenate(([g0], g))
+            np.minimum(np.maximum(fp * fp / kappa.kappa - 0.5, 0.0), _G_CAP, out=g)
+            ell[0], ell[1:] = q[0] - s0, q[1:] - q[:-1]
             if self.cfg.scheme == "heun":
-                ell = l0 + cumulative_trapezoid(x, g_all)[1:]
+                t[0], t[1:] = g[0] + g0, g[1:] + g[:-1]
+                t *= 0.5
+                t *= ell
             else:
-                ell = l0 + np.cumsum((x[1:] - x[:-1]) * g_all[:-1])
+                t[0], t[1:] = ell[0] * g0, ell[1:] * g[:-1]
+            np.add(np.cumsum(t, out=ell), l0, out=ell)
         else:
-            ell, g = self._march(q, fp, s0, l0, g0)
-        t = q + ell
-        s = np.where(t < self.cfg.T, t - ell, q)
+            ell[:], g[:] = self._march(q, fp, s0, l0, g0)
+        np.add(q, ell, out=t)
+        np.subtract(t, ell, out=s)
+        np.copyto(s, q, where=~(t < T))
         if not reflected:
             # Up to ell0 trace_slope evaluates the data formula: take it at the
             # stored abscissae, which may sit inside a u' jump pair.
             fp = self.seed.fprime(s, self.up_xs, self.up_vs)
-        kap = kappa.kappa if kappa.is_constant else kappa(np.minimum(ell, self.cfg.T - q))
-        v = np.minimum(griffith_speed(fp, kap), SPEED_CAP)
-        for name, values in zip(_FIELDS, (s, t, ell, g, v, fp, tracked)):
-            if n + m > getattr(self, name).size:
-                setattr(self, name, np.resize(getattr(self, name), 2 * (n + m)))
-            getattr(self, name)[n : n + m] = values
-        self.n = n + m
+        self.fp[n:end] = fp
+        kap = kappa.kappa if kappa.is_constant else kappa(np.minimum(ell, T - q))
+        np.minimum(griffith_speed(fp, kap), SPEED_CAP, out=self.v[n:end])
+        self.n = end
 
     def _march(self, q, fp, s0, l0, g0):
         """ell~ and g when g depends on ell~ through kappa: Euler, or an Euler predictor
@@ -267,6 +275,7 @@ class SolutionRecord:
         self.control = control
         self.config = cfg = core.cfg
         self._core = core  # its trace runs up to s = T, which reconstruction at T reads
+        self._u0 = control.u(0.0)
         # The front ends with one partial step of the scheme, in t, to t = T.
         T = cfg.T
         k = max(int(np.searchsorted(core.t, T - core.eps)) - 1, 0)
@@ -291,11 +300,14 @@ class SolutionRecord:
         A float gives a float, an array an array of the same shape.
         """
         s = np.asarray(s, dtype=float)
-        core = self._core
-        seeded, out = s <= self.initial.ell0, np.empty(s.shape)
-        if seeded.any():
+        core, ell0 = self._core, self.initial.ell0
+        if s.max(initial=-math.inf) <= ell0:
+            out = core.seed.fprime(s, core.up_xs, core.up_vs)
+        elif s.min() > ell0:
+            out = np.interp(s, core.s, core.fp)
+        else:  # both sides of ell0, or NaN (read from the nodes)
+            seeded, out = s <= ell0, np.empty(s.shape)
             out[seeded] = core.seed.fprime(s[seeded], core.up_xs, core.up_vs)
-        if not seeded.all():
             out[~seeded] = np.interp(s[~seeded], core.s, core.fp)
         return float(out) if out.ndim == 0 else out
 
@@ -325,7 +337,7 @@ class SolutionRecord:
         if not neg.all():
             mid = q[~neg]
             half = 0.5 * (init.y0_prime.antiderivative_at(mid) + init.y1.antiderivative_at(mid))
-            f[~neg] += u(mid) - u(0.0) - half
+            f[~neg] += u(mid) - self._u0 - half
         f = f.reshape(np.shape(s))
         return float(f) if f.ndim == 0 else f
 
@@ -347,7 +359,7 @@ class SolutionRecord:
             raise DomainError(f"time {t:g} outside [0, {self.config.T:g}]")
         ell_t = self.front.ell(t)
         x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-        if np.any(x_grid < -1e-12) or np.any(x_grid > ell_t * (1 + 1e-12) + 1e-12):
+        if x_grid.size and (x_grid.min() < -1e-12 or x_grid.max() > ell_t * (1 + 1e-12) + 1e-12):
             raise DomainError(f"reconstruction point beyond the front ell({t:g}) = {ell_t:g}")
         init = self.initial
         x = np.minimum(x_grid, ell_t)
@@ -381,9 +393,10 @@ class SolutionRecord:
 
     def griffith_residuals(self) -> np.ndarray:
         """Per-node gap between stored speeds and the Griffith value."""
-        f = self.front
+        f, kappa = self.front, self.toughness
         fp = self.trace_slope(f.times - f.positions)
-        return np.abs(f.speeds - griffith_speed(fp, self.toughness(f.positions)))
+        kap = kappa.kappa if kappa.is_constant else kappa(f.positions)  # a float: np.full's bits
+        return np.abs(f.speeds - griffith_speed(fp, kap))
 
 
 def solve_front(
@@ -397,7 +410,9 @@ def solve_front(
         raise DomainError(
             f"control defined up to {control.t_end:g} but horizon is {cfg.T:g}"
         )
-    _require_matching_endpoint(initial, control)
+    if abs(initial.y0(0.0) - control.u(0.0)) > 1e-6:
+        raise IncompatibleData(f"control endpoint u(0) = {control.u(0.0):g} does not match "
+                               f"y0(0) = {initial.y0(0.0):g}")
     core = _Core(initial, kappa, cfg, control.uprime.xs, control.uprime.vs, cfg.T)
     return SolutionRecord(core, control)
 

@@ -42,15 +42,19 @@ def griffith_speed(fprime_at_trace, kappa_at_front):
     """Front speed selected by the energy criterion; always in [0, 1).
 
     Scalars give a float, arrays an array.  A non-finite argument raises
-    ``FloatingPointError`` naming it.
+    ``FloatingPointError`` naming it.  A float (a constant toughness) takes scalar tests.
     """
     for name, value in (("trace slope", fprime_at_trace), ("toughness", kappa_at_front)):
+        if isinstance(value, float) and math.isfinite(value):
+            continue
         finite = np.isfinite(value)
         if not finite.all():
             bad = np.asarray(value)[~finite].flat[0]
             raise FloatingPointError(f"Griffith speed of a non-finite {name}: {bad}")
-    if np.min(kappa_at_front, initial=np.inf) <= 0.0:  # np.float64 prints as the float does
-        raise InvalidToughness(f"toughness must be positive, got {np.min(kappa_at_front)}")
+    lowest = (kappa_at_front if isinstance(kappa_at_front, float)
+              else np.min(kappa_at_front, initial=np.inf))
+    if lowest <= 0.0:  # np.float64 prints as the float does
+        raise InvalidToughness(f"toughness must be positive, got {lowest}")
     twice_sq = 2.0 * fprime_at_trace * fprime_at_trace
     speed = (twice_sq - kappa_at_front) / (twice_sq + kappa_at_front)
     return np.maximum(speed, 0.0) if isinstance(speed, np.ndarray) else max(speed, 0.0)
@@ -227,14 +231,15 @@ class FrontCurve:
         v = np.ascontiguousarray(self.speeds, dtype=float)
         if not (t.shape == p.shape == v.shape) or t.ndim != 1 or t.size < 2:
             raise ValueError("times, positions, speeds must be equal-length 1-D arrays")
+        # One reduction per bound, each failed by NaN; tau_plus rejects an infinite value.
         dt, dp = t[1:] - t[:-1], p[1:] - p[:-1]
-        if np.any(dt <= 0.0):
+        if not dt.min() > 0.0:
             raise ValueError("times must be strictly increasing")
-        if np.any(dp < -1e-9 * max(np.max(p), 1.0)):
+        if not dp.min() >= -1e-9 * max(p.max(), 1.0):
             raise ValueError("front positions must be nondecreasing")
-        if np.any(v < 0.0) or np.any(v >= 1.0):
+        if not (v.min() >= 0.0 and v.max() < 1.0):
             raise ValueError("front speeds must lie in [0, 1)")
-        if np.any(dt - dp <= 0.0):
+        if not (dt - dp).min() > 0.0:
             raise ValueError("front advanced a full time step; tau_minus not invertible")
         for name, arr in (("times", t), ("positions", p), ("speeds", v)):
             arr.setflags(write=False)

@@ -41,6 +41,33 @@ def test_pairs_fold_into_medians_quartiles_and_wins(tmp_path):
     rate = wl["metrics"]["ops_per_s"]  # higher is better: the same pairs win
     assert (rate["pairs_won"], rate["pairs_lost"]) == (3, 1)
     assert record["machine"] == {"cpu_count": 2} and not record["machines_differ"]
+    assert not op["claim_met"]  # 3 of 5 pairs, and a gain within the parent's IQR
+
+
+@pytest.mark.parametrize("won, met", [(10, True), (9, True), (8, False)])
+def test_claim_met_needs_nine_pairs_in_ten_and_a_gain_beyond_the_iqr(tmp_path, won, met):
+    parent_runs = [2.0 + 0.01 * k for k in range(10)]  # IQR 0.045
+    change_runs = [v - 0.5 if k < won else v + 0.1 for k, v in enumerate(parent_runs)]
+    parent = [_result(tmp_path, "parent", k, v) for k, v in enumerate(parent_runs)]
+    change = [_result(tmp_path, "change", k, v) for k, v in enumerate(change_runs)]
+    record = bench_record.build_record("t", parent, change, BENCHMARK)
+    for key in ("op_s", "ops_per_s"):
+        m = record["workloads"]["cli-expansion"]["metrics"][key]
+        assert m["pairs_won"] == won and m["gain_exceeds_parent_iqr"]
+        assert m["claim_met"] is met
+
+
+def test_main_prints_claim_met_on_each_summary_line(tmp_path, monkeypatch, capsys):
+    parent = [_result(tmp_path, "parent", k, 2.0 + 0.01 * k) for k in range(10)]
+    change = [_result(tmp_path, "change", k, 1.0 + 0.01 * k) for k in range(10)]
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    args = ["t", "--parent", *map(str, parent), "--change", *map(str, change)]
+    assert bench_record.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[:2]] == ["op_s", "ops_per_s"]
+    assert all(line.endswith("won 10/10 claim_met True") for line in lines[:2])
+    assert json.loads((tmp_path / "BENCH_t.json").read_text())["label"] == "t"
 
 
 def test_unpaired_or_traced_runs_are_refused(tmp_path):

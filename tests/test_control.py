@@ -28,6 +28,7 @@ from debond.control import (
     synthesize_static_c01,
     synthesize_static_c1,
     uprime_from_fprime,
+    verify_control,
     verify_synthesis,
 )
 from debond import model
@@ -194,6 +195,19 @@ def test_zero_to_zero_c01_is_null_steering():
     assert res.front_error <= 1e-10
     assert res.displacement_error <= 1e-10
     assert res.velocity_error <= 1e-10
+
+
+def test_verify_synthesis_rejects_a_report_for_another_horizon():
+    # README's library example, synthesized for T = 6 and verified with T = 5.
+    initial, target, kappa = zero_initial(), zero_target(2.0), Toughness(1.0)
+    cfg = SolverConfig(h=H, T=6.0)
+    rep = synthesize_c01(initial, target, kappa, 6.0, static_branch(target, kappa, 6.0), cfg)
+    short = SolverConfig(h=H, T=5.0)
+    with pytest.raises(ValueError, match=r"^report horizon T = 6 is not the solver's T = 5$"):
+        verify_synthesis(rep, initial, target, kappa, short)
+    # A bare control that runs past T is still verified, at T.
+    res = verify_control(rep.control, initial, target, kappa, short)
+    assert res.solution.front.t_end == 5.0 and res.displacement_error > 0.4
 
 
 def test_expansion_c01_plan_and_roundtrip():

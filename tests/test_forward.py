@@ -11,6 +11,7 @@ from debond import (
     SolverConfig,
     Toughness,
     constant,
+    griffith_speed,
     from_callable,
     solve_front,
     solve_initial_branch,
@@ -545,3 +546,128 @@ def test_sampled_kappa_solve_does_not_depend_on_the_scan_window(monkeypatch, sch
     for sol in sols[1:]:
         _assert_same_core(sol, sols[0])
         assert np.array_equal(sol.front.times, sols[0].front.times)
+
+
+# -- the node store: each block computed in its slices ----------------------------
+
+def _block_in_temporaries(core, q, fp, tracked, reflected, s0, l0, g0):
+    """One block's fields as they were built in temporaries and concatenated."""
+    kappa, T, seed = core.kappa, core.cfg.T, core.seed
+    if kappa.is_constant:
+        g = np.minimum(np.maximum(fp * fp / kappa.kappa - 0.5, 0.0), forward._G_CAP)
+        x, g_all = np.concatenate(([s0], q)), np.concatenate(([g0], g))
+        if core.cfg.scheme == "heun":
+            ell = l0 + func1d.cumulative_trapezoid(x, g_all)[1:]
+        else:
+            ell = l0 + np.cumsum((x[1:] - x[:-1]) * g_all[:-1])
+        kap = np.full(q.shape, kappa.kappa)
+    else:
+        ell, g = core._march(q, fp, s0, l0, g0)
+        kap = kappa(np.minimum(ell, T - q))
+    t = q + ell
+    s = np.where(t < T, t - ell, q)
+    if not reflected:
+        up = np.interp(s, core.up_xs, core.up_vs)
+        fp = np.where(s <= 0.0, np.interp(s, seed.minus_xs, seed.minus_vs),
+                      up - np.interp(s, seed.plus_xs, seed.plus_vs))
+    v = np.minimum(griffith_speed(fp, kap), forward.SPEED_CAP)
+    return {"s": s, "t": t, "ell": ell, "g": g, "v": v, "fp": fp,
+            "tracked": np.broadcast_to(tracked, q.shape)}
+
+
+def _solve_checking_blocks(monkeypatch, *args):
+    """solve_front, comparing each block's store slices with ``_block_in_temporaries``."""
+    add, blocks = forward._Core._add, []
+
+    def checked_add(core, q, fp, tracked, reflected):
+        n = core.n
+        prev = ((core.s[n - 1], core.ell[n - 1], core.g[n - 1]) if n
+                else (q[0], core.initial.ell0, 0.0))
+        want = _block_in_temporaries(core, q, fp, tracked, reflected, *prev)
+        add(core, q, fp, tracked, reflected)
+        for name, values in want.items():
+            got = getattr(core, name)[n : core.n]
+            assert got.dtype == values.dtype and got.shape == values.shape, name
+            view = np.uint8 if got.dtype == bool else np.uint64
+            assert np.array_equal(got.view(view), values.view(view)), (name, len(blocks))
+        blocks.append(reflected)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(forward._Core, "_add", checked_add)
+        solve_front(*args)
+    return blocks
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+def test_store_blocks_equal_the_concatenated_formulas(monkeypatch, scheme):
+    # Forward-suite-like: zero data, stepwise u', a random constant kappa; then velocity data.
+    rng = np.random.default_rng(21)
+    cases = [(zero_state(), ctrl, Toughness(float(rng.uniform(0.3, 3.0))))
+             for ctrl in _stepwise_draws()]
+    cases.append((make_state(1.0, lambda x: 0.0, lambda x: 1.5), _stepwise_draws()[0],
+                  Toughness(0.7)))
+    for st, ctrl, kappa in cases:
+        blocks = _solve_checking_blocks(monkeypatch, st, ctrl, kappa,
+                                        SolverConfig(h=1e-3, T=5.0, scheme=scheme))
+        assert blocks[:3] == [False] * 3 and sum(blocks) >= 1
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+def test_store_blocks_equal_the_march_under_sampled_kappa(monkeypatch, scheme):
+    kappa = _sampled_kappa(lambda x: 1.0 + 0.1 * np.sin(1.3 * x + 0.4))
+    st = make_state(1.0, lambda x: 0.0, lambda x: 1.5)
+    blocks = _solve_checking_blocks(monkeypatch, st, _stepwise_draws()[1], kappa,
+                                    SolverConfig(h=1e-3, T=5.0, scheme=scheme))
+    assert blocks[:3] == [False] * 3 and sum(blocks) >= 1
+
+
+def _poisoned(empty, calls):
+    """``np.empty`` whose float slots are NaN and bool slots True, counting its calls."""
+    def poisoned_empty(shape, dtype=float, *args, **kwargs):
+        out = empty(shape, dtype, *args, **kwargs)
+        if out.dtype == bool:
+            out.fill(True)
+        elif out.dtype.kind == "f":
+            out.fill(np.nan)
+        calls.append(out.size)
+        return out
+    return poisoned_empty
+
+
+@pytest.mark.parametrize("kappa, scheme", [
+    (Toughness(0.8), "heun"), (Toughness(0.8), "euler"),
+    (_sampled_kappa(lambda x: 1.0 + 0.1 * np.sin(1.3 * x + 0.4)), "heun"),
+], ids=["constant-heun", "constant-euler", "sampled-heun"])
+def test_no_slot_is_read_before_it_is_written(monkeypatch, kappa, scheme):
+    st = make_state(1.0, lambda x: 0.0, lambda x: 1.5)
+    args = (st, _stepwise_draws()[2], kappa, SolverConfig(h=1e-3, T=5.0, scheme=scheme))
+
+    def run():
+        sol = solve_front(*args)
+        x = np.linspace(0.0, sol.front.positions[-1], 160)
+        return sol, [sol.griffith_residuals(), *sol.reconstruct(5.0, x),
+                     sol.front.times, sol.front.positions, sol.front.speeds]
+
+    clean, clean_results = run()
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", _poisoned(np.empty, calls))
+        poisoned, poisoned_results = run()
+    assert len(calls) > 7  # the store's seven fields and more
+    for name in forward._FIELDS:
+        got, want = getattr(poisoned._core, name), getattr(clean._core, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert want.dtype == bool or _same_bits(got, want), name
+    for got, want in zip(poisoned_results, clean_results):
+        assert _same_bits(got, want)
+
+
+def test_reconstruct_on_an_empty_grid_gives_empty_arrays():
+    sol = solve_front(zero_state(), ControlSignal.zero(3.0), Toughness(1.0),
+                      SolverConfig(h=1e-2, T=3.0))
+    for t in (3.0, 0.2):  # outside the data cone, and inside it
+        for out in sol.reconstruct(t, []):
+            assert type(out) is np.ndarray and out.shape == (0,) and out.dtype == np.float64
+    for bad in ([0.5, -1e-9], [sol.front.ell(3.0) * (1.0 + 1e-9)]):
+        with pytest.raises(DomainError, match="beyond the front"):
+            sol.reconstruct(3.0, bad)

@@ -268,6 +268,29 @@ def test_front_reflect_inverts_once_with_the_same_bits(s):
     np.testing.assert_array_equal(factor, front.reflection_factor(s))
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("times, positions, speeds, message", [
+    (None, None, [0.0, 0.0, NAN, 0.0, 0.0], r"front speeds must lie in \[0, 1\)"),
+    (None, None, [0.0, 0.0, INF, 0.0, 0.0], r"front speeds must lie in \[0, 1\)"),
+    (None, None, [0.0, 1.0, 0.0, 0.0, 0.0], r"front speeds must lie in \[0, 1\)"),
+    (None, None, [0.0, -1e-300, 0.0, 0.0, 0.0], r"front speeds must lie in \[0, 1\)"),
+    ([0.0, 0.25, NAN, 0.75, 1.0], None, None, None),
+    ([0.0, 0.25, 0.5, 0.75, INF], None, None, None),
+    (None, [1.0, 1.0, NAN, 1.0, 1.0], None, None),
+    (None, [1.0, 1.0, 1.0, 1.0, INF], None, None),
+    (None, [1.0, 1.0, 1.0, 1.0, -INF], None, None),
+], ids=["nan-speed", "inf-speed", "speed-1", "negative-speed", "nan-time", "inf-time",
+        "nan-position", "inf-position", "minus-inf-position"])
+def test_front_curve_rejects_non_finite_or_out_of_range_values(times, positions, speeds, message):
+    t = np.linspace(0.0, 1.0, 5) if times is None else np.array(times)
+    p = np.ones(5) if positions is None else np.array(positions)
+    v = np.zeros(5) if speeds is None else np.array(speeds)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+        FrontCurve(t, p, v)
+
+
 def test_state_combinations_are_built_once_and_equal_a_fresh_merge():
     # ybar1 and ybar0' on different grids, so the merged grid is the union of both
     tgt = TargetState(1.5, SampledFunction(np.linspace(0.0, 1.5, 7), np.linspace(0.9, 0.0, 7)),

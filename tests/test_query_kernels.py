@@ -4,9 +4,10 @@ The ``_seed_*`` functions below are the earlier implementations of
 ``SampledFunction.__call__`` (through its clip), ``antiderivative_at``,
 ``MonotoneMap.invert`` and ``griffith_speed``, kept as reference oracles;
 ``_interp_fprime`` reads ``_SeedData.fprime``'s three polylines through plain
-``np.interp``.  Every result must have the oracle's type, shape and bits (so
--0.0 differs from 0.0 and NaN equals itself), and every error the oracle's
-type and message.
+``np.interp``, and ``_masked_*`` are the general paths of ``_SeedData.fprime``
+and ``SolutionRecord.trace_slope``, with both masks always applied.  Every
+result must have the oracle's type, shape and bits (so -0.0 differs from 0.0
+and NaN equals itself), and every error the oracle's type and message.
 """
 
 import math
@@ -75,6 +76,26 @@ def _interp_fprime(seed, q, up_xs, up_vs):
         np.interp(q, seed.minus_xs, seed.minus_vs),
         np.interp(q, up_xs, up_vs) - np.interp(q, seed.plus_xs, seed.plus_vs),
     )
+
+
+def _masked_fprime(seed, q, up_xs, up_vs):
+    """``_SeedData.fprime`` with both masks always applied."""
+    q = np.asarray(q, dtype=float)
+    neg, out = q <= 0.0, np.empty(q.shape)
+    out[neg] = np.interp(q[neg], seed.minus_xs, seed.minus_vs)
+    pos = q[~neg]
+    out[~neg] = np.interp(pos, up_xs, up_vs) - np.interp(pos, seed.plus_xs, seed.plus_vs)
+    return out
+
+
+def _masked_trace_slope(sol, s):
+    """``SolutionRecord.trace_slope`` with both masks always applied."""
+    s = np.asarray(s, dtype=float)
+    core, ell0 = sol._core, sol.initial.ell0
+    seeded, out = s <= ell0, np.empty(s.shape)
+    out[seeded] = _masked_fprime(core.seed, s[seeded], core.up_xs, core.up_vs)
+    out[~seeded] = np.interp(s[~seeded], core.s, core.fp)
+    return float(out) if out.ndim == 0 else out
 
 
 def _seed_griffith_speed(fprime_at_trace, kappa_at_front):
@@ -233,12 +254,37 @@ def test_seed_slope_matches_all_three_lerps_on_every_node():
         nodes = np.concatenate([seed.minus_xs, seed.plus_xs, up_xs[up_xs <= ell0]])
         both = np.concatenate([nodes, rng.uniform(-ell0, ell0, 80), [0.0, -0.0, np.nan]])
         rng.shuffle(both)
-        for q in (both, both[both <= 0.0], both[both > 0.0], seed.minus_xs, seed.plus_xs,
-                  both[:0], np.array(-0.0), np.array(0.5 * ell0), both[: both.size // 2 * 2].reshape(2, -1)):
+        # Wholly at or below 0, wholly above, mixed; each in every form, a float included:
+        # the one-sided paths give the masked path's bits and type.
+        for part in (both, both[both <= 0.0], both[both > 0.0], seed.minus_xs, seed.plus_xs,
+                     np.array([0.5 * ell0])):
+            for q in _forms(part):
+                with np.errstate(invalid="ignore"):
+                    got = seed.fprime(q, up_xs, up_vs)
+                    _assert_same(got, _interp_fprime(seed, q, up_xs, up_vs))
+                    _assert_same(got, _masked_fprime(seed, q, up_xs, up_vs))
+
+
+def test_one_sided_trace_slope_matches_the_masked_path():
+    from debond import ControlSignal, SolverConfig, Toughness, solve_front
+
+    rng = np.random.default_rng(17)
+    grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 7)), [1.0]])
+    initial = InitialState(1.0, SampledFunction(grid, np.zeros(grid.size)),
+                           SampledFunction(grid, rng.normal(size=grid.size)))
+    xs = np.linspace(0.0, 3.0, 13)
+    up = rng.normal(size=xs.size)
+    u = np.concatenate(([0.0], np.cumsum(0.5 * (up[1:] + up[:-1]) * 0.25)))
+    control = ControlSignal(SampledFunction(xs, u), SampledFunction(xs, up))
+    sol = solve_front(initial, control, Toughness(0.6), SolverConfig(h=1e-2, T=3.0))
+    s = np.concatenate([sol._core.s[::7], rng.uniform(-1.0, 3.0, 60),
+                        [-1.0, 0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), 3.0]])
+    # Wholly above ell0, wholly at or below it (or 0), both, and both with NaN.
+    for part in (s[s > 1.0], s[s <= 1.0], s[s <= 0.0], s[(s > 0.0) & (s <= 1.0)], s,
+                 np.append(s, np.nan)):
+        for form in _forms(part):
             with np.errstate(invalid="ignore"):
-                got = seed.fprime(q, up_xs, up_vs)
-                want = _interp_fprime(seed, q, up_xs, up_vs)
-            _assert_same(got, want)
+                _assert_same(sol.trace_slope(form), _masked_trace_slope(sol, form))
 
 
 # -- model ------------------------------------------------------------------------
@@ -248,7 +294,8 @@ def test_griffith_speed_matches_the_seed_on_scalars_and_arrays():
     fp = np.concatenate([rng.normal(scale=3.0, size=200), [0.0, -0.0, 1e154, -1e-300]])
     kappa = np.concatenate([rng.uniform(1e-6, 10.0, 200), [1.0, 2.0, 5e-324, 1e300]])
     cases = [(fp, kappa), (fp, 0.75), (0.75, kappa), (fp, np.float64(2.0)), (fp, np.array(2.0)),
-             (np.array(1.5), np.array(0.5)), (fp[:0], kappa[:0]), (fp[:0], 1.0)]
+             (np.array(1.5), np.array(0.5)), (fp[:0], kappa[:0]), (fp[:0], 1.0),
+             (np.array(1.5), 0.5), (np.float64(-1.5), 0.5), (fp.reshape(2, -1), 5e-324)]
     cases += [(a, b) for a, b in zip(fp[::17].tolist(), kappa[::17].tolist())]
     cases += [(np.float64(a), b) for a, b in zip(fp[::23], kappa[::23].tolist())]
     for a, b in cases:
@@ -274,6 +321,10 @@ def test_griffith_speed_matches_the_seed_on_scalars_and_arrays():
     (1.0, math.inf, FloatingPointError, "Griffith speed of a non-finite toughness: inf"),
     (np.ones(2), np.array([1.0, math.nan]), FloatingPointError,
      "Griffith speed of a non-finite toughness: nan"),
+    (0.5, math.nan, FloatingPointError, "Griffith speed of a non-finite toughness: nan"),
+    (np.ones(2), -math.inf, FloatingPointError, "Griffith speed of a non-finite toughness: -inf"),
+    (np.ones(3), -2.0, InvalidToughness, "toughness must be positive, got -2.0"),
+    (np.array(1.0), -1e-300, InvalidToughness, "toughness must be positive, got -1e-300"),
 ])
 def test_griffith_speed_messages(fp, kappa, error, message):
     assert _outcome(griffith_speed, fp, kappa) == (error, message)
