@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import C1SwitchViolation, DeadEnd, NoTermination
-from .func1d import scan
+from .func1d import _first_outside, scan, union
 from .model import (
     SPEED_CAP,
     BranchResult,
@@ -96,7 +96,7 @@ def branch_speed_options(Y: float, K: float):
 def _nodes(w, ellbar0, h=math.inf):
     """Nodes x = t + L - T on [0, ellbar0]: w's abscissae, segments cut into parts <= h."""
     # state samples may end up to 1e-9 off [0, ellbar0], each table on its own
-    xs = np.unique(np.clip(w.xs, 0.0, ellbar0))
+    xs = union(np.clip(w.xs, 0.0, ellbar0))
     dx = np.diff(xs)
     parts = np.maximum(np.ceil(dx / h), 1.0).astype(int)
     seg = np.repeat(np.arange(parts.size), parts)
@@ -209,9 +209,11 @@ def solve_final_branch(
     # kappa's arguments in the order of the node-by-node march: the first one that
     # leaves kappa's domain or violates the size constraint raises
     args = np.column_stack((L[:-1] - dx * (v[:-1] / (1.0 + v[:-1])), L[1:])).ravel()
-    Ys, Ks = np.repeat(Y[1:], 2), 2.0 * kappa.clamped(args)
+    Ys, Ks = np.repeat(Y[1:], 2), np.broadcast_to(twice_kappa(args), args.shape)
     violated = np.flatnonzero(_violated(Ys, Ks))
-    kappa(args[: violated[0] + 1 if violated.size else args.size])
+    checked = args[: violated[0] + 1 if violated.size else args.size]
+    if not kappa.is_constant and _first_outside(checked, *kappa.kappa.xs[[0, -1]]) is not None:
+        kappa(checked)  # its DomainError names the first argument outside the samples
     if violated.size:
         raise _size_violated(Ys[violated[0]], Ks[violated[0]])
     root, has_moving = _roots(Y, twice_kappa(L))

@@ -35,7 +35,7 @@ from .errors import (
     IncompatibleTarget,
     InfeasibleTime,
 )
-from .func1d import SampledFunction
+from .func1d import SampledFunction, union
 from .model import ControlSignal, check_damping_bound, classify_final_state
 
 EXIT_OK = 0
@@ -177,7 +177,7 @@ def _outdir(cfg, args):
 
 
 def _control_csv(path, control):
-    grid = np.union1d(control.u.xs, control.uprime.xs)
+    grid = union(control.u.xs, control.uprime.xs)
     _write_csv(path, ["t", "u", "uprime"], [grid, control.u(grid), control.uprime(grid)])
 
 

@@ -39,7 +39,7 @@ from .errors import (
     InfeasibleTime,
 )
 from .forward import SolverConfig, _SeedData, solve_front, solve_initial_branch
-from .func1d import SampledFunction, cumulative_trapezoid, pair_width
+from .func1d import SampledFunction, cumulative_trapezoid, pair_width, sides, union
 from .model import (
     SPEED_CAP,
     BranchResult,
@@ -152,26 +152,27 @@ def uprime_from_fprime(fprime, front: FrontCurve, initial: InitialState, s):
     """Boundary rate making the trace relation hold at coordinate(s) s.
 
     ``fprime`` is a callable returning the (designed or solved) trace slope;
-    it is called with arrays shaped like ``s`` (0-d for a float s).  Below
-    ell0 the relation involves only the initial data; above it the echo term
-    is subtracted with the reflection factor of the prescribed front.  A
+    it is called with float arrays, ``s`` itself and the echoes of the points
+    above ell0, shaped like ``s`` when every point is above (0-d for a float s).
+    Up to ell0 the relation involves only the initial data; above it the echo
+    term is subtracted with the reflection factor of the prescribed front.  A
     float gives a float, an array an array.
     """
     s = np.asarray(s, dtype=float)
-    ell0 = initial.ell0
-    inside = s <= ell0
-    fp_s = fprime(s)
-    x = np.minimum(s, ell0)
-    data = fp_s + 0.5 * (initial.y0_prime(x) + initial.y1(x))
-    # Points inside the data region take the reflection branch at the front's
-    # first echo coordinate, where every map is defined; np.where drops them.
-    r = np.where(inside, front.tau_plus.range_lo, s)
-    echo, factor = front.reflect(r)
-    early = ~inside & (echo < -ell0 * (1.0 + 1e-9) - 1e-12)
-    if np.any(early):
-        raise DomainError(f"echo point {np.extract(early, echo)[0]:g} precedes -ell0")
-    reflected = fp_s - fprime(np.maximum(echo, -ell0)) * factor
-    out = np.where(inside, data, reflected)
+    ell0, fp = initial.ell0, np.broadcast_to(fprime(s), s.shape)
+
+    def data(i):
+        x = s[i]
+        return fp[i] + 0.5 * (initial.y0_prime(x) + initial.y1(x))
+
+    def reflected(i):
+        echo, factor = front.reflect(s[i])
+        early = echo < -ell0 * (1.0 + 1e-9) - 1e-12
+        if np.any(early):
+            raise DomainError(f"echo point {np.extract(early, echo)[0]:g} precedes -ell0")
+        return fp[i] - fprime(np.maximum(echo, -ell0)) * factor
+
+    out = sides(~(s > ell0), data, reflected)  # NaN: the data formula's domain check names it
     return float(out) if out.ndim == 0 else out
 
 
@@ -435,7 +436,7 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode):
     s2_vals = -0.5 * w_plus(args) * (1.0 + bvs) / (1.0 - bvs)
 
     n3 = max(int(np.ceil(target.ellbar0 / cfg.h)), 8)
-    x3 = np.union1d(np.linspace(0.0, target.ellbar0, n3 + 1), w_minus.xs)
+    x3 = union(np.linspace(0.0, target.ellbar0, n3 + 1), w_minus.xs)
     s3_nodes = (T - x3)[::-1]
     s3_vals = 0.5 * w_minus(x3)[::-1]
 
@@ -465,15 +466,15 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode):
     breakpoints = [0.0, initial.ell0, s1, s2, T]
     marks = np.array(breakpoints + _echo_images(front, breakpoints, T))
     base = trace_s[trace_s > 0.0]
-    grid = np.union1d(np.union1d(base, np.linspace(0.0, T, int(np.ceil(T / cfg.h)) + 1)),
-                      marks)
+    grids = [base, np.linspace(0.0, T, int(np.ceil(T / cfg.h)) + 1), marks]
     if not c1_mode:
         # The +side sample's echo must clear the jump sliver of the designed
         # trace, so this offset has to dominate the trace pair spacing even
         # after the echo map contracts it.
         off = 1e-7 * max(T, 1.0)
         inner = marks[(marks > 0.0) & (marks < T)]
-        grid = np.union1d(grid, np.concatenate((inner - off, inner + off)))
+        grids += [inner - off, inner + off]
+    grid = union(*grids)
     grid = grid[(grid >= 0.0) & (grid <= T)]
     keep = np.concatenate(([True], np.diff(grid) > max(1e-12 * T, 1e-14)))
     grid = grid[keep]
@@ -484,27 +485,13 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode):
     v1 = stage1_front.speeds[-1]
     up_vals[-1] = trace_v[-1] - s1_vals[-1] * ((1.0 - v1) / (1.0 + v1))
     u_vals = initial.y0(0.0) + cumulative_trapezoid(grid, up_vals)
-    control = ControlSignal(
-        SampledFunction(grid, u_vals),
-        SampledFunction(grid, up_vals),
-        "C1" if c1_mode else "C01",
-    )
-
-    plan = InflationPlan(
-        v=v_lin,
-        t_circ=t_circ,
-        delta=delta,
-        case=case,
-        front_segment=stage1_front,
-    )
+    control = ControlSignal(SampledFunction(grid, u_vals), SampledFunction(grid, up_vals),
+                            "C1" if c1_mode else "C01")
+    plan = InflationPlan(v=v_lin, t_circ=t_circ, delta=delta, case=case,
+                         front_segment=stage1_front)
     return SynthesisReport(
-        control=control,
-        plan=plan,
-        branch=branch,
-        initial_branch=ib,
-        stage_boundaries=(s1, s2, T),
-        front=front,
-        designed_trace=designed_trace,
+        control=control, plan=plan, branch=branch, initial_branch=ib,
+        stage_boundaries=(s1, s2, T), front=front, designed_trace=designed_trace,
         stage3_junction=(stage2_limit, stage3_limit, float(junction_ref)),
     )
 

@@ -28,9 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonExceeded, IncompatibleData
-from .func1d import (
-    SampledFunction, definite_integral, pair_width, scan,
-)
+from .func1d import SampledFunction, _first_outside, definite_integral, pair_width, scan, sides
 from .model import (
     SPEED_CAP,
     ControlSignal,
@@ -85,17 +83,10 @@ class _SeedData:
 
     def fprime(self, q, up_xs, up_vs):
         """Trace slope on an array q <= ell0: the data, and the control u' on (0, ell0]."""
-        q = np.asarray(q, dtype=float)
-        if q.max(initial=-math.inf) <= 0.0:
-            out = np.interp(q, self.minus_xs, self.minus_vs)
-        elif q.min() > 0.0:
-            out = np.interp(q, up_xs, up_vs) - np.interp(q, self.plus_xs, self.plus_vs)
-        else:  # both sides of 0, or NaN (read on the control side)
-            neg, out = q <= 0.0, np.empty(q.shape)
-            out[neg] = np.interp(q[neg], self.minus_xs, self.minus_vs)
-            pos = q[~neg]
-            out[~neg] = np.interp(pos, up_xs, up_vs) - np.interp(pos, self.plus_xs, self.plus_vs)
-        return out if q.ndim else np.asarray(out)
+        q = np.asarray(q, dtype=float)  # NaN reads the control side
+        return sides(q <= 0.0, lambda i: np.interp(q[i], self.minus_xs, self.minus_vs),
+                     lambda i: np.interp(q[i], up_xs, up_vs)
+                     - np.interp(q[i], self.plus_xs, self.plus_vs))
 
 
 _FIELDS = ("s", "t", "ell", "g", "v", "fp", "tracked")
@@ -253,11 +244,19 @@ class _Core:
             g[stop] = 0.0
             return ell, g
 
-        ell, g = scan(step, (l0, g0), q.size)
-        # kappa's arguments in the order of the node-by-node march, checked against its domain
+        # Below the threshold at every node the front rests whatever ell~ is: g = +0.0.
+        # np.interp may read kappa a few ulps of its largest sample below the least one,
+        # hence the floor; a NaN slope fails the test and raises below.
+        if g0 == 0.0 and (f2 <= 0.5 * (kvs.min() - 1e-15 * kvs.max())).all():
+            ell, g = np.full(q.size + 1, l0), np.zeros(q.size + 1)
+        else:
+            ell, g = scan(step, (l0, g0), q.size)
+        # kappa's arguments in the order of the node-by-node march, evaluated only out of bounds
         run = ell[:-1] < reach
         args = [np.minimum(ell[:-1] + d * g[:-1], top)] if heun else []
-        kappa(np.column_stack(args + [np.minimum(ell[1:], top)])[run].ravel())
+        args.append(np.minimum(ell[1:], top))
+        if any(_first_outside(a[run], kxs[0], kxs[-1]) is not None for a in args):
+            kappa(np.column_stack(args)[run].ravel())
         return ell[1:], g[1:]
 
 
@@ -299,16 +298,10 @@ class SolutionRecord:
 
         A float gives a float, an array an array of the same shape.
         """
-        s = np.asarray(s, dtype=float)
-        core, ell0 = self._core, self.initial.ell0
-        if s.max(initial=-math.inf) <= ell0:
-            out = core.seed.fprime(s, core.up_xs, core.up_vs)
-        elif s.min() > ell0:
-            out = np.interp(s, core.s, core.fp)
-        else:  # both sides of ell0, or NaN (read from the nodes)
-            seeded, out = s <= ell0, np.empty(s.shape)
-            out[seeded] = core.seed.fprime(s[seeded], core.up_xs, core.up_vs)
-            out[~seeded] = np.interp(s[~seeded], core.s, core.fp)
+        s, core = np.asarray(s, dtype=float), self._core  # NaN reads the nodes
+        out = sides(s <= self.initial.ell0,
+                    lambda i: core.seed.fprime(s[i], core.up_xs, core.up_vs),
+                    lambda i: np.interp(s[i], core.s, core.fp))
         return float(out) if out.ndim == 0 else out
 
     def trace_value(self, s):
@@ -328,16 +321,14 @@ class SolutionRecord:
             f[active] += u(q[active])
             q[active] = echo = self.front.echo(q[active])
             active = active[echo > init.ell0]
-        neg = q <= 0.0
         # The data's polylines start at 0 (up to the domain slack): an antiderivative is
-        # the integral from 0.
-        if neg.any():
-            # f(s <= 0) = integral_0^{-s} (y0' - y1)/2 = -integral of the seed slope
-            f[neg] -= self._core.seed.minus_fn.antiderivative_at(-q[neg])
-        if not neg.all():
-            mid = q[~neg]
+        # the integral from 0.  f(s <= 0) = -integral_0^{-s} of the seed slope (y1 - y0')/2.
+        def data(i):
+            mid = q[i]
             half = 0.5 * (init.y0_prime.antiderivative_at(mid) + init.y1.antiderivative_at(mid))
-            f[~neg] += u(mid) - self._u0 - half
+            return u(mid) - self._u0 - half
+
+        f += sides(q <= 0.0, lambda i: -self._core.seed.minus_fn.antiderivative_at(-q[i]), data)
         f = f.reshape(np.shape(s))
         return float(f) if f.ndim == 0 else f
 

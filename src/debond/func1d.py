@@ -159,9 +159,31 @@ def scan(step, start, m):
     return states
 
 
+def union(*grids):
+    """``np.union1d`` of finite grids, in O(n) when each is sorted (a stable sort merges
+    sorted runs).  Of equal values, 0.0 and -0.0, the first in argument order is kept."""
+    x = np.sort(np.concatenate(grids), kind="stable")
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
+def sides(mask, on_true, on_false):
+    """One float array: ``on_true(i)`` where ``mask`` holds, then ``on_false(i)`` elsewhere.
+    A side that holds every point gets ``i = ...``, so the arrays it indexes keep their
+    shape (0-d too); otherwise ``i`` is a boolean mask."""
+    k = np.count_nonzero(mask)
+    if k == mask.size:
+        return np.asarray(on_true(...))
+    if k == 0:
+        return np.asarray(on_false(...))
+    out, rest = np.empty(mask.shape), ~mask
+    out[mask] = on_true(mask)
+    out[rest] = on_false(rest)
+    return out
+
+
 def merged_eval(fn_a: SampledFunction, fn_b: SampledFunction, combine):
     """Sample ``combine(a, b)`` on the union grid of two functions."""
-    grid = np.union1d(fn_a.xs, fn_b.xs)
+    grid = union(fn_a.xs, fn_b.xs)
     return grid, combine(fn_a(grid), fn_b(grid))
 
 
@@ -220,12 +242,16 @@ class MonotoneMap:
     def from_samples(cls, xs, vs) -> "MonotoneMap":
         return cls(SampledFunction(xs, vs))
 
+    @classmethod
+    def _trusted(cls, xs, vs) -> "MonotoneMap":
+        """From read-only float arrays that already pass both classes' checks."""
+        fn, out = object.__new__(SampledFunction), object.__new__(cls)
+        vars(fn).update(xs=xs, vs=vs)
+        vars(out).update(fn=fn)
+        return out
+
     def __call__(self, t):
         return self.fn(t)
-
-    @property
-    def range_lo(self) -> float:
-        return float(self.fn.vs[0])
 
     @property
     def range_hi(self) -> float:

@@ -25,7 +25,7 @@ from .errors import (
     InvalidToughness,
     SpeedOutOfRange,
 )
-from .func1d import MonotoneMap, SampledFunction, derivative, merged_eval
+from .func1d import _MIN_SPACING, MonotoneMap, SampledFunction, derivative, merged_eval
 
 VALID_REGULARITY = ("C01", "C1")
 
@@ -117,10 +117,6 @@ class Toughness:
                 return self.kappa
             return np.full(np.shape(x), self.kappa)
         return self.kappa(x)
-
-    def clamped(self, x):
-        """kappa on an array x held to the sampled range, never raising: for trial values."""
-        return self(x) if self.is_constant else np.interp(x, self.kappa.xs, self.kappa.vs)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +227,10 @@ class FrontCurve:
         v = np.ascontiguousarray(self.speeds, dtype=float)
         if not (t.shape == p.shape == v.shape) or t.ndim != 1 or t.size < 2:
             raise ValueError("times, positions, speeds must be equal-length 1-D arrays")
-        # One reduction per bound, each failed by NaN; tau_plus rejects an infinite value.
+        # One reduction per bound, each failed by NaN.
         dt, dp = t[1:] - t[:-1], p[1:] - p[:-1]
-        if not dt.min() > 0.0:
+        dt_min = dt.min()
+        if not dt_min > 0.0:
             raise ValueError("times must be strictly increasing")
         if not dp.min() >= -1e-9 * max(p.max(), 1.0):
             raise ValueError("front positions must be nondecreasing")
@@ -241,10 +238,22 @@ class FrontCurve:
             raise ValueError("front speeds must lie in [0, 1)")
         if not (dt - dp).min() > 0.0:
             raise ValueError("front advanced a full time step; tau_minus not invertible")
+        # tau_plus's checks in their order: t and t + ell finite (t rises, so its ends
+        # tell, and t + ell's do where it rises), the spacing of t, t + ell rising.
+        tp = t + p
+        tp.setflags(write=False)
+        ends = all(map(math.isfinite, (t[0], t[-1], tp[0], tp[-1])))
+        rising = ends and (tp[1:] - tp[:-1]).min() > 0.0
+        if not (rising or ends and np.isfinite(tp).all()):
+            raise ValueError("abscissae and values must be finite")
+        if dt_min < _MIN_SPACING * (t[-1] - t[0]):
+            raise ValueError("abscissae must increase with spacing >= 1e-12 * span")
+        if not rising:
+            raise ValueError("values must be strictly increasing")
         for name, arr in (("times", t), ("positions", p), ("speeds", v)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "tau_plus", MonotoneMap.from_samples(t, t + p))
+        object.__setattr__(self, "tau_plus", MonotoneMap._trusted(t, tp))
 
     @functools.cached_property
     def tau_minus(self) -> MonotoneMap:

@@ -180,6 +180,45 @@ def test_uprime_zero_trace():
     assert uprime_from_fprime(lambda s: 0.0, seg, st, 3.0) == 0.0
 
 
+def _uprime_by_where(fprime, front, initial, s):
+    """u' from the data formula and the reflection at every point, picked by np.where."""
+    s = np.asarray(s, dtype=float)
+    ell0 = initial.ell0
+    inside = s <= ell0
+    fp_s = fprime(s)
+    x = np.minimum(s, ell0)
+    data = fp_s + 0.5 * (initial.y0_prime(x) + initial.y1(x))
+    echo, factor = front.reflect(np.where(inside, front.tau_plus.fn.vs[0], s))
+    reflected = fp_s - fprime(np.maximum(echo, -ell0)) * factor
+    return np.where(inside, data, reflected)
+
+
+def test_uprime_each_side_on_its_points_equals_the_where_formulation():
+    initial = make_initial(1.0, lambda x: 0.3 * x * (1.0 - x), lambda x: 0.5 * math.cos(3.0 * x))
+    target = make_target(1.5, lambda x: 0.0, lambda x: 0.0)
+    kappa = Toughness(0.8)
+    branch = solve_final_branch(target, kappa, 5.0, BranchPolicy("prefer_static", h=H))
+    rep = synthesize_c01(initial, target, kappa, 5.0, branch, SolverConfig(h=H, T=5.0))
+    s = np.concatenate((np.linspace(0.0, 5.0, 389), [1.0, np.nextafter(1.0, 2.0), 0.999]))
+    for points in (s, s[s <= 1.0], s[s > 1.0], s.reshape(-1, 7)):
+        got = uprime_from_fprime(rep.designed_trace, rep.front, initial, points)
+        want = _uprime_by_where(rep.designed_trace, rep.front, initial, points)
+        assert got.shape == points.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    shapes = []
+
+    def fprime(q):
+        shapes.append(np.shape(q))
+        return rep.designed_trace(q)
+
+    for point in (0.5, 1.0, 3.5):  # a float: fprime sees 0-d arrays, and a float comes back
+        shapes.clear()
+        got = uprime_from_fprime(fprime, rep.front, initial, point)
+        assert type(got) is float and got == float(_uprime_by_where(
+            rep.designed_trace, rep.front, initial, point))
+        assert shapes == [()] * (1 if point <= 1.0 else 2)
+
+
 # -- C01 synthesis ------------------------------------------------------------------
 
 def test_zero_to_zero_c01_is_null_steering():
@@ -530,3 +569,36 @@ def test_static_c1_rejects_an_active_target():
     initial, target, kappa = _c1_moving_problem(0.0)
     with pytest.raises(IncompatibleTarget, match="does not match the classification alpha = 0.3"):
         synthesize_static_c1(initial, target, kappa, 6.0, SolverConfig(h=H, T=6.0))
+
+
+def _from_minus_zero(fn):
+    """fn's samples with the first abscissa, 0.0, written as -0.0."""
+    xs = fn.xs.copy()
+    assert xs[0] == 0.0
+    xs[0] = -0.0
+    return SampledFunction(xs, fn.vs)
+
+
+def test_round_trip_does_not_depend_on_the_sign_of_a_zero_abscissa():
+    # Grid unions (the data halves, w_plus and w_minus, the backward nodes, stage 3)
+    # here meet 0.0 from one table and -0.0 from another; which one a union keeps
+    # must not change a bit of the result.
+    initial = make_initial(1.0, lambda x: 0.1 * x * (1.0 - x), lambda x: 0.2, n=50)
+    target = make_target(2.0, lambda x: 0.0, lambda x: math.sqrt(2.0 / 3.0), n=8)
+    kx = np.linspace(0.0, 8.0, 65)
+    kappa = Toughness(SampledFunction(kx, 1.0 + 0.05 * np.sin(1.3 * kx)))
+    cfg = SolverConfig(h=H, T=6.0)
+    runs = []
+    for init, tgt in ((initial, target),
+                      (InitialState(1.0, _from_minus_zero(initial.y0), initial.y1),
+                       TargetState(2.0, _from_minus_zero(target.ybar0), target.ybar1))):
+        branch = solve_final_branch(tgt, kappa, 6.0, BranchPolicy("prefer_moving", h=H))
+        rep = synthesize_c01(init, tgt, kappa, 6.0, branch, cfg)
+        core = verify_synthesis(rep, init, tgt, kappa, cfg).solution._core
+        assert np.signbit(init.data_halves[1][0][0]) == (init is not initial)  # y0' first
+        runs.append([rep.control.u.xs, rep.control.u.vs, rep.control.uprime.vs,
+                     rep.designed_trace.xs, rep.designed_trace.vs, rep.front.positions,
+                     branch.front_segment.times, core.t, core.ell, core.fp])
+    assert np.signbit(runs[1][0][0]) == np.signbit(runs[0][0][0])  # u starts at +0.0
+    for got, want in zip(*runs):
+        assert got.tobytes() == want.tobytes()

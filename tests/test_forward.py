@@ -481,6 +481,16 @@ def _sampled_kappa(fn, x_max=8.0, n=64):
     return Toughness(SampledFunction(xk, fn(xk)))
 
 
+def _counting_scan(passes):
+    """``scan`` that records each pass's window in ``passes``."""
+    def counting_scan(step, start, m):
+        def counted(lo, hi, *prev):
+            passes.append((lo, hi))
+            return step(lo, hi, *prev)
+        return scan(counted, start, m)
+    return counting_scan
+
+
 @pytest.mark.parametrize("scheme", ["euler", "heun"])
 def test_sampled_kappa_scan_matches_the_node_by_node_march(monkeypatch, scheme):
     kappa = _sampled_kappa(lambda x: 1.0 + 0.1 * np.sin(1.3 * x + 0.4))
@@ -501,14 +511,7 @@ def test_stiff_kappa_scan_takes_many_passes_and_still_matches(monkeypatch):
     # commits only a short run of nodes, yet it ends on the loop's output.
     kappa = _sampled_kappa(lambda x: 0.3 + 0.25 * np.sin(300.0 * x), n=8000)
     passes = []
-
-    def counting_scan(step, start, m):
-        def counted(lo, hi, *prev):
-            passes.append((lo, hi))
-            return step(lo, hi, *prev)
-        return scan(counted, start, m)
-
-    monkeypatch.setattr(forward, "scan", counting_scan)
+    monkeypatch.setattr(forward, "scan", _counting_scan(passes))
     st = make_state(1.0, lambda x: 0.0, lambda x: 2.0)
     sol, ref = _solve_with_both(monkeypatch, st, ControlSignal.zero(3.0), kappa,
                                 SolverConfig(h=2e-3, T=3.0))
@@ -671,3 +674,57 @@ def test_reconstruct_on_an_empty_grid_gives_empty_arrays():
     for bad in ([0.5, -1e-9], [sol.front.ell(3.0) * (1.0 + 1e-9)]):
         with pytest.raises(DomainError, match="beyond the front"):
             sol.reconstruct(3.0, bad)
+
+
+# -- sampled toughness: blocks at rest in closed form --------------------------------
+
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+def test_blocks_at_rest_run_no_scan_pass_and_match_the_loop(monkeypatch, scheme):
+    # Zero data and zero control: every block rests, so no pass runs, and the
+    # store equals the node-by-node loop's bit for bit.
+    kappa = _sampled_kappa(lambda x: 1.0 + 0.1 * np.sin(1.3 * x + 0.4))
+    passes = []
+    monkeypatch.setattr(forward, "scan", _counting_scan(passes))
+    sol, ref = _solve_with_both(monkeypatch, zero_state(), ControlSignal.zero(4.0), kappa,
+                                SolverConfig(h=1e-3, T=4.0, scheme=scheme))
+    assert passes == []
+    for name in forward._FIELDS:
+        assert _same_bits(getattr(sol._core, name), getattr(ref._core, name)), name
+    assert np.all(sol._core.g == 0.0) and np.all(sol.front.positions == 1.0)
+
+
+# kappa's least sample is 2 (c / 2)^2 and np.interp reads it 1e-15 lower at
+# x = DIP, a few ulps left of the node, so a slope of exactly c / 2 moves the front.
+C, DIP = 0.8797475571522848, 1.87468479039511
+DIP_KAPPA_NODES = ([0.0, 0.5201738573778419, 1.8746847903951103, 8.0], 5.212258094087653)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+@pytest.mark.parametrize("above", [0, 1], ids=["half-kappa-min", "one-ulp-above"])
+def test_slope_at_the_threshold_matches_the_loop_bit_for_bit(monkeypatch, scheme, above):
+    half_sq = (0.5 * C) * (0.5 * C)  # f'^2 on the data block [-ell0, 0]
+    k_min = 2.0 * (np.nextafter(half_sq, 0.0) if above else half_sq)
+    xk, top = DIP_KAPPA_NODES
+    kappa = Toughness(SampledFunction(xk, [top, top, k_min, k_min]))
+    st = make_state(DIP, lambda x: 0.0, lambda x: C, n=4)
+    sol, ref = _solve_with_both(monkeypatch, st, ControlSignal.zero(4.0), kappa,
+                                SolverConfig(h=1e-2, T=4.0, scheme=scheme))
+    for name in forward._FIELDS:
+        assert _same_bits(getattr(sol._core, name), getattr(ref._core, name)), name
+    first = sol._core.s <= 0.0
+    assert np.all(sol._core.fp[first] * sol._core.fp[first] == half_sq)
+    if not above:  # kappa read below its least sample: the front is not at rest
+        assert np.interp(DIP, xk, [top, top, k_min, k_min]) < k_min
+        assert np.all(sol._core.g[first][1:] > 0.0)
+
+
+def test_nan_slope_in_a_block_below_the_threshold_raises_as_before():
+    # Every other slope rests: a NaN must not let the block pass as one at rest.
+    kappa = _sampled_kappa(lambda x: 1.0 + 0.1 * np.sin(1.3 * x + 0.4))
+    for scheme in ("euler", "heun"):
+        core = solve_front(zero_state(), ControlSignal.zero(3.0), kappa,
+                           SolverConfig(h=1e-2, T=3.0, scheme=scheme))._core
+        fp = np.full(50, 0.1)
+        fp[20] = np.nan
+        with pytest.raises(DomainError, match=r"^evaluation at nan outside domain \[0, 8\]$"):
+            core._march(np.linspace(0.01, 0.5, 50), fp, 0.0, 1.0, 0.0)

@@ -11,7 +11,7 @@ from debond import (
     derivative,
     from_callable,
 )
-from debond.func1d import cumulative_trapezoid
+from debond.func1d import cumulative_trapezoid, sides, union
 
 
 def test_evaluate_constant():
@@ -267,3 +267,61 @@ def test_segment_tables_are_built_on_the_first_integral():
         assert "_segments" not in vars(table_owner)
     assert fn.antiderivative_at(2.0) == 3.0
     assert "_segments" in vars(fn)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("grids", [
+    ([0.0, 0.5, 1.0], [0.25, 0.5, 0.75, 1.0]),  # sorted, sharing nodes
+    ([1.0, 0.2, 0.7, 0.2], [0.9, 0.1, 0.7]),  # unsorted, with repeats
+    ([3.0, 3.0, 3.0], [3.0]),  # one value
+    ([-0.0, 0.5], [-0.0, 0.25, 1.0]),  # one zero's sign on both sides
+    ([0.0, 1.0], [-1.0, 0.0, 2.0]),
+    ([-2.0, -0.0], [-1.0]),
+], ids=["sorted", "unsorted", "repeats", "minus-zero", "plus-zero", "zero-one-side"])
+def test_union_equals_union1d(grids):
+    a, b = (np.array(g) for g in grids)
+    assert _bits(union(a, b)) == _bits(np.union1d(a, b))
+    assert _bits(union(b, a)) == _bits(np.union1d(b, a))
+    c = np.array([0.3, 5.0])
+    assert _bits(union(a, b, c)) == _bits(np.union1d(np.union1d(a, b), c))
+
+
+def test_union_of_long_sorted_grids_equals_union1d():
+    rng = np.random.default_rng(4)
+    a = np.linspace(0.0, 6.0, 5001)
+    b = np.sort(np.concatenate((rng.uniform(0.0, 6.0, 6000), a[::7])))
+    c = rng.uniform(-1.0, 7.0, 20)
+    assert _bits(union(a, b, c)) == _bits(np.union1d(np.union1d(a, b), c))
+    assert _bits(union(b)) == _bits(np.unique(b))
+
+
+def test_union_keeps_the_first_of_two_signed_zeros():
+    # np.union1d's pick between 0.0 and -0.0 follows its hash table; the merge
+    # keeps the first in argument order.
+    assert _bits(union(np.array([0.0, 1.0]), np.array([-0.0]))) == _bits([0.0, 1.0])
+    assert _bits(union(np.array([-0.0, 1.0]), np.array([0.0]))) == _bits([-0.0, 1.0])
+
+
+@pytest.mark.parametrize("x", [-1.0, 2.0, np.array(-1.0), np.array([-1.0, -2.0]),
+                               np.array([1.0, 2.0]), np.array([1.0, -2.0, np.nan, 3.0]),
+                               np.empty(0)])
+def test_sides_equals_where(x):
+    x = np.asarray(x, dtype=float)
+    seen = []
+
+    def side(sign):
+        def f(i):
+            seen.append(np.shape(x[i]))
+            return sign * x[i] + 1.0
+        return f
+
+    out = sides(x > 0.0, side(2.0), side(-1.0))
+    assert out.shape == x.shape and out.dtype == float
+    assert _bits(out) == _bits(np.where(x > 0.0, 2.0 * x + 1.0, -1.0 * x + 1.0))
+    one_side = not (x > 0.0).any() or (x > 0.0).all()
+    # a side that takes every point sees x's own shape, 0-d included; else True goes first
+    assert seen == ([x.shape] if one_side else [(np.count_nonzero(x > 0.0),),
+                                                (np.count_nonzero(~(x > 0.0)),)])

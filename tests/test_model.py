@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from debond import (
     IncompatibleTarget,
     InitialState,
     InvalidToughness,
+    MonotoneMap,
     SampledFunction,
     SpeedOutOfRange,
     TargetState,
@@ -308,3 +310,37 @@ def test_state_combinations_are_built_once_and_equal_a_fresh_merge():
     for (grid, values), (grid_ref, values_ref) in zip(halves, fresh):
         assert grid.tobytes() == grid_ref.tobytes() and values.tobytes() == values_ref.tobytes()
         assert not (grid.flags.writeable or values.flags.writeable)  # shared by every solve
+
+
+_P = 1e308
+_A = float(2**1024 - 2**970 - int(_P))  # _A + _P rounds to inf, _A + 1e297 + _P - 9e298 does not
+
+
+@pytest.mark.parametrize("times, positions, message", [
+    ([0.0, 0.5, INF], [1.0, 1.0, 1.0], "abscissae and values must be finite"),
+    ([-INF, 0.0, 1.0], [1.0, 1.0, 1.0], "abscissae and values must be finite"),
+    ([0.0, NAN, 1.0], [1.0, 1.0, 1.0], "times must be strictly increasing"),
+    ([0.0, 0.5, 1.0], [INF, 1.0, 1.0], "abscissae and values must be finite"),
+    ([0.0, _A, _A + 1e297], [_P, _P, _P - 9e298], "abscissae and values must be finite"),
+    ([0.0, 1e-13, 1.0], [1.0, 1.0, 1.0],
+     r"abscissae must increase with spacing >= 1e-12 \* span"),
+    ([0.0, 1e-6, 1.0], [1e4, 1e4 - 5e-6, 1e4 - 5e-6], "values must be strictly increasing"),
+], ids=["inf-time", "minus-inf-time", "nan-time", "inf-position", "t-plus-ell-overflows-inside",
+        "spacing", "t-plus-ell-falls"])
+def test_front_curve_checks_tau_plus_in_one_pass_with_its_messages(times, positions, message):
+    # The messages, and which one a front gets, are those of building tau_plus
+    # through SampledFunction and MonotoneMap.
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError) as err:
+        FrontCurve(np.array(times), np.array(positions), np.zeros(3))
+    assert re.fullmatch(message, str(err.value))
+
+
+def test_front_curve_tau_plus_equals_the_checked_map():
+    ts = np.linspace(0.0, 3.0, 31)
+    front = FrontCurve(ts, 1.0 + 0.2 * ts, np.full(31, 0.2))
+    checked = MonotoneMap.from_samples(front.times, front.times + front.positions)
+    for got, want in ((front.tau_plus.fn.xs, checked.fn.xs), (front.tau_plus.fn.vs, checked.fn.vs)):
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable
+    assert front.tau_plus.fn.xs is front.times
+    s = np.linspace(1.0, 4.6, 13)
+    assert front.tau_plus.invert(s).tobytes() == checked.invert(s).tobytes()
