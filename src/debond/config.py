@@ -18,8 +18,22 @@ from .errors import InvalidToughness
 from .func1d import SampledFunction, derivative
 from .model import ControlSignal, InitialState, TargetState, Toughness
 
-_PRESETS = ("constant", "linear", "sine")
+# Each preset: its parameters with their defaults (None where required), then its
+# values and its exact slopes on a grid xs, given those parameters.
+_PRESETS = {
+    "constant": ({"value": None},
+                 lambda xs, value: np.full(xs.size, value),
+                 lambda xs, value: np.zeros(xs.size)),
+    "linear": ({"intercept": None, "slope": None},
+               lambda xs, intercept, slope: intercept + slope * xs,
+               lambda xs, intercept, slope: np.full(xs.size, slope)),
+    "sine": ({"amplitude": None, "omega": None, "phase": 0.0},
+             lambda xs, amplitude, omega, phase: amplitude * np.sin(omega * xs + phase),
+             lambda xs, amplitude, omega, phase: amplitude * omega * np.cos(omega * xs + phase)),
+}
 _DEFAULT_RESOLUTION = 512
+# Each state section: its length field and its two sampled functions.
+_STATES = {"initial": ("ell0", ("y0", "y1")), "target": ("ellbar0", ("ybar0", "ybar1"))}
 
 
 class ConfigError(ValueError):
@@ -72,20 +86,14 @@ def _normalize_function(spec, path):
         return {"samples": table}
     preset = _require(spec, "preset", f"{path}.")
     if preset not in _PRESETS:
-        raise ConfigError(f"{path}.preset", f"unknown preset {preset!r}; use one of {_PRESETS}")
+        raise ConfigError(f"{path}.preset",
+                          f"unknown preset {preset!r}; use one of {tuple(_PRESETS)}")
     resolution = _number(spec, "resolution", f"{path}.", default=_DEFAULT_RESOLUTION)
     out = {"preset": preset, "resolution": int(resolution)}
     if out["resolution"] < 1:
         raise ConfigError(f"{path}.resolution", "resolution must be at least 1")
-    if preset == "constant":
-        out["value"] = _number(spec, "value", f"{path}.")
-    elif preset == "linear":
-        out["intercept"] = _number(spec, "intercept", f"{path}.")
-        out["slope"] = _number(spec, "slope", f"{path}.")
-    else:
-        out["amplitude"] = _number(spec, "amplitude", f"{path}.")
-        out["omega"] = _number(spec, "omega", f"{path}.")
-        out["phase"] = _number(spec, "phase", f"{path}.", default=0.0)
+    for key, default in _PRESETS[preset][0].items():
+        out[key] = _number(spec, key, f"{path}.", default=default)
     return out
 
 
@@ -99,24 +107,15 @@ def build_function(spec, lo, hi, path="function"):
             raise ConfigError(
                 f"{path}.samples", f"table must span [{lo:g}, {hi:g}], got [{xs[0]:g}, {xs[-1]:g}]"
             )
-        fn = SampledFunction(xs, vs)
+        try:
+            fn = SampledFunction(xs, vs)
+        except ValueError as err:
+            raise ConfigError(f"{path}.samples", str(err)) from err
         return fn, derivative(fn)
-    n = spec["resolution"]
-    xs = np.linspace(lo, hi, n + 1)
-    preset = spec["preset"]
-    if preset == "constant":
-        c = spec["value"]
-        fn = SampledFunction(xs, np.full(n + 1, c))
-        fnp = SampledFunction(xs, np.zeros(n + 1))
-    elif preset == "linear":
-        a, b = spec["intercept"], spec["slope"]
-        fn = SampledFunction(xs, a + b * xs)
-        fnp = SampledFunction(xs, np.full(n + 1, b))
-    else:
-        A, om, ph = spec["amplitude"], spec["omega"], spec["phase"]
-        fn = SampledFunction(xs, A * np.sin(om * xs + ph))
-        fnp = SampledFunction(xs, A * om * np.cos(om * xs + ph))
-    return fn, fnp
+    xs = np.linspace(lo, hi, spec["resolution"] + 1)
+    params, values, slopes = _PRESETS[spec["preset"]]
+    args = {key: spec[key] for key in params}
+    return SampledFunction(xs, values(xs, **args)), SampledFunction(xs, slopes(xs, **args))
 
 
 @dataclass
@@ -135,28 +134,23 @@ class ScenarioConfig:
 
     # -- builders ----------------------------------------------------------
 
-    def build_initial(self) -> InitialState:
-        if self.initial is None:
-            raise ConfigError("initial", "section required for this command")
-        ell0 = self.initial["ell0"]
-        y0, _ = build_function(self.initial["y0"], 0.0, ell0, "initial.y0")
-        y1, _ = build_function(self.initial["y1"], 0.0, ell0, "initial.y1")
+    def _build_state(self, name, state_type, **kwargs):
+        section = getattr(self, name)
+        if section is None:
+            raise ConfigError(name, "section required for this command")
+        length_key, keys = _STATES[name]
+        ell = section[length_key]
+        y0, y1 = (build_function(section[key], 0.0, ell, f"{name}.{key}")[0] for key in keys)
         try:
-            return InitialState(ell0, y0, y1, self.initial["regularity"])
+            return state_type(ell, y0, y1, section["regularity"], **kwargs)
         except ValueError as err:
-            raise ConfigError("initial", str(err)) from err
+            raise ConfigError(name, str(err)) from err
+
+    def build_initial(self) -> InitialState:
+        return self._build_state("initial", InitialState)
 
     def build_target(self, strict=True) -> TargetState:
-        if self.target is None:
-            raise ConfigError("target", "section required for this command")
-        ellbar0 = self.target["ellbar0"]
-        y0, _ = build_function(self.target["ybar0"], 0.0, ellbar0, "target.ybar0")
-        y1, _ = build_function(self.target["ybar1"], 0.0, ellbar0, "target.ybar1")
-        tol = 1e-8 if strict else math.inf
-        try:
-            return TargetState(ellbar0, y0, y1, self.target["regularity"], tol=tol)
-        except ValueError as err:
-            raise ConfigError("target", str(err)) from err
+        return self._build_state("target", TargetState, tol=1e-8 if strict else math.inf)
 
     def build_toughness(self) -> Toughness:
         spec = dict(self.toughness)
@@ -211,12 +205,12 @@ class ScenarioConfig:
         )
 
 
-def _normalize_state(section, name, length_key):
+def _normalize_state(section, name):
+    length_key, keys = _STATES[name]
     ell = _number(section, length_key, f"{name}.", positive=True)
     reg = section.get("regularity", "C01")
     if reg not in ("C01", "C1"):
         raise ConfigError(f"{name}.regularity", "must be 'C01' or 'C1'")
-    keys = ("y0", "y1") if name == "initial" else ("ybar0", "ybar1")
     out = {length_key: ell, "regularity": reg}
     for key in keys:
         out[key] = _normalize_function(_require(section, key, f"{name}."), f"{name}.{key}")
@@ -255,9 +249,9 @@ def parse_config(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig(T=T, solver=solver, toughness=toughness)
 
     if "initial" in doc:
-        cfg.initial = _normalize_state(doc["initial"], "initial", "ell0")
+        cfg.initial = _normalize_state(doc["initial"], "initial")
     if "target" in doc:
-        cfg.target = _normalize_state(doc["target"], "target", "ellbar0")
+        cfg.target = _normalize_state(doc["target"], "target")
     if "control" in doc:
         cfg.control = {"u": _normalize_function(_require(doc["control"], "u", "control."), "control.u")}
     if "branch" in doc:

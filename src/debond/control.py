@@ -312,7 +312,7 @@ def _echo_images(front, seeds, T):
     out = []
     s = np.asarray(seeds, dtype=float)
     while True:
-        s = s[s < front.tau_minus.range_hi - 1e-12]
+        s = s[s < front.tau_minus.fn.vs[-1] - 1e-12]
         if not s.size:
             return out
         s = front.tau_plus(front.tau_minus.invert(s))
@@ -351,7 +351,7 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode):
                 f"initial data violates C1 compatibility: {worst.name} residual "
                 f"{worst.residual:.3g}"
             )
-        alpha = classify_final_state(target, kappa, tol=1e-6)
+        alpha = classify_final_state(target, kappa)
         if abs(branch.alpha - alpha) > ctol:
             raise IncompatibleTarget(
                 f"branch terminal speed {branch.alpha:.6g} does not match the "

@@ -54,10 +54,10 @@ class SampledFunction:
             raise ValueError("abscissae and values must be 1-D arrays of equal length")
         if xs.size < 2:
             raise ValueError("need at least two samples")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+        if not (np.isfinite(xs).all() and np.isfinite(vs).all()):
             raise ValueError("abscissae and values must be finite")
         span = xs[-1] - xs[0]
-        if span <= 0.0 or np.any(xs[1:] - xs[:-1] < _MIN_SPACING * span):
+        if not (span > 0.0 and (xs[1:] - xs[:-1]).min() >= _MIN_SPACING * span):
             raise ValueError("abscissae must increase with spacing >= 1e-12 * span")
         for name, arr in (("xs", xs), ("vs", vs)):
             arr.setflags(write=False)
@@ -235,27 +235,15 @@ class MonotoneMap:
     fn: SampledFunction
 
     def __post_init__(self):
-        if np.any(self.fn.vs[1:] - self.fn.vs[:-1] <= 0.0):
+        if not (self.fn.vs[1:] - self.fn.vs[:-1]).min() > 0.0:
             raise ValueError("values must be strictly increasing")
 
     @classmethod
     def from_samples(cls, xs, vs) -> "MonotoneMap":
         return cls(SampledFunction(xs, vs))
 
-    @classmethod
-    def _trusted(cls, xs, vs) -> "MonotoneMap":
-        """From read-only float arrays that already pass both classes' checks."""
-        fn, out = object.__new__(SampledFunction), object.__new__(cls)
-        vars(fn).update(xs=xs, vs=vs)
-        vars(out).update(fn=fn)
-        return out
-
     def __call__(self, t):
         return self.fn(t)
-
-    @property
-    def range_hi(self) -> float:
-        return float(self.fn.vs[-1])
 
     def invert(self, s):
         vs, xs = self.fn.vs, self.fn.xs

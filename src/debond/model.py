@@ -25,7 +25,7 @@ from .errors import (
     InvalidToughness,
     SpeedOutOfRange,
 )
-from .func1d import _MIN_SPACING, MonotoneMap, SampledFunction, derivative, merged_eval
+from .func1d import MonotoneMap, SampledFunction, constant, derivative, merged_eval
 
 VALID_REGULARITY = ("C01", "C1")
 
@@ -229,8 +229,7 @@ class FrontCurve:
             raise ValueError("times, positions, speeds must be equal-length 1-D arrays")
         # One reduction per bound, each failed by NaN.
         dt, dp = t[1:] - t[:-1], p[1:] - p[:-1]
-        dt_min = dt.min()
-        if not dt_min > 0.0:
+        if not dt.min() > 0.0:
             raise ValueError("times must be strictly increasing")
         if not dp.min() >= -1e-9 * max(p.max(), 1.0):
             raise ValueError("front positions must be nondecreasing")
@@ -238,22 +237,11 @@ class FrontCurve:
             raise ValueError("front speeds must lie in [0, 1)")
         if not (dt - dp).min() > 0.0:
             raise ValueError("front advanced a full time step; tau_minus not invertible")
-        # tau_plus's checks in their order: t and t + ell finite (t rises, so its ends
-        # tell, and t + ell's do where it rises), the spacing of t, t + ell rising.
-        tp = t + p
-        tp.setflags(write=False)
-        ends = all(map(math.isfinite, (t[0], t[-1], tp[0], tp[-1])))
-        rising = ends and (tp[1:] - tp[:-1]).min() > 0.0
-        if not (rising or ends and np.isfinite(tp).all()):
-            raise ValueError("abscissae and values must be finite")
-        if dt_min < _MIN_SPACING * (t[-1] - t[0]):
-            raise ValueError("abscissae must increase with spacing >= 1e-12 * span")
-        if not rising:
-            raise ValueError("values must be strictly increasing")
+        tau_plus = MonotoneMap.from_samples(t, t + p)
         for name, arr in (("times", t), ("positions", p), ("speeds", v)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "tau_plus", MonotoneMap._trusted(t, tp))
+        object.__setattr__(self, "tau_plus", tau_plus)
 
     @functools.cached_property
     def tau_minus(self) -> MonotoneMap:
@@ -300,8 +288,6 @@ class ControlSignal:
 
     @classmethod
     def zero(cls, T: float, regularity: str = "C1") -> "ControlSignal":
-        from .func1d import constant
-
         return cls(constant(0.0, 0.0, T), constant(0.0, 0.0, T), regularity)
 
     @property

@@ -151,6 +151,18 @@ def test_non_finite_number_names_field(tmp_path, capsys, old, new, field):
         ("T: 3.0", "T: 0.0", "'T'"),
         ("{h: 1.0e-3,", "{h: -1.0e-3,", "'solver.h'"),
         ("T: 3.0", "T: 3.0\noutput: {state_points: 0.5}", "'output.state_points'"),
+        # sample tables whose x does not increase
+        ("  y0: {preset: constant, value: 0.0}",
+         "  y0: {samples: [[0.0, 0.0], [0.7, 0.0], [0.3, 0.0], [1.0, 0.0]]}",
+         "'initial.y0.samples'"),
+        ("  y0: {preset: constant, value: 0.0}",
+         "  y0: {samples: [[0.0, 0.0], [0.5, 0.0], [0.5, 0.0], [1.0, 0.0]]}",
+         "'initial.y0.samples'"),
+        ("u: {preset: constant, value: 0.0}",
+         "u: {samples: [[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [3.0, 0.0]]}", "'control.u.samples'"),
+        ("toughness: {preset: constant, value: 1.0}",
+         "toughness: {samples: [[0.0, 1.0], [2.0, 1.0], [2.0, 1.0], [4.0, 1.0]]}",
+         "'toughness.samples'"),
     ],
 )
 def test_invalid_input_exits_2_naming_field(tmp_path, capsys, old, new, field):
@@ -402,6 +414,36 @@ def test_verify_replay_of_own_control_is_identical(tmp_path):
     ])
     assert code == 0
     assert (replay / "verify.csv").read_bytes() == (out / "verify.csv").read_bytes()
+
+
+@pytest.mark.parametrize("spec, values, slopes", [
+    ("preset: constant, value: -0.3",
+     lambda xs: np.full(xs.size, -0.3), lambda xs: np.zeros(xs.size)),
+    ("preset: linear, intercept: 0.7, slope: -1.3",
+     lambda xs: 0.7 + -1.3 * xs, lambda xs: np.full(xs.size, -1.3)),
+    ("preset: sine, amplitude: 0.3, omega: 2.1, phase: 0.4",
+     lambda xs: 0.3 * np.sin(2.1 * xs + 0.4), lambda xs: 0.3 * 2.1 * np.cos(2.1 * xs + 0.4)),
+    ("preset: sine, amplitude: 0.3, omega: 2.1",  # the phase defaults to 0
+     lambda xs: 0.3 * np.sin(2.1 * xs + 0.0), lambda xs: 0.3 * 2.1 * np.cos(2.1 * xs + 0.0)),
+])
+@pytest.mark.parametrize("resolution", [None, 37])
+def test_presets_sample_their_values_and_exact_slopes_bit_for_bit(spec, values, slopes,
+                                                                  resolution):
+    if resolution is not None:
+        spec += f", resolution: {resolution}"
+    cfg = parse_config(STATIC_ZERO.replace("u: {preset: constant, value: 0.0}", f"u: {{{spec}}}"))
+    fn, fn_prime = config.build_function(cfg.control["u"], 0.3, 2.9)
+    xs = np.linspace(0.3, 2.9, (resolution or 512) + 1)
+    for got, want in ((fn.xs, xs), (fn.vs, values(xs)), (fn_prime.xs, xs),
+                      (fn_prime.vs, slopes(xs))):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_unknown_preset_lists_the_presets():
+    with pytest.raises(config.ConfigError) as err:
+        parse_config(STATIC_ZERO.replace("u: {preset: constant", "u: {preset: cubic"))
+    assert str(err.value) == ("config field 'control.u.preset': unknown preset 'cubic'; "
+                              "use one of ('constant', 'linear', 'sine')")
 
 
 def test_removed_speed_clamp_key_is_ignored(tmp_path):

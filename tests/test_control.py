@@ -20,6 +20,7 @@ from debond import (
     Toughness,
 )
 from debond.branch import BranchPolicy, solve_final_branch, static_branch
+from debond.cli import main
 from debond.config import parse_config
 from debond.control import (
     fprime_for_prescribed_front,
@@ -569,6 +570,38 @@ def test_static_c1_rejects_an_active_target():
     initial, target, kappa = _c1_moving_problem(0.0)
     with pytest.raises(IncompatibleTarget, match="does not match the classification alpha = 0.3"):
         synthesize_static_c1(initial, target, kappa, 6.0, SolverConfig(h=H, T=6.0))
+
+
+NEAR_PASSIVE_C1 = """\
+T: 6.0
+solver: {h: 1.0e-3, scheme: heun}
+toughness: {preset: constant, value: 1.0}
+initial:
+  ell0: 1.0
+  regularity: C1
+  y0: {preset: constant, value: 0.0}
+  y1: {preset: constant, value: 0.0}
+target:
+  ellbar0: 2.0
+  regularity: C1
+  ybar0: {preset: sine, amplitude: 0.1, omega: 1.5707963267948966}
+  ybar1: {preset: constant, value: 1.0e-7}
+"""
+
+
+def test_terminal_classification_agrees_across_synthesis_branch_and_check_admissible(tmp_path):
+    # |ybar1(ellbar0)| = 1e-7: passive only at a tolerance above 1e-8, active at none.
+    cfg = parse_config(NEAR_PASSIVE_C1)
+    initial, target, kappa = cfg.build_initial(), cfg.build_target(), cfg.build_toughness()
+    with pytest.raises(IncompatibleTarget, match="matches neither passive"):
+        synthesize_static_c1(initial, target, kappa, 6.0, cfg.solver_config())
+    with pytest.raises(IncompatibleTarget, match="matches neither passive"):
+        solve_final_branch(target, kappa, 6.0, cfg.branch_policy())
+    path = tmp_path / "scenario.yaml"
+    path.write_text(NEAR_PASSIVE_C1)
+    assert main(["check-admissible", "--config", str(path), "--out", str(tmp_path)]) == 1
+    rows = (tmp_path / "admissibility.csv").read_text().splitlines()
+    assert any(row.startswith("terminal_classification,false,") for row in rows)
 
 
 def _from_minus_zero(fn):

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,52 @@ def test_invariant_rejects_bad_spacing():
         SampledFunction([1.0, 0.0], [0.0, 1.0])
 
 
+_FINITE = "abscissae and values must be finite"
+_SPACING = r"abscissae must increase with spacing >= 1e-12 \* span"
+INF, NAN = np.inf, np.nan
+
+
+@pytest.mark.parametrize("xs, vs, message", [
+    ([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [2.0, 3.0]],
+     "abscissae and values must be 1-D arrays of equal length"),
+    ([0.0, 1.0, 2.0], [0.0, 1.0], "abscissae and values must be 1-D arrays of equal length"),
+    ([0.5], [1.0], "need at least two samples"),
+    ([], [], "need at least two samples"),
+    ([0.0, NAN, 1.0], [0.0, 0.0, 0.0], _FINITE),
+    ([NAN, 0.5, 1.0], [0.0, 0.0, 0.0], _FINITE),
+    ([0.0, 0.5, NAN], [0.0, 0.0, 0.0], _FINITE),
+    ([0.0, INF, 1.0], [0.0, 0.0, 0.0], _FINITE),
+    ([0.0, INF, INF, 1.0], [0.0, 0.0, 0.0, 0.0], _FINITE),
+    ([-INF, 0.5, 1.0], [0.0, 0.0, 0.0], _FINITE),
+    ([0.0, 0.5, INF], [0.0, 0.0, 0.0], _FINITE),
+    ([INF, INF], [0.0, 0.0], _FINITE),
+    ([-INF, -INF], [0.0, 0.0], _FINITE),
+    ([-INF, INF], [0.0, 0.0], _FINITE),
+    ([0.0, 0.5, 1.0], [0.0, NAN, 0.0], _FINITE),
+    ([0.0, 0.5, 1.0], [INF, 0.0, 0.0], _FINITE),
+    ([0.0, 0.5, 1.0], [0.0, 0.0, -INF], _FINITE),
+    ([1.0, 0.5, 0.0], [NAN, 0.0, 0.0], _FINITE),  # finiteness is checked before spacing
+    ([0.0, 0.7, 0.3, 1.0], [0.0, 0.0, 0.0, 0.0], _SPACING),
+    ([1.0, 0.0], [0.0, 0.0], _SPACING),
+    ([0.0, 0.5, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0], _SPACING),
+    ([0.0, 1e-13, 1.0], [0.0, 0.0, 0.0], _SPACING),
+    ([0.0, 1.0 - 1e-13, 1.0], [0.0, 0.0, 0.0], _SPACING),
+    ([0.5, 0.5], [0.0, 1.0], _SPACING),
+    ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], _SPACING),
+])
+def test_sampled_function_names_the_first_rule_a_table_breaks(xs, vs, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from checking a bad table
+        with pytest.raises(ValueError) as err:
+            SampledFunction(np.array(xs), np.array(vs))
+    assert re.fullmatch(message, str(err.value))
+
+
+def test_sampled_function_accepts_the_least_spacing():
+    fn = SampledFunction([0.0, 1e-12, 1.0], [0.0, 1.0, 2.0])
+    assert fn.xs.tolist() == [0.0, 1e-12, 1.0] and not fn.xs.flags.writeable
+
+
 def test_definite_integral_constant():
     fn = constant(2.0, 0.0, 1.0)
     assert definite_integral(fn, 0.0, 1.0) == pytest.approx(2.0, abs=1e-15)
@@ -116,8 +165,9 @@ def test_invert_rejects_out_of_range():
 
 
 def test_monotone_map_rejects_nonincreasing_values():
-    with pytest.raises(ValueError):
-        MonotoneMap.from_samples([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
+    for vs in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [1.0, 0.0]):
+        with pytest.raises(ValueError, match="^values must be strictly increasing$"):
+            MonotoneMap.from_samples(np.linspace(0.0, 1.0, len(vs)), vs)
 
 
 def test_derivative_constant_is_zero():
