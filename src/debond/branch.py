@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import C1SwitchViolation, DeadEnd, NoTermination
-from .func1d import _first_outside, scan, union
+from .func1d import scan, union
 from .model import (
     SPEED_CAP,
     BranchResult,
@@ -166,7 +166,7 @@ def solve_final_branch(
         raise NoTermination(
             f"horizon T = {T:g} too short for a final branch ending at {target.ellbar0:g}"
         )
-    w = target.w_plus()
+    w = target.w_plus
     c1 = target.regularity == "C1"
     alpha = classify_final_state(target, kappa) if c1 else None
     xs = _nodes(w, target.ellbar0, policy.h)
@@ -179,19 +179,13 @@ def solve_final_branch(
         start = (opts[-1] if moving else 0.0), moving
     else:
         start = _terminal(policy, opts[-1], alpha)
-    if kappa.is_constant:
-        def twice_kappa(L):
-            return 2.0 * kappa.kappa
-    else:
-        def twice_kappa(L):  # held to kappa's samples: for guesses
-            return 2.0 * np.interp(L, kappa.kappa.xs, kappa.kappa.vs)
     neg_half = -0.5 * dx
     # Per pass, L at the node before the window, then the decrements: one in-place
     # cumsum rounds like L -= inc node by node.
     buf = np.empty(dx.size + 1)
 
     def speed(L, Y, moving):  # speed and moving flag at nodes of data Y after ``moving``
-        root, has_moving = _roots(Y, twice_kappa(L))
+        root, has_moving = _roots(Y, 2.0 * kappa.held(L))
         moving = _choose(policy, c1, root, has_moving, moving)
         root[~moving] = 0.0
         return root, moving
@@ -209,14 +203,12 @@ def solve_final_branch(
     # kappa's arguments in the order of the node-by-node march: the first one that
     # leaves kappa's domain or violates the size constraint raises
     args = np.column_stack((L[:-1] - dx * (v[:-1] / (1.0 + v[:-1])), L[1:])).ravel()
-    Ys, Ks = np.repeat(Y[1:], 2), np.broadcast_to(twice_kappa(args), args.shape)
+    Ys, Ks = np.repeat(Y[1:], 2), np.broadcast_to(2.0 * kappa.held(args), args.shape)
     violated = np.flatnonzero(_violated(Ys, Ks))
-    checked = args[: violated[0] + 1 if violated.size else args.size]
-    if not kappa.is_constant and _first_outside(checked, *kappa.kappa.xs[[0, -1]]) is not None:
-        kappa(checked)  # its DomainError names the first argument outside the samples
+    kappa.check(args[: violated[0] + 1 if violated.size else args.size])
     if violated.size:
         raise _size_violated(Ys[violated[0]], Ks[violated[0]])
-    root, has_moving = _roots(Y, twice_kappa(L))
+    root, has_moving = _roots(Y, 2.0 * kappa.held(L))
     alts = has_moving & (root > _switch_tol(policy))
     return _package(T, xs, L[::-1], v[::-1], alts[::-1], v[0] if alpha is None else alpha)
 
@@ -227,6 +219,6 @@ def static_branch(target: TargetState, kappa: Toughness, T: float) -> BranchResu
     Valid whenever sup |ybar1 + ybar0'|^2 <= 2 kappa(ellbar0); the caller is
     expected to have checked that constraint.
     """
-    xs = _nodes(target.w_plus(), target.ellbar0)
+    xs = _nodes(target.w_plus, target.ellbar0)
     n = xs.size
     return _package(T, xs, np.full(n, target.ellbar0), np.zeros(n), np.zeros(n, dtype=bool), 0.0)

@@ -304,7 +304,7 @@ def cmd_synthesize(cfg, args):
     return EXIT_OK
 
 
-def _load_control_csv(path, regularity):
+def _load_control_csv(path):
     """The control a ``control.csv`` holds; any unreadable file is a ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -325,7 +325,7 @@ def _load_control_csv(path, regularity):
         if not table:
             raise ValueError("no data rows")
         t, u, uprime = np.array(table).T
-        return ControlSignal(SampledFunction(t, u), SampledFunction(t, uprime), regularity)
+        return ControlSignal(SampledFunction(t, u), SampledFunction(t, uprime))
     except (OSError, ValueError) as err:
         raise ConfigError("--control-csv", f"cannot read {path}: {err}") from err
 
@@ -340,7 +340,7 @@ def cmd_verify(cfg, args):
         target = cfg.build_target()
         kappa = cfg.build_toughness()
         scfg = cfg.solver_config()
-        control = _load_control_csv(args.control_csv, initial.regularity)
+        control = _load_control_csv(args.control_csv)
         result = verify_control(control, initial, target, kappa, scfg)
     else:
         report, initial, target, kappa, scfg = _synthesize(cfg)

@@ -9,6 +9,7 @@ decimal.  ``emit_config(parse_config(text))`` reproduces the scenario exactly
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,8 @@ _PRESETS = {
              lambda xs, amplitude, omega, phase: amplitude * omega * np.cos(omega * xs + phase)),
 }
 _DEFAULT_RESOLUTION = 512
+# Decimal text that float() reads: sign, whole digits, fraction digits, exponent sign and digits.
+_DECIMAL_TEXT = re.compile(r"([-+]?)(\d*)\.?(\d*)(?:[eE]([-+]?)(\d+))?")
 # Each state section: its length field and its two sampled functions.
 _STATES = {"initial": ("ell0", ("y0", "y1")), "target": ("ellbar0", ("ybar0", "ybar1"))}
 
@@ -57,7 +60,13 @@ def _number(mapping, key, path, default=None, positive=False):
         raise ConfigError(f"{path}{key}", "missing required field")
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}{key}", "expected a decimal number")
+        # YAML 1.1 reads a number only with a dot and, after an e, a signed exponent.
+        text, hint = _DECIMAL_TEXT.fullmatch(str(value)), ""
+        if text and (text[2] or text[3]):
+            sign, whole, frac, esign, exp = text.groups()
+            exp = f"e{esign or '+'}{exp}" if exp else ""
+            hint = f"; YAML reads {value!r} as text, write {sign}{whole or 0}.{frac or 0}{exp}"
+        raise ConfigError(f"{path}{key}", "expected a decimal number" + hint)
     if not math.isfinite(value):
         raise ConfigError(f"{path}{key}", f"expected a finite number, got {value}")
     if positive and value <= 0:
@@ -107,15 +116,18 @@ def build_function(spec, lo, hi, path="function"):
             raise ConfigError(
                 f"{path}.samples", f"table must span [{lo:g}, {hi:g}], got [{xs[0]:g}, {xs[-1]:g}]"
             )
-        try:
-            fn = SampledFunction(xs, vs)
-        except ValueError as err:
-            raise ConfigError(f"{path}.samples", str(err)) from err
-        return fn, derivative(fn)
-    xs = np.linspace(lo, hi, spec["resolution"] + 1)
-    params, values, slopes = _PRESETS[spec["preset"]]
-    args = {key: spec[key] for key in params}
-    return SampledFunction(xs, values(xs, **args)), SampledFunction(xs, slopes(xs, **args))
+        path, slopes = f"{path}.samples", None
+    else:
+        xs = np.linspace(lo, hi, spec["resolution"] + 1)
+        params, value_fn, slope_fn = _PRESETS[spec["preset"]]
+        args = {key: spec[key] for key in params}
+        with np.errstate(all="ignore"):  # an overflow is a non-finite sample, refused below
+            vs, slopes = value_fn(xs, **args), slope_fn(xs, **args)
+    try:
+        fn = SampledFunction(xs, vs)
+        return fn, derivative(fn) if slopes is None else SampledFunction(xs, slopes)
+    except ValueError as err:
+        raise ConfigError(path, str(err)) from err
 
 
 @dataclass
@@ -176,9 +188,7 @@ class ScenarioConfig:
     def build_control(self) -> ControlSignal:
         if self.control is None:
             raise ConfigError("control", "section required for this command")
-        u, up = build_function(self.control["u"], 0.0, self.T, "control.u")
-        reg = self.initial["regularity"] if self.initial else "C01"
-        return ControlSignal(u, up, reg)
+        return ControlSignal(*build_function(self.control["u"], 0.0, self.T, "control.u"))
 
     def solver_config(self):
         from .forward import SolverConfig

@@ -38,7 +38,7 @@ from .errors import (
     IncompatibleTarget,
     InfeasibleTime,
 )
-from .forward import SolverConfig, _SeedData, solve_front, solve_initial_branch
+from .forward import SolverConfig, solve_front, solve_initial_branch
 from .func1d import SampledFunction, cumulative_trapezoid, pair_width, sides, union
 from .model import (
     SPEED_CAP,
@@ -312,7 +312,7 @@ def _echo_images(front, seeds, T):
     out = []
     s = np.asarray(seeds, dtype=float)
     while True:
-        s = s[s < front.tau_minus.fn.vs[-1] - 1e-12]
+        s = s[s < front.times[-1] - front.positions[-1] - 1e-12]  # tau_minus at the end
         if not s.size:
             return out
         s = front.tau_plus(front.tau_minus.invert(s))
@@ -410,8 +410,7 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode):
     s1 = t_bar - ell_bar
     s2 = T - target.ellbar0
 
-    w_plus = target.w_plus()
-    w_minus = target.w_minus()
+    w_plus, w_minus = target.w_plus, target.w_minus
     fp0 = 0.5 * (initial.y1(0.0) - initial.y0_prime(0.0))
     junction = -0.5 * w_plus(0.0) * (1.0 + v_bar) / (1.0 - v_bar)
 
@@ -443,7 +442,7 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode):
     # Seed and stages glued into one slope polyline on [-ell0, T], every stage
     # boundary a pair: one-sided limits for Lipschitz synthesis, for C1
     # synthesis any jump above ctol is an internal error.
-    seed = _SeedData(initial)
+    seed = initial.seed_trace
     stages = [(seed.minus_xs, seed.minus_vs), (s1_nodes, s1_vals), (s2_nodes, s2_vals),
               (s3_nodes, s3_vals)]
     for (sa, va), (sb, vb) in zip(stages, stages[1:]):
@@ -485,8 +484,7 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode):
     v1 = stage1_front.speeds[-1]
     up_vals[-1] = trace_v[-1] - s1_vals[-1] * ((1.0 - v1) / (1.0 + v1))
     u_vals = initial.y0(0.0) + cumulative_trapezoid(grid, up_vals)
-    control = ControlSignal(SampledFunction(grid, u_vals), SampledFunction(grid, up_vals),
-                            "C1" if c1_mode else "C01")
+    control = ControlSignal(SampledFunction(grid, u_vals), SampledFunction(grid, up_vals))
     plan = InflationPlan(v=v_lin, t_circ=t_circ, delta=delta, case=case,
                          front_segment=stage1_front)
     return SynthesisReport(

@@ -21,14 +21,13 @@ increases with s whatever h is.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, HorizonExceeded, IncompatibleData
-from .func1d import SampledFunction, _first_outside, definite_integral, pair_width, scan, sides
+from .func1d import SampledFunction, definite_integral, pair_width, scan, sides
 from .model import (
     SPEED_CAP,
     ControlSignal,
@@ -66,27 +65,12 @@ class SolverConfig:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
 
 
-class _SeedData:
-    """Raw piecewise-linear arrays for the data-determined part of the trace."""
-
-    def __init__(self, initial: InitialState):
-        # f'(s) = (y1 - y0')(-s)/2 on [-ell0, 0], stored directly in s; the outgoing
-        # half (y0' + y1)/2 on [0, ell0] is queried by line 2.
-        (grid, diff), (self.plus_xs, self.plus_vs) = initial.data_halves
-        self.minus_xs = np.ascontiguousarray(-grid[::-1])
-        self.minus_vs = np.ascontiguousarray(diff[::-1])
-
-    @functools.cached_property
-    def minus_fn(self) -> SampledFunction:
-        """(y1 - y0')/2 on [0, ell0]; f(s <= 0) is minus its integral from 0 to -s."""
-        return SampledFunction(-self.minus_xs[::-1], self.minus_vs[::-1])
-
-    def fprime(self, q, up_xs, up_vs):
-        """Trace slope on an array q <= ell0: the data, and the control u' on (0, ell0]."""
-        q = np.asarray(q, dtype=float)  # NaN reads the control side
-        return sides(q <= 0.0, lambda i: np.interp(q[i], self.minus_xs, self.minus_vs),
-                     lambda i: np.interp(q[i], up_xs, up_vs)
-                     - np.interp(q[i], self.plus_xs, self.plus_vs))
+def _seed_slope(seed, q, up_xs, up_vs):
+    """Trace slope on an array q <= ell0: the ``SeedTrace``, and the control u' on (0, ell0]."""
+    q = np.asarray(q, dtype=float)  # NaN reads the control side
+    return sides(q <= 0.0, lambda i: np.interp(q[i], seed.minus_xs, seed.minus_vs),
+                 lambda i: np.interp(q[i], up_xs, up_vs)
+                 - np.interp(q[i], seed.plus_xs, seed.plus_vs))
 
 
 _FIELDS = ("s", "t", "ell", "g", "v", "fp", "tracked")
@@ -104,7 +88,6 @@ class _Core:
 
     def __init__(self, initial, kappa, cfg, up_xs, up_vs, s_end):
         self.initial, self.kappa, self.cfg = initial, kappa, cfg
-        self.seed = _SeedData(initial)
         self.up_xs, self.up_vs = up_xs, up_vs
         self.eps = pair_width(cfg.T, initial.ell0)
         close = (up_xs[1:] - up_xs[:-1] < _JUMP_SPAN * max(cfg.T, 1.0)) & (up_vs[1:] != up_vs[:-1])
@@ -118,9 +101,10 @@ class _Core:
             setattr(self, name, getattr(self, name)[: self.n])
 
     def _solve(self, s_end):
-        ell0, eps, seed = self.initial.ell0, self.eps, self.seed
+        ell0, eps, seed = self.initial.ell0, self.eps, self.initial.seed_trace
         start = np.array([-ell0])
-        self._add(start, seed.fprime(start, self.up_xs, self.up_vs), np.zeros(1, bool), False)
+        self._add(start, _seed_slope(seed, start, self.up_xs, self.up_vs), np.zeros(1, bool),
+                  False)
         self._block(-ell0, min(0.0, s_end), np.empty(0), reflect=False)
         if s_end <= 0.0:
             return
@@ -158,7 +142,8 @@ class _Core:
             # Nodes closer than eps / 2 merge into the first; a merged jump stays tracked.
             first = np.flatnonzero(q - np.concatenate(([a], q[:-1])) > 0.5 * self.eps)
             q, tracked = q[first], np.logical_or.reduceat(tracked, first)
-        fp = self._reflect(q, a) if reflect else self.seed.fprime(q, self.up_xs, self.up_vs)
+        fp = (self._reflect(q, a) if reflect
+              else _seed_slope(self.initial.seed_trace, q, self.up_xs, self.up_vs))
         self._add(q, fp, tracked, reflect)
 
     def _reflect(self, q, a):
@@ -207,7 +192,7 @@ class _Core:
         if not reflected:
             # Up to ell0 trace_slope evaluates the data formula: take it at the
             # stored abscissae, which may sit inside a u' jump pair.
-            fp = self.seed.fprime(s, self.up_xs, self.up_vs)
+            fp = _seed_slope(self.initial.seed_trace, s, self.up_xs, self.up_vs)
         self.fp[n:end] = fp
         kap = kappa.kappa if kappa.is_constant else kappa(np.minimum(ell, T - q))
         np.minimum(griffith_speed(fp, kap), SPEED_CAP, out=self.v[n:end])
@@ -222,7 +207,6 @@ class _Core:
         first argument of the solution, in node order, outside them.
         """
         kappa, heun = self.kappa, self.cfg.scheme == "heun"
-        kxs, kvs = kappa.kappa.xs, kappa.kappa.vs
         d, f2, top = q - np.concatenate(([s0], q[:-1])), fp * fp, self.cfg.T - q
         reach, half = top + d, 0.5 * d
         # Per pass, ell at the node before the window, then the increments: one
@@ -230,7 +214,7 @@ class _Core:
         buf = np.empty(q.size + 1)
 
         def rate(x, f2):  # g at nodes of squared slope f2, kappa read at x held to its samples
-            return np.minimum(np.maximum(f2 / np.interp(x, kxs, kvs) - 0.5, 0.0), _G_CAP)
+            return np.minimum(np.maximum(f2 / kappa.held(x) - 0.5, 0.0), _G_CAP)
 
         def step(lo, hi, ell, g):
             top_, f2_, stop = top[lo:hi], f2[lo:hi], ~(ell < reach[lo:hi])
@@ -247,16 +231,16 @@ class _Core:
         # Below the threshold at every node the front rests whatever ell~ is: g = +0.0.
         # np.interp may read kappa a few ulps of its largest sample below the least one,
         # hence the floor; a NaN slope fails the test and raises below.
+        kvs = kappa.kappa.vs
         if g0 == 0.0 and (f2 <= 0.5 * (kvs.min() - 1e-15 * kvs.max())).all():
             ell, g = np.full(q.size + 1, l0), np.zeros(q.size + 1)
         else:
             ell, g = scan(step, (l0, g0), q.size)
-        # kappa's arguments in the order of the node-by-node march, evaluated only out of bounds
+        # kappa's arguments in the order of the node-by-node march
         run = ell[:-1] < reach
         args = [np.minimum(ell[:-1] + d * g[:-1], top)] if heun else []
         args.append(np.minimum(ell[1:], top))
-        if any(_first_outside(a[run], kxs[0], kxs[-1]) is not None for a in args):
-            kappa(np.column_stack(args)[run].ravel())
+        kappa.check(*(a[run] for a in args))
         return ell[1:], g[1:]
 
 
@@ -300,7 +284,7 @@ class SolutionRecord:
         """
         s, core = np.asarray(s, dtype=float), self._core  # NaN reads the nodes
         out = sides(s <= self.initial.ell0,
-                    lambda i: core.seed.fprime(s[i], core.up_xs, core.up_vs),
+                    lambda i: _seed_slope(self.initial.seed_trace, s[i], core.up_xs, core.up_vs),
                     lambda i: np.interp(s[i], core.s, core.fp))
         return float(out) if out.ndim == 0 else out
 
@@ -328,7 +312,7 @@ class SolutionRecord:
             half = 0.5 * (init.y0_prime.antiderivative_at(mid) + init.y1.antiderivative_at(mid))
             return u(mid) - self._u0 - half
 
-        f += sides(q <= 0.0, lambda i: -self._core.seed.minus_fn.antiderivative_at(-q[i]), data)
+        f += sides(q <= 0.0, lambda i: -init.seed_trace.incoming.antiderivative_at(-q[i]), data)
         f = f.reshape(np.shape(s))
         return float(f) if f.ndim == 0 else f
 

@@ -118,6 +118,16 @@ class Toughness:
             return np.full(np.shape(x), self.kappa)
         return self.kappa(x)
 
+    def held(self, x):
+        """kappa at x held to its samples (``np.interp``, no domain check), or the constant."""
+        return self.kappa if self.is_constant else np.interp(x, self.kappa.xs, self.kappa.vs)
+
+    def check(self, *arrays):
+        """Raise the DomainError that ``self(np.column_stack(arrays).ravel())`` raises, naming
+        the first point in that order outside the samples; nothing when all are inside."""
+        if not self.is_constant:
+            self.kappa._check(np.column_stack(arrays).ravel())
+
 
 # ---------------------------------------------------------------------------
 # States
@@ -146,6 +156,22 @@ def _check_state(length, disp, vel, regularity, tol, names):
 
 
 @dataclass(frozen=True)
+class SeedTrace:
+    """The trace slope the data seed, read-only: (y1 - y0')(-s)/2 on s in [-ell0, 0]
+    (``minus_xs``, ``minus_vs``) and (y0' + y1)/2 on [0, ell0] (``plus_xs``, ``plus_vs``)."""
+
+    minus_xs: np.ndarray
+    minus_vs: np.ndarray
+    plus_xs: np.ndarray
+    plus_vs: np.ndarray
+
+    @functools.cached_property
+    def incoming(self) -> SampledFunction:
+        """(y1 - y0')/2 on [0, ell0], built on first use: f(s <= 0) = -(its integral to -s)."""
+        return SampledFunction(-self.minus_xs[::-1], self.minus_vs[::-1])
+
+
+@dataclass(frozen=True)
 class InitialState:
     """Initial front position and displacement/velocity profiles on [0, ell0]."""
 
@@ -162,13 +188,14 @@ class InitialState:
         object.__setattr__(self, "y0_prime", slope)
 
     @functools.cached_property
-    def data_halves(self):
-        """(grid, values) of (y1 - y0')/2 and (y0' + y1)/2 on merged grids, built once."""
-        halves = (merged_eval(self.y1, self.y0_prime, lambda a, b: 0.5 * (a - b)),
-                  merged_eval(self.y0_prime, self.y1, lambda a, b: 0.5 * (a + b)))
-        for arr in (*halves[0], *halves[1]):
+    def seed_trace(self) -> SeedTrace:
+        """The trace slope the data seed, on merged grids, built once."""
+        grid, diff = merged_eval(self.y1, self.y0_prime, lambda a, b: 0.5 * (a - b))
+        arrays = (-grid[::-1], np.ascontiguousarray(diff[::-1]),
+                  *merged_eval(self.y0_prime, self.y1, lambda a, b: 0.5 * (a + b)))
+        for arr in arrays:
             arr.setflags(write=False)
-        return halves
+        return SeedTrace(*arrays)
 
 
 @dataclass(frozen=True)
@@ -187,20 +214,14 @@ class TargetState:
                              ("ellbar0", "ybar0", "ybar1"))
         object.__setattr__(self, "ybar0_prime", slope)
 
+    @functools.cached_property
     def w_plus(self) -> SampledFunction:
         """The outgoing terminal combination ybar1 + ybar0' on a merged grid, built once."""
-        return self._w_plus
-
-    def w_minus(self) -> SampledFunction:
-        """The incoming terminal combination ybar1 - ybar0' on a merged grid, built once."""
-        return self._w_minus
-
-    @functools.cached_property
-    def _w_plus(self):
         return SampledFunction(*merged_eval(self.ybar1, self.ybar0_prime, np.add))
 
     @functools.cached_property
-    def _w_minus(self):
+    def w_minus(self) -> SampledFunction:
+        """The incoming terminal combination ybar1 - ybar0' on a merged grid, built once."""
         return SampledFunction(*merged_eval(self.ybar1, self.ybar0_prime, np.subtract))
 
 
@@ -280,15 +301,10 @@ class ControlSignal:
 
     u: SampledFunction
     uprime: SampledFunction
-    regularity: str = "C01"
-
-    def __post_init__(self):
-        if self.regularity not in VALID_REGULARITY:
-            raise ValueError(f"regularity must be one of {VALID_REGULARITY}")
 
     @classmethod
-    def zero(cls, T: float, regularity: str = "C1") -> "ControlSignal":
-        return cls(constant(0.0, 0.0, T), constant(0.0, 0.0, T), regularity)
+    def zero(cls, T: float) -> "ControlSignal":
+        return cls(constant(0.0, 0.0, T), constant(0.0, 0.0, T))
 
     @property
     def t_end(self) -> float:
@@ -448,7 +464,7 @@ def check_damping_bound(
     ``kappa_at_front`` is the toughness seen along the outgoing characteristics:
     for a static branch, its value at the target front.
     """
-    w = target.w_plus()
+    w = target.w_plus
     kap = float(kappa_at_front)
     excess = w.vs * w.vs - 2.0 * kap
     worst = int(np.argmax(excess))

@@ -113,7 +113,7 @@ def test_node_constraint_and_inclusion_hold():
     h = 1e-3
     kappa = Toughness(1.0)
     res = solve_final_branch(tgt, kappa, T, BranchPolicy("prefer_moving", h=h))
-    w = tgt.w_plus()
+    w = tgt.w_plus
     f = res.front_segment
     for t, L, v in zip(f.times[::37], f.positions[::37], f.speeds[::37]):
         x = min(max(t + L - T, 0.0), 2.0)
@@ -132,7 +132,7 @@ def test_forward_consistency_of_moving_branch():
     h = 1e-3
     kappa = Toughness(1.0)
     res = solve_final_branch(tgt, kappa, T, BranchPolicy("prefer_moving", h=h))
-    w = tgt.w_plus()
+    w = tgt.w_plus
     f = res.front_segment
     for t, L, v in zip(f.times[::41], f.positions[::41], f.speeds[::41]):
         x = min(max(t + L - T, 0.0), 2.0)
@@ -207,7 +207,7 @@ def test_every_abscissa_of_w_is_a_node(mode):
     T = 6.0
     f = solve_final_branch(target, kappa, T, BranchPolicy(mode, h=1e-3)).front_segment
     x_nodes = f.times + f.positions - T
-    for x in target.w_plus().xs:
+    for x in target.w_plus.xs:
         assert np.min(np.abs(x_nodes - x)) <= 1e-12, x
 
 
@@ -263,7 +263,7 @@ def test_sample_ends_off_the_domain_give_one_node_per_end(ends):
 
 def _reference_branch(target, kappa, T, policy):
     """The node-by-node backward march, three choices per node: (L, v, alt) from x = 0."""
-    w = target.w_plus()
+    w = target.w_plus
     tol = max(1e-9, 10.0 * policy.h)
     prefer_moving = policy.mode == "prefer_moving"
 

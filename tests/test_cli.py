@@ -163,6 +163,13 @@ def test_non_finite_number_names_field(tmp_path, capsys, old, new, field):
         ("toughness: {preset: constant, value: 1.0}",
          "toughness: {samples: [[0.0, 1.0], [2.0, 1.0], [2.0, 1.0], [4.0, 1.0]]}",
          "'toughness.samples'"),
+        # presets whose samples overflow
+        ("u: {preset: constant, value: 0.0}",
+         "u: {preset: linear, intercept: 0.0, slope: 1.0e+308}", "'control.u'"),
+        ("u: {preset: constant, value: 0.0}",
+         "u: {preset: sine, amplitude: 1.0e+308, omega: 2.0}", "'control.u'"),
+        ("  y1: {preset: constant, value: 0.0}\ncontrol",
+         "  y1: {preset: linear, intercept: 1.0e+308, slope: 1.0e+308}\ncontrol", "'initial.y1'"),
     ],
 )
 def test_invalid_input_exits_2_naming_field(tmp_path, capsys, old, new, field):
@@ -171,6 +178,20 @@ def test_invalid_input_exits_2_naming_field(tmp_path, capsys, old, new, field):
     code, out = run(tmp_path, doc, "simulate")
     assert code == 2
     assert field in capsys.readouterr().err
+    assert not (out / "front.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, field, hint", [
+    ("{h: 1.0e-3,", "{h: 1e-3,", "'solver.h'", "'1e-3' as text, write 1.0e-3"),
+    ("u: {preset: constant, value: 0.0}", "u: {preset: linear, intercept: 0.0, slope: 1.0e308}",
+     "'control.u.slope'", "'1.0e308' as text, write 1.0e+308"),
+])
+def test_number_yaml_reads_as_text_names_field_and_the_form_that_parses(tmp_path, capsys, old,
+                                                                        new, field, hint):
+    code, out = run(tmp_path, STATIC_ZERO.replace(old, new, 1), "simulate")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert field in err and hint in err
     assert not (out / "front.csv").exists()
 
 

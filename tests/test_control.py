@@ -334,7 +334,7 @@ def test_stage3_trace_is_direct_assignment():
     cfg = SolverConfig(h=H, T=T)
     rep = synthesize_c01(initial, target, kappa, T, static_branch(target, kappa, T), cfg)
     s2 = rep.stage_boundaries[1]
-    w_minus = target.w_minus()
+    w_minus = target.w_minus
     nodes = rep.designed_trace.xs
     sel = nodes > s2 + 1e-9
     vals = rep.designed_trace.vs[sel]
@@ -613,7 +613,7 @@ def _from_minus_zero(fn):
 
 
 def test_round_trip_does_not_depend_on_the_sign_of_a_zero_abscissa():
-    # Grid unions (the data halves, w_plus and w_minus, the backward nodes, stage 3)
+    # Grid unions (the seed trace's halves, w_plus and w_minus, the backward nodes, stage 3)
     # here meet 0.0 from one table and -0.0 from another; which one a union keeps
     # must not change a bit of the result.
     initial = make_initial(1.0, lambda x: 0.1 * x * (1.0 - x), lambda x: 0.2, n=50)
@@ -628,7 +628,7 @@ def test_round_trip_does_not_depend_on_the_sign_of_a_zero_abscissa():
         branch = solve_final_branch(tgt, kappa, 6.0, BranchPolicy("prefer_moving", h=H))
         rep = synthesize_c01(init, tgt, kappa, 6.0, branch, cfg)
         core = verify_synthesis(rep, init, tgt, kappa, cfg).solution._core
-        assert np.signbit(init.data_halves[1][0][0]) == (init is not initial)  # y0' first
+        assert np.signbit(init.seed_trace.plus_xs[0]) == (init is not initial)  # y0' first
         runs.append([rep.control.u.xs, rep.control.u.vs, rep.control.uprime.vs,
                      rep.designed_trace.xs, rep.designed_trace.vs, rep.front.positions,
                      branch.front_segment.times, core.t, core.ell, core.fp])

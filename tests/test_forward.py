@@ -555,7 +555,7 @@ def test_sampled_kappa_solve_does_not_depend_on_the_scan_window(monkeypatch, sch
 
 def _block_in_temporaries(core, q, fp, tracked, reflected, s0, l0, g0):
     """One block's fields as they were built in temporaries and concatenated."""
-    kappa, T, seed = core.kappa, core.cfg.T, core.seed
+    kappa, T, seed = core.kappa, core.cfg.T, core.initial.seed_trace
     if kappa.is_constant:
         g = np.minimum(np.maximum(fp * fp / kappa.kappa - 0.5, 0.0), forward._G_CAP)
         x, g_all = np.concatenate(([s0], q)), np.concatenate(([g0], g))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 
 from debond import (
     AmbiguityNote,
+    DomainError,
     FrontCurve,
     IncompatibleTarget,
     InitialState,
@@ -148,6 +150,38 @@ def test_toughness_constant_and_sampled():
     assert ks(2.0) == pytest.approx(1.5)
     with pytest.raises(InvalidToughness):
         Toughness(-1.0)
+
+
+def test_toughness_held_is_np_interp_on_its_samples_or_the_constant():
+    xs = np.linspace(0.0, 2.0, 9)
+    vs = 1.0 + 0.3 * np.sin(3.0 * xs)
+    kappa = Toughness(SampledFunction(xs, vs))
+    x = np.concatenate([np.random.default_rng(3).uniform(-1.0, 3.0, 50), xs, [-0.0, -5.0, 7.0]])
+    assert kappa.held(x).tobytes() == np.interp(x, xs, vs).tobytes()  # beyond the ends too
+    assert kappa.held(2.5) == np.interp(2.5, xs, vs)
+    for q in (x, 1.3):
+        held = Toughness(0.7).held(q)
+        assert type(held) is float and held == 0.7
+
+
+def test_toughness_check_raises_what_kappa_raises_on_the_stacked_points():
+    kappa = Toughness(SampledFunction(np.linspace(0.0, 2.0, 9), np.linspace(1.0, 2.0, 9)))
+    inside = np.linspace(0.0, 2.0 + 1e-10, 7)  # within the domain slack
+    cases = [(3, None), (None, 3), (3, 2)]  # out of range in the first array, the second, both
+    for in_a, in_b in cases:
+        a, b = inside.copy(), inside[::-1].copy()
+        if in_a is not None:
+            a[in_a] = 2.5
+        if in_b is not None:
+            b[in_b] = -1.0
+        with pytest.raises(DomainError) as want:
+            kappa(np.column_stack((a, b)).ravel())
+        with pytest.raises(DomainError, match=re.escape(str(want.value))):
+            kappa.check(a, b)
+    kappa.check(inside, inside[::-1])
+    kappa.check(inside)
+    kappa.check(np.empty(0), np.empty(0))
+    Toughness(0.7).check(np.array([-5.0, np.nan, 1e300]), np.array([7.0, 8.0, 9.0]))
 
 
 # -- compatibility ------------------------------------------------------------
@@ -297,19 +331,23 @@ def test_state_combinations_are_built_once_and_equal_a_fresh_merge():
     # ybar1 and ybar0' on different grids, so the merged grid is the union of both
     tgt = TargetState(1.5, SampledFunction(np.linspace(0.0, 1.5, 7), np.linspace(0.9, 0.0, 7)),
                       SampledFunction([0.0, 0.4, 1.1, 1.5], [0.3, -0.2, 0.5, 0.1]))
-    for method, combine in ((tgt.w_plus, np.add), (tgt.w_minus, np.subtract)):
-        w = method()
-        assert method() is w
+    for name, combine in (("w_plus", np.add), ("w_minus", np.subtract)):
+        w = getattr(tgt, name)
+        assert getattr(tgt, name) is w
         grid, values = merged_eval(tgt.ybar1, tgt.ybar0_prime, combine)
         assert w.xs.tobytes() == grid.tobytes() and w.vs.tobytes() == values.tobytes()
     st = make_state(1.0, lambda x: 0.2 * math.sin(3.0 * x) * (1.0 - x), lambda x: x * x, n=9)
-    halves = st.data_halves
-    assert st.data_halves is halves
-    fresh = (merged_eval(st.y1, st.y0_prime, lambda a, b: 0.5 * (a - b)),
-             merged_eval(st.y0_prime, st.y1, lambda a, b: 0.5 * (a + b)))
-    for (grid, values), (grid_ref, values_ref) in zip(halves, fresh):
-        assert grid.tobytes() == grid_ref.tobytes() and values.tobytes() == values_ref.tobytes()
-        assert not (grid.flags.writeable or values.flags.writeable)  # shared by every solve
+    seed = st.seed_trace
+    assert st.seed_trace is seed and seed.incoming is seed.incoming
+    (grid, diff), plus = (merged_eval(st.y1, st.y0_prime, lambda a, b: 0.5 * (a - b)),
+                          merged_eval(st.y0_prime, st.y1, lambda a, b: 0.5 * (a + b)))
+    arrays = (seed.minus_xs, seed.minus_vs, seed.plus_xs, seed.plus_vs, seed.incoming.xs,
+              seed.incoming.vs)
+    for got, want in zip(arrays, (-grid[::-1], diff[::-1], *plus, grid, diff)):
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable  # shared by every solve
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seed.minus_xs = grid
 
 
 _P = 1e308

@@ -3,8 +3,8 @@
 The ``_seed_*`` functions below are the earlier implementations of
 ``SampledFunction.__call__`` (through its clip), ``antiderivative_at``,
 ``MonotoneMap.invert`` and ``griffith_speed``, kept as reference oracles;
-``_interp_fprime`` reads ``_SeedData.fprime``'s three polylines through plain
-``np.interp``, and ``_masked_*`` are the general paths of ``_SeedData.fprime``
+``_interp_fprime`` reads ``_seed_slope``'s three polylines through plain
+``np.interp``, and ``_masked_*`` are the general paths of ``_seed_slope``
 and ``SolutionRecord.trace_slope``, with both masks always applied.  Every
 result must have the oracle's type, shape and bits (so -0.0 differs from 0.0
 and NaN equals itself), and every error the oracle's type and message.
@@ -24,7 +24,7 @@ from debond import (
     SampledFunction,
     griffith_speed,
 )
-from debond.forward import _SeedData
+from debond.forward import _seed_slope
 
 SLACK = 1e-9
 
@@ -79,7 +79,7 @@ def _interp_fprime(seed, q, up_xs, up_vs):
 
 
 def _masked_fprime(seed, q, up_xs, up_vs):
-    """``_SeedData.fprime`` with both masks always applied."""
+    """``_seed_slope`` with both masks always applied."""
     q = np.asarray(q, dtype=float)
     neg, out = q <= 0.0, np.empty(q.shape)
     out[neg] = np.interp(q[neg], seed.minus_xs, seed.minus_vs)
@@ -93,7 +93,7 @@ def _masked_trace_slope(sol, s):
     s = np.asarray(s, dtype=float)
     core, ell0 = sol._core, sol.initial.ell0
     seeded, out = s <= ell0, np.empty(s.shape)
-    out[seeded] = _masked_fprime(core.seed, s[seeded], core.up_xs, core.up_vs)
+    out[seeded] = _masked_fprime(sol.initial.seed_trace, s[seeded], core.up_xs, core.up_vs)
     out[~seeded] = np.interp(s[~seeded], core.s, core.fp)
     return float(out) if out.ndim == 0 else out
 
@@ -242,7 +242,7 @@ def _seed_data(rng, ell0):
     y0[-1] = 0.0
     y1 = rng.normal(size=xs.size)
     y1[3] = -0.0
-    return _SeedData(InitialState(ell0, SampledFunction(xs, y0), SampledFunction(xs, y1)))
+    return InitialState(ell0, SampledFunction(xs, y0), SampledFunction(xs, y1)).seed_trace
 
 
 def test_seed_slope_matches_all_three_lerps_on_every_node():
@@ -260,7 +260,7 @@ def test_seed_slope_matches_all_three_lerps_on_every_node():
                      np.array([0.5 * ell0])):
             for q in _forms(part):
                 with np.errstate(invalid="ignore"):
-                    got = seed.fprime(q, up_xs, up_vs)
+                    got = _seed_slope(seed, q, up_xs, up_vs)
                     _assert_same(got, _interp_fprime(seed, q, up_xs, up_vs))
                     _assert_same(got, _masked_fprime(seed, q, up_xs, up_vs))
 
