@@ -91,7 +91,8 @@ class _Core:
         self.up_xs, self.up_vs = up_xs, up_vs
         self.eps = pair_width(cfg.T, initial.ell0)
         close = (up_xs[1:] - up_xs[:-1] < _JUMP_SPAN * max(cfg.T, 1.0)) & (up_vs[1:] != up_vs[:-1])
-        self.up_jumps = up_xs[np.append(close, False) | np.insert(close, 0, False)]
+        close = np.concatenate(([False], close, [False]))  # both nodes of a close pair are jumps
+        self.up_jumps = up_xs[close[1:] | close[:-1]]
         size = int((s_end + initial.ell0) / cfg.h) + 4 * self.up_jumps.size + 64
         for name in _FIELDS:
             setattr(self, name, np.empty(size, dtype=bool if name == "tracked" else float))
@@ -102,9 +103,6 @@ class _Core:
 
     def _solve(self, s_end):
         ell0, eps, seed = self.initial.ell0, self.eps, self.initial.seed_trace
-        start = np.array([-ell0])
-        self._add(start, _seed_slope(seed, start, self.up_xs, self.up_vs), np.zeros(1, bool),
-                  False)
         self._block(-ell0, min(0.0, s_end), np.empty(0), reflect=False)
         if s_end <= 0.0:
             return
@@ -123,25 +121,30 @@ class _Core:
             if prev == 0 and self.fp[n - 1] != (
                 np.interp(a, self.up_xs, self.up_vs) + self.fp[0] / (1.0 + 2.0 * self.g[0])
             ):  # past ell0 the slope switches from the data to the reflection of s = -ell0
-                images = np.append(images, (a + eps, a + 2.0 * self.ell[n - 1]))
+                images = np.concatenate((images, (a + eps, a + 2.0 * self.ell[n - 1])))
             prev = n
             self._block(a, b, images[images <= b], reflect=True)
 
     def _block(self, a, b, jumps, reflect):
-        """Solve on (a, b]: the uniform grid plus the u' jumps and the tracked ``jumps``."""
+        """Solve on (a, b]: the uniform grid plus the u' jumps and the tracked ``jumps``.
+        The first block of an empty store starts at its start node s = a."""
         m = max(math.ceil((b - a) / self.cfg.h - 1e-9), 1)
-        q = np.linspace(a, b, m + 1)[1:]
+        head = 1 if self.n else 0
+        q = np.arange(head, m + 1.0) * ((b - a) / m) + a  # np.linspace(a, b, m + 1)[head:]
+        q[-1] = b
         tracked = False
-        lo, hi = np.searchsorted(self.up_jumps, (a, b), side="right")
+        lo, hi = self.up_jumps.searchsorted((a, b), side="right")
         if jumps.size or hi > lo:
             jumps = np.concatenate((jumps, self.up_jumps[lo:hi]))
             q = np.concatenate((jumps, q))
-            tracked = np.arange(q.size) < jumps.size
-            order = np.argsort(q, kind="stable")
-            q, tracked = q[order], tracked[order]
+            order = q.argsort(kind="stable")
+            q, tracked = q[order], order < jumps.size
             # Nodes closer than eps / 2 merge into the first; a merged jump stays tracked.
-            first = np.flatnonzero(q - np.concatenate(([a], q[:-1])) > 0.5 * self.eps)
-            q, tracked = q[first], np.logical_or.reduceat(tracked, first)
+            prior = a if head else -math.inf  # the start node stays
+            keep = q - np.concatenate(([prior], q[:-1])) > 0.5 * self.eps
+            if not keep.all():
+                first = np.flatnonzero(keep)
+                q, tracked = q[first], np.logical_or.reduceat(tracked, first)
         fp = (self._reflect(q, a) if reflect
               else _seed_slope(self.initial.seed_trace, q, self.up_xs, self.up_vs))
         self._add(q, fp, tracked, reflect)
@@ -149,7 +152,7 @@ class _Core:
     def _reflect(self, q, a):
         """f' on the block after a, reflected from the nodes in [a - 2 ell~(a), a]."""
         n = self.n
-        lo = max(int(np.searchsorted(self.s[:n], a - 2.0 * self.ell[n - 1], side="right")) - 1, 0)
+        lo = max(int(self.s[:n].searchsorted(a - 2.0 * self.ell[n - 1], side="right")) - 1, 0)
         image = self.s[lo:n] + 2.0 * self.ell[lo:n]
         echo = np.interp(q, image, self.fp[lo:n])
         g_echo = np.interp(q, image, self.g[lo:n])
@@ -171,14 +174,16 @@ class _Core:
             s0, l0, g0 = self.s[n - 1], self.ell[n - 1], self.g[n - 1]
         else:
             s0, l0, g0 = q[0], self.initial.ell0, 0.0
-        s, t, ell, g = (getattr(self, name)[n:end] for name in _FIELDS[:4])
+        s, t, ell, g = self.s[n:end], self.t[n:end], self.ell[n:end], self.g[n:end]
         self.tracked[n:end] = tracked
         kappa, T = self.kappa, self.cfg.T
         if kappa.is_constant:
             np.minimum(np.maximum(fp * fp / kappa.kappa - 0.5, 0.0), _G_CAP, out=g)
-            ell[0], ell[1:] = q[0] - s0, q[1:] - q[:-1]
+            ell[0] = q[0] - s0
+            np.subtract(q[1:], q[:-1], out=ell[1:])
             if self.cfg.scheme == "heun":
-                t[0], t[1:] = g[0] + g0, g[1:] + g[:-1]
+                t[0] = g[0] + g0
+                np.add(g[1:], g[:-1], out=t[1:])
                 t *= 0.5
                 t *= ell
             else:
@@ -189,11 +194,15 @@ class _Core:
         np.add(q, ell, out=t)
         np.subtract(t, ell, out=s)
         np.copyto(s, q, where=~(t < T))
-        if not reflected:
-            # Up to ell0 trace_slope evaluates the data formula: take it at the
-            # stored abscissae, which may sit inside a u' jump pair.
-            fp = _seed_slope(self.initial.seed_trace, s, self.up_xs, self.up_vs)
         self.fp[n:end] = fp
+        if not reflected:
+            # Up to ell0 trace_slope evaluates the data formula: take it at the stored
+            # abscissae that moved off the grid, which may sit inside a u' jump pair.
+            moved = np.flatnonzero(s != q)
+            if moved.size:
+                self.fp[n + moved] = _seed_slope(self.initial.seed_trace, s[moved],
+                                                 self.up_xs, self.up_vs)
+            fp = self.fp[n:end]
         kap = kappa.kappa if kappa.is_constant else kappa(np.minimum(ell, T - q))
         np.minimum(griffith_speed(fp, kap), SPEED_CAP, out=self.v[n:end])
         self.n = end
@@ -261,16 +270,15 @@ class SolutionRecord:
         self._u0 = control.u(0.0)
         # The front ends with one partial step of the scheme, in t, to t = T.
         T = cfg.T
-        k = max(int(np.searchsorted(core.t, T - core.eps)) - 1, 0)
-        dt = T - core.t[k]
-        ell_T = core.ell[k] + dt * core.v[k]
+        k = max(int(core.t.searchsorted(T - core.eps)) - 1, 0)
+        t_k, ell_k, v_k = float(core.t[k]), float(core.ell[k]), float(core.v[k])
+        ell_T = ell_k + (T - t_k) * v_k
         if cfg.scheme == "heun":
-            ell_T = core.ell[k] + 0.5 * dt * (core.v[k] + self._speed(T - ell_T, ell_T))
-        self.front = FrontCurve(
-            np.append(core.t[: k + 1], T),
-            np.append(core.ell[: k + 1], ell_T),
-            np.append(core.v[: k + 1], self._speed(T - ell_T, ell_T)),
-        )
+            ell_T = ell_k + 0.5 * (T - t_k) * (v_k + self._speed(T - ell_T, ell_T))
+        nodes = np.empty((3, k + 2))  # times, positions and speeds, each a contiguous row
+        nodes[:, : k + 1] = core.t[: k + 1], core.ell[: k + 1], core.v[: k + 1]
+        nodes[:, k + 1] = T, ell_T, self._speed(T - ell_T, ell_T)
+        self.front = FrontCurve(*nodes)
 
     def _speed(self, s, ell):
         return min(griffith_speed(self.trace_slope(s), self.toughness(ell)), SPEED_CAP)
@@ -302,9 +310,10 @@ class SolutionRecord:
         f = np.full(q.shape, -0.0)
         active = np.flatnonzero(q > init.ell0)
         while active.size:
-            f[active] += u(q[active])
-            q[active] = echo = self.front.echo(q[active])
-            active = active[echo > init.ell0]
+            walk = q[active]
+            f[active] += u(walk)
+            q[active] = walk = self.front.echo(walk)
+            active = active[walk > init.ell0]
         # The data's polylines start at 0 (up to the domain slack): an antiderivative is
         # the integral from 0.  f(s <= 0) = -integral_0^{-s} of the seed slope (y1 - y0')/2.
         def data(i):
@@ -336,35 +345,35 @@ class SolutionRecord:
         x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
         if x_grid.size and (x_grid.min() < -1e-12 or x_grid.max() > ell_t * (1 + 1e-12) + 1e-12):
             raise DomainError(f"reconstruction point beyond the front ell({t:g}) = {ell_t:g}")
-        init = self.initial
         x = np.minimum(x_grid, ell_t)
         fp_back = self.trace_slope(t - x)
-        y = np.empty_like(x)
-        a_out = np.empty_like(x)
-        outside = t + x >= init.ell0 * (1.0 - 1e-14)
-        xo = x[outside]
-        s_out = t + xo
-        echo, factor = self.front.reflect(s_out)
-        f = self.trace_value(np.concatenate((t - xo, echo)))  # one walk for both feet
-        y[outside] = f[: xo.size] - f[xo.size :]
-        a_out[outside] = -self.trace_slope(echo) * factor
-        if not outside.all():
-            # Data cone: d'Alembert from the initial data, plus the control once
-            # the backward characteristic reaches the boundary (t > x).
-            early = ~outside & (t <= x)
-            xe = x[early]
-            y[early] = 0.5 * (
-                init.y0(xe + t) + init.y0(xe - t) + definite_integral(init.y1, xe - t, xe + t)
-            )
-            late = ~outside & (t > x)
-            xl = x[late]
-            y[late] = self.control.u(t - xl) + 0.5 * (
-                definite_integral(init.y0_prime, t - xl, t + xl)
-                + definite_integral(init.y1, t - xl, t + xl)
-            )
-            xc = x[~outside]
-            a_out[~outside] = 0.5 * (init.y0_prime(t + xc) + init.y1(t + xc))
-        return y, fp_back + a_out, -fp_back + a_out
+        # y, and the slope a of the wave along t + x: y_t = f'(t - x) + a, y_x = -f'(t - x) + a
+        outside = t + x >= self.initial.ell0 * (1.0 - 1e-14)
+        if outside.all():  # the common case: no boolean gathers or scatters
+            y, a = self._beyond_cone(t, x)
+        else:
+            y, a = np.empty((2,) + x.shape)
+            y[outside], a[outside] = self._beyond_cone(t, x[outside])
+            y[~outside], a[~outside] = self._in_cone(t, x[~outside])
+        return y, fp_back + a, -fp_back + a
+
+    def _beyond_cone(self, t, x):
+        """y and a outside the data cone, from the trace and the characteristic maps."""
+        echo, factor = self.front.reflect(t + x)
+        f = self.trace_value(np.concatenate((t - x, echo)))  # one walk for both feet
+        return f[: x.size] - f[x.size :], -self.trace_slope(echo) * factor
+
+    def _in_cone(self, t, x):
+        """y and a inside the data cone: d'Alembert from the initial data, plus the
+        control once the backward characteristic reaches the boundary (t > x)."""
+        init, y = self.initial, np.empty_like(x)
+        early, late = t <= x, t > x
+        xe, xl = x[early], x[late]
+        y[early] = 0.5 * (init.y0(xe + t) + init.y0(xe - t)
+                          + definite_integral(init.y1, xe - t, xe + t))
+        y[late] = self.control.u(t - xl) + 0.5 * (definite_integral(init.y0_prime, t - xl, t + xl)
+                                                  + definite_integral(init.y1, t - xl, t + xl))
+        return y, 0.5 * (init.y0_prime(t + x) + init.y1(t + x))
 
     def griffith_residuals(self) -> np.ndarray:
         """Per-node gap between stored speeds and the Griffith value."""

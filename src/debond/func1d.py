@@ -105,7 +105,7 @@ class SampledFunction:
         x0, v0, cum, slope = self._segments.take(idx, axis=1)
         d = x - x0
         out = cum + v0 * d + 0.5 * slope * d * d
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise OverflowError(f"integral of the interpolant from {self.lo:.17g} overflows")
         return float(out) if out.ndim == 0 else out
 
@@ -182,15 +182,18 @@ def sides(mask, on_true, on_false):
 
 
 def merged_eval(fn_a: SampledFunction, fn_b: SampledFunction, combine):
-    """Sample ``combine(a, b)`` on the union grid of two functions."""
+    """Sample ``combine(a, b)`` on the union grid of two functions.  Of nodes closer than
+    the spacing ``SampledFunction`` requires (1e-12 of the span), the first is kept."""
     grid = union(fn_a.xs, fn_b.xs)
+    apart = grid[1:] - grid[:-1] >= _MIN_SPACING * (grid[-1] - grid[0])
+    grid = grid[np.concatenate(([True], apart))]
     return grid, combine(fn_a(grid), fn_b(grid))
 
 
 def definite_integral(fn: SampledFunction, a: float, b: float) -> float:
     """Exact trapezoid integral of the interpolant; antisymmetric in (a, b)."""
     out = fn.antiderivative_at(b) - fn.antiderivative_at(a)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise OverflowError(f"integral of the interpolant from {a!r} to {b!r} overflows")
     return out
 

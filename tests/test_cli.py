@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from debond import cli, config
+from debond import ContinuityFailure, cli, config, control
 from debond.cli import main
 from debond.config import emit_config, load_config, parse_config
 
@@ -206,6 +206,17 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and "OverflowError" in err
 
 
+def test_continuity_failure_exits_6(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise ContinuityFailure("designed trace jumps by 0.5 at s = 2")
+
+    monkeypatch.setattr(control, "synthesize_c01", broken)
+    code, _ = run(tmp_path, STATIC_ZERO, "synthesize")
+    assert code == 6
+    assert capsys.readouterr().err == (
+        "error: continuity assertion failed: designed trace jumps by 0.5 at s = 2\n")
+
+
 @pytest.mark.parametrize("old, new", [
     ("u: {preset: constant, value: 0.0}",
      "u: {preset: constant, value: 0.0, resolution: 1000000000000}"),
@@ -272,6 +283,37 @@ def test_check_admissible_pass_and_fail(tmp_path):
     damping = [r for r in rows if r.startswith("damping_bound")][0]
     assert "false" in damping
     assert float(damping.split(",")[2]) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_check_admissible_classifies_a_c1_target(tmp_path):
+    # ybar0 = 0.2 sin(pi x / 2) on [0, 2] with ybar1 = 0: a passive terminal state.
+    doc = EXPANSION.replace(
+        "  regularity: C01\n  ybar0: {preset: constant, value: 0.0}",
+        "  regularity: C1\n  ybar0: {preset: sine, amplitude: 0.2, omega: 1.5707963267948966}")
+    assert doc != EXPANSION
+    code, out = run(tmp_path, doc, "check-admissible")
+    assert code == 0
+    rows = (out / "admissibility.csv").read_text().splitlines()
+    assert rows[-2:] == ["terminal_classification,true,0,1e-08", "alpha,true,0,1"]
+
+
+# y0 and ybar0 sampled at 100 intervals, y1 and ybar1 at 200: the midpoints of the
+# first grid (the slope's nodes) and the nodes of the second meet a few ulps apart.
+MERGED_GRIDS = STATIC_ZERO.replace(
+    "  y0: {preset: constant, value: 0.0}\n  y1: {preset: constant, value: 0.0}",
+    "  y0: {preset: sine, amplitude: 0.1, omega: 3.141592653589793, resolution: 100}\n"
+    "  y1: {preset: constant, value: 0.0, resolution: 200}").replace(
+    "  ybar0: {preset: constant, value: 0.0}\n  ybar1: {preset: constant, value: 0.0}",
+    "  ybar0: {preset: sine, amplitude: 0.1, omega: 3.141592653589793, resolution: 100}\n"
+    "  ybar1: {preset: constant, value: 0.0, resolution: 200}")
+
+
+@pytest.mark.parametrize("command",
+                         ["simulate", "initial-branch", "final-branch", "synthesize", "verify"])
+def test_state_grids_with_nodes_a_few_ulps_apart_run(tmp_path, capsys, command):
+    assert MERGED_GRIDS.count("resolution: 200") == 2
+    code, _ = run(tmp_path, MERGED_GRIDS, command)
+    assert (code, capsys.readouterr().err) == (0, "")
 
 
 def test_synthesize_zero_to_zero_static_match(tmp_path):

@@ -23,6 +23,7 @@ from debond.branch import BranchPolicy, solve_final_branch, static_branch
 from debond.cli import main
 from debond.config import parse_config
 from debond.control import (
+    _speed_profile,
     fprime_for_prescribed_front,
     synthesize_c01,
     synthesize_c1,
@@ -33,7 +34,7 @@ from debond.control import (
     verify_synthesis,
 )
 from debond import model
-from debond.func1d import merged_eval, pair_width
+from debond.func1d import cumulative_trapezoid, merged_eval, pair_width
 
 H = 1e-3
 
@@ -80,6 +81,17 @@ def assert_front_jumps_on_trace_pairs(rep, ell0, T):
 
 
 # -- op-level ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("h", [1e-3, 1e-2])
+def test_speed_profile_falls_back_to_ramp_and_plateau(h):
+    # From rest to rest, gaining 0.9 over [0, 1]: the cubic's slope peaks at 1.35.
+    ts, sigma = _speed_profile(0.0, 1.0, 0.0, 0.0, 0.9, h)
+    assert ts[0] == 0.0 and ts[-1] == 1.0 and sigma[0] == 0.0 and sigma[-1] == 0.0
+    assert sigma.min() >= 0.0 and sigma.max() <= 1.0 - 1e-6
+    assert abs(cumulative_trapezoid(ts, sigma)[-1] - 0.9) <= 5.0 * h * h
+    with pytest.raises(InfeasibleTime, match="cannot gain length"):
+        _speed_profile(0.0, 1.0, 0.0, 0.0, 0.9999999999, h)
+
 
 def test_fprime_static_segment_zero_requirements():
     seg = static_front(1.0, 1.0, 3.0)

@@ -14,7 +14,7 @@ from debond import (
     derivative,
     from_callable,
 )
-from debond.func1d import cumulative_trapezoid, sides, union
+from debond.func1d import cumulative_trapezoid, merged_eval, sides, union
 
 
 def test_evaluate_constant():
@@ -337,6 +337,25 @@ def test_union_equals_union1d(grids):
     assert _bits(union(b, a)) == _bits(np.union1d(b, a))
     c = np.array([0.3, 5.0])
     assert _bits(union(a, b, c)) == _bits(np.union1d(np.union1d(a, b), c))
+
+
+def test_merged_eval_keeps_the_first_of_nodes_closer_than_the_spacing_rule():
+    # The midpoints of a 100-interval grid on [0, 1] (a derivative's nodes) and the
+    # nodes of a 200-interval grid meet a few ulps apart at ten places.
+    xs = np.linspace(0.0, 1.0, 101)
+    a = derivative(SampledFunction(xs, np.sin(np.pi * xs)))
+    b = SampledFunction(np.linspace(0.0, 1.0, 201), np.cos(np.linspace(0.0, 1.0, 201)))
+    full = union(a.xs, b.xs)
+    close = np.flatnonzero(full[1:] - full[:-1] < 1e-12 * (full[-1] - full[0]))
+    assert close.size == 10 and (full[close + 1] - full[close]).max() < 1e-15
+    grid, values = merged_eval(a, b, np.add)
+    assert _bits(grid) == _bits(np.delete(full, close + 1))
+    assert _bits(values) == _bits(a(grid) + b(grid))
+    fn = SampledFunction(grid, values)  # the spacing rule holds
+    assert fn.lo == 0.0 and fn.hi == 1.0
+    # Grids that keep their nodes apart are merged whole.
+    grid, _ = merged_eval(constant(0.0, 0.0, 1.0), b, np.add)
+    assert _bits(grid) == _bits(b.xs)
 
 
 def test_union_of_long_sorted_grids_equals_union1d():
