@@ -15,11 +15,11 @@ _EXPORTS = {
                "IncompatibleData", "IncompatibleTarget", "InfeasibleTime",
                "InvalidToughness", "NoTermination", "RangeError", "SpeedOutOfRange"),
     "func1d": ("MonotoneMap", "SampledFunction", "constant", "definite_integral",
-               "derivative", "from_callable"),
+               "derivative"),
     "model": ("BranchResult", "ControlSignal", "FrontCurve", "InitialBranchResult",
               "InitialState", "TargetState", "Toughness", "check_damping_bound",
-              "check_initial_compatibility", "classify_final_state", "energy_release_rate",
-              "griffith_speed", "speed_to_fprime_magnitude"),
+              "check_initial_compatibility", "classify_final_state", "griffith_speed",
+              "speed_to_fprime_magnitude"),
     "forward": ("SolutionRecord", "SolverConfig", "solve_front", "solve_initial_branch"),
     "branch": ("BranchPolicy", "branch_speed_options", "solve_final_branch", "static_branch"),
     "control": ("InflationPlan", "SynthesisReport", "VerificationResult",

@@ -36,7 +36,7 @@ from .errors import (
     InfeasibleTime,
 )
 from .func1d import SampledFunction, union
-from .model import ControlSignal, check_damping_bound, classify_final_state
+from .model import FRONT_TOL, CheckItem, ControlSignal, check_damping_bound, classify_final_state
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -245,31 +245,27 @@ def cmd_final_branch(cfg, args):
 def cmd_check_admissible(cfg, args):
     target = cfg.build_target(strict=False)
     kappa = cfg.build_toughness()
-    rows = []
+    items = [CheckItem("final_set_ybar0_vanishes", abs(target.ybar0(target.ellbar0)), FRONT_TOL)]
 
-    res_fs = abs(target.ybar0(target.ellbar0))
-    rows.append(("final_set_ybar0_vanishes", res_fs <= 1e-8, res_fs, 1e-8))
-
-    damp = check_damping_bound(target, kappa(target.ellbar0))
-    item = damp.items[0]
-    rows.append(("damping_bound", item.passed, max(item.residual, 0.0), item.tol))
+    damp = check_damping_bound(target, kappa(target.ellbar0)).items[0]
+    items.append(CheckItem("damping_bound", max(damp.residual, 0.0), damp.tol))
 
     if target.regularity == "C1":
         try:
             alpha = classify_final_state(target, kappa)
-            rows.append(("terminal_classification", True, 0.0, 1e-8))
-            rows.append(("alpha", True, alpha, 1.0))
+            items.append(CheckItem("terminal_classification", 0.0, FRONT_TOL))
+            items.append(CheckItem("alpha", alpha, 1.0))
         except IncompatibleTarget:
-            rows.append(
-                ("terminal_classification", False, abs(target.ybar1(target.ellbar0)), 1e-8)
-            )
+            items.append(CheckItem("terminal_classification",
+                                   abs(target.ybar1(target.ellbar0)), FRONT_TOL))
 
     out = _outdir(cfg, args)
     lines = ["check,passed,residual,tol"]
-    for name, passed, residual, tol in rows:
-        lines.append(f"{name},{str(passed).lower()},{_fmt(residual)},{_fmt(tol)}")
+    for item in items:
+        lines.append(f"{item.name},{str(item.passed).lower()},{_fmt(item.residual)},"
+                     f"{_fmt(item.tol)}")
     _write_lines(os.path.join(out, "admissibility.csv"), lines)
-    return EXIT_OK if all(r[1] for r in rows) else EXIT_VERIFY_FAILED
+    return EXIT_OK if all(item.passed for item in items) else EXIT_VERIFY_FAILED
 
 
 def _synthesize(cfg):
@@ -347,16 +343,17 @@ def cmd_verify(cfg, args):
         _emit_synthesis(report, out)
         result = verify_synthesis(report, initial, target, kappa, scfg)
 
-    rows = [
-        ("front_error", result.front_error, tol_front),
-        ("displacement_sup_error", result.displacement_error, tol_disp),
-        ("velocity_sup_interior_error", result.velocity_error, tol_vel),
+    items = [
+        CheckItem("front_error", result.front_error, tol_front),
+        CheckItem("displacement_sup_error", result.displacement_error, tol_disp),
+        CheckItem("velocity_sup_interior_error", result.velocity_error, tol_vel),
     ]
     lines = ["metric,value,tolerance,passed"]
-    for name, value, tol in rows:
-        lines.append(f"{name},{_fmt(value)},{_fmt(tol)},{str(value <= tol).lower()}")
+    for item in items:
+        lines.append(f"{item.name},{_fmt(item.residual)},{_fmt(item.tol)},"
+                     f"{str(item.passed).lower()}")
     _write_lines(os.path.join(out, "verify.csv"), lines)
-    return EXIT_OK if all(v <= t for _, v, t in rows) else EXIT_VERIFY_FAILED
+    return EXIT_OK if result.within(tol_front, tol_disp, tol_vel) else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------------------

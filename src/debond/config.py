@@ -202,10 +202,7 @@ class ScenarioConfig:
     def branch_policy(self):
         from .branch import BranchPolicy
 
-        return BranchPolicy(
-            mode=self.branch.get("policy", "prefer_static"),
-            h=self.branch.get("h", self.solver["h"]),
-        )
+        return BranchPolicy(mode=self.branch.get("policy", "prefer_static"), h=self.solver["h"])
 
     def verify_tolerances(self):
         return (
@@ -271,8 +268,6 @@ def parse_config(text: str) -> ScenarioConfig:
             if section["policy"] not in ("prefer_static", "prefer_moving"):
                 raise ConfigError("branch.policy", "must be 'prefer_static' or 'prefer_moving'")
             cfg.branch["policy"] = section["policy"]
-        if "h" in section:
-            cfg.branch["h"] = _number(section, "h", "branch.", positive=True)
     if "verify" in doc:
         section = doc["verify"]
         cfg.verify = {

@@ -104,16 +104,16 @@ class SynthesisReport:
 def fprime_for_prescribed_front(
     front: FrontCurve,
     kappa: Toughness,
-    sign_policy=1.0,
-    left_value: float = None,
-    right_value: float = None,
+    sign_policy,
+    left_value: float,
+    right_value: float,
 ):
     """Trace slope on tau_minus(segment) realizing the prescribed front.
 
-    ``sign_policy`` is either a number or a callable mapping the array of the
-    moving nodes' times to their signs.  On static stretches the slope
-    interpolates linearly (in s) between the neighbouring forced values or the
-    given endpoint requirements, clipped into the threshold band
+    ``sign_policy`` maps the array of the moving nodes' times to their signs.
+    On static stretches the slope interpolates linearly (in s) between the
+    neighbouring forced values, or ``left_value`` before the first node and
+    ``right_value`` after the last, clipped into the threshold band
     |f'| <= sqrt(kappa/2).
 
     Returns (s_nodes, values).
@@ -127,19 +127,13 @@ def fprime_for_prescribed_front(
     vals = np.empty(n)
     moving = vs > _SPEED_TOL
     mags = speed_to_fprime_magnitude(np.minimum(vs[moving], SPEED_CAP), kappa(Ls[moving]))
-    sign = sign_policy(ts[moving]) if callable(sign_policy) else float(sign_policy)
-    vals[moving] = np.copysign(mags, sign)
+    vals[moving] = np.copysign(mags, sign_policy(ts[moving]))
 
     # Static runs [i, j]: edges of the runs of non-moving nodes.
     edges = np.flatnonzero(np.diff(np.concatenate(([0], (~moving).astype(np.int8), [0]))))
     for i, j in zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()):
         sa, va = (s_nodes[i - 1], vals[i - 1]) if i > 0 else (s_nodes[i], left_value)
         sb, vb = (s_nodes[j + 1], vals[j + 1]) if j + 1 < n else (s_nodes[j], right_value)
-        # A missing end takes the other end's value, or 0 when both are missing.
-        if va is None:
-            va = 0.0 if vb is None else vb
-        if vb is None:
-            vb = va
         run = slice(i, j + 1)
         w = np.clip((s_nodes[run] - sa) / (sb - sa), 0.0, 1.0) if sb > sa else 0.0
         raw = va * (1.0 - w) + vb * w
@@ -342,9 +336,7 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode):
     if c1_mode:
         if initial.regularity != "C1" or target.regularity != "C1":
             raise IncompatibleData("C1 synthesis needs C1-tagged initial and target data")
-        compat = check_initial_compatibility(
-            initial, initial.y0(0.0), initial.y1(0.0), kappa, tol=1e-6
-        )
+        compat = check_initial_compatibility(initial, initial.y0(0.0), initial.y1(0.0), kappa)
         if not compat.passed:
             worst = compat.worst
             raise IncompatibleData(

@@ -326,8 +326,9 @@ class SolutionRecord:
         return float(f) if f.ndim == 0 else f
 
     def trace_function(self) -> SampledFunction:
-        """The trace slope on [-ell0, T] as one sampled function on the solver's nodes."""
-        return SampledFunction(self._core.s, self.trace_slope(self._core.s))
+        """The trace slope on [-ell0, T] as one sampled function on the solver's nodes,
+        whose slopes the core stores (``trace_slope`` reads the same bits there)."""
+        return SampledFunction(self._core.s, self._core.fp)
 
     # -- reconstruction -----------------------------------------------------
 
@@ -376,9 +377,12 @@ class SolutionRecord:
         return y, 0.5 * (init.y0_prime(t + x) + init.y1(t + x))
 
     def griffith_residuals(self) -> np.ndarray:
-        """Per-node gap between stored speeds and the Griffith value."""
-        f, kappa = self.front, self.toughness
-        fp = self.trace_slope(f.times - f.positions)
+        """Per-node gap between stored speeds and the Griffith value.
+
+        Each front node but the last is a core node, whose foot t - ell is its stored
+        s, so its slope is read from the store; the last, at t = T, is queried."""
+        f, kappa, k = self.front, self.toughness, self.front.times.size - 1
+        fp = np.append(self._core.fp[:k], self.trace_slope(f.times[k] - f.positions[k]))
         kap = kappa.kappa if kappa.is_constant else kappa(f.positions)  # a float: np.full's bits
         return np.abs(f.speeds - griffith_speed(fp, kap))
 
@@ -390,6 +394,8 @@ def solve_front(
     cfg: SolverConfig,
 ) -> SolutionRecord:
     """Solve the coupled front/trace system from 0 to T under the control."""
+    if control.u.lo > cfg.T * 1e-12:
+        raise DomainError(f"control defined from {control.u.lo:g} but the solve starts at 0")
     if control.t_end < cfg.T * (1 - 1e-12):
         raise DomainError(
             f"control defined up to {control.t_end:g} but horizon is {cfg.T:g}"

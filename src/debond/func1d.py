@@ -215,12 +215,6 @@ def derivative(fn: SampledFunction) -> SampledFunction:
     return SampledFunction(dx, dv)
 
 
-def from_callable(f, lo: float, hi: float, n: int) -> SampledFunction:
-    """Sample a callable on ``n`` uniform intervals of [lo, hi]."""
-    xs = np.linspace(lo, hi, n + 1)
-    return SampledFunction(xs, np.array([float(f(x)) for x in xs]))
-
-
 def constant(value: float, lo: float, hi: float) -> SampledFunction:
     return SampledFunction(np.array([lo, hi]), np.array([value, value]))
 
@@ -240,10 +234,6 @@ class MonotoneMap:
     def __post_init__(self):
         if not (self.fn.vs[1:] - self.fn.vs[:-1]).min() > 0.0:
             raise ValueError("values must be strictly increasing")
-
-    @classmethod
-    def from_samples(cls, xs, vs) -> "MonotoneMap":
-        return cls(SampledFunction(xs, vs))
 
     def __call__(self, t):
         return self.fn(t)

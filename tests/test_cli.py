@@ -170,6 +170,15 @@ def test_non_finite_number_names_field(tmp_path, capsys, old, new, field):
          "u: {preset: sine, amplitude: 1.0e+308, omega: 2.0}", "'control.u'"),
         ("  y1: {preset: constant, value: 0.0}\ncontrol",
          "  y1: {preset: linear, intercept: 1.0e+308, slope: 1.0e+308}\ncontrol", "'initial.y1'"),
+        # sample tables that miss the domain, are too short or hold a row that is not a pair
+        ("  y0: {preset: constant, value: 0.0}", "  y0: {samples: [[0.0, 0.0], [0.5, 0.0]]}",
+         "'initial.y0.samples': table must span [0, 1], got [0, 0.5]"),
+        ("  y0: {preset: constant, value: 0.0}", "  y0: {samples: [[0.0, 0.0]]}",
+         "'initial.y0.samples': need at least two [x, value] rows"),
+        ("  y0: {preset: constant, value: 0.0}", "  y0: {samples: [[0.0, 0.0], [1.0]]}",
+         "'initial.y0.samples[1]': expected [x, value]"),
+        ("  regularity: C01", "  regularity: C2", "'initial.regularity': must be 'C01' or 'C1'"),
+        (STATIC_ZERO, "- 3.0\n", "'(document)': top level must be a mapping"),
     ],
 )
 def test_invalid_input_exits_2_naming_field(tmp_path, capsys, old, new, field):
@@ -370,6 +379,30 @@ def test_t_min_is_checked_before_the_initial_branch(tmp_path, capsys, command):
     assert "need T > 2 ell_bar_star = 4\n" in capsys.readouterr().err
 
 
+def test_c1_equal_branch_lengths_with_a_moving_end_exit_4(tmp_path, capsys):
+    # The moving final branch at speed alpha = sqrt(1/2) from ellbar0 = 1 + alpha starts
+    # at ell = 1 = ell0, where the initial branch rests: equal lengths, one end moving.
+    doc = f"""\
+T: 6.0
+solver: {{h: 1.0e-3, scheme: heun}}
+toughness: {{preset: constant, value: 1.0}}
+initial:
+  ell0: 1.0
+  regularity: C1
+  y0: {{preset: constant, value: 0.0}}
+  y1: {{preset: constant, value: 0.0}}
+target:
+  ellbar0: {1.0 + math.sqrt(0.5)!r}
+  regularity: C1
+  ybar0: {{preset: linear, intercept: {2.0 + math.sqrt(2.0)!r}, slope: -2.0}}
+  ybar1: {{preset: constant, value: {math.sqrt(2.0)!r}}}
+branch: {{policy: prefer_moving}}
+"""
+    assert run(tmp_path, doc, "synthesize")[0] == 4
+    assert capsys.readouterr().err == ("error: infeasible control time: equal branch lengths "
+                                       "require both endpoint front speeds to vanish\n")
+
+
 def test_synthesize_dead_end_exit_5(tmp_path):
     code, _ = run(tmp_path, BAD_TARGET, "synthesize")
     assert code == 5
@@ -547,7 +580,7 @@ def _fuzz_scenario(rng):
                           "omega": float(rng.uniform(0.5, 4.0)),
                           "phase": float(rng.choice([0.0, np.pi])), "resolution": 64}},
         "target": {"ellbar0": 1.5, "regularity": "C01", "ybar0": dict(zero), "ybar1": dict(zero)},
-        "branch": {"policy": "prefer_static", "h": 0.02},
+        "branch": {"policy": "prefer_static"},
         "verify": {"tol_front": 0.01},
         "output": {"state_points": 8},
     }
@@ -579,7 +612,6 @@ _FUZZ_FIELDS = [
     ("target.ellbar0", "target.ellbar0", True),
     ("target.ybar1.value", None, True),
     ("branch.policy", None, False),
-    ("branch.h", "branch.h", False),
     ("verify.tol_front", None, False),
     ("verify.tol_displacement", None, False),
     ("verify.tol_velocity", None, False),
@@ -710,6 +742,20 @@ def test_invalid_yaml_exits_2_naming_document(tmp_path, capsys, monkeypatch, loa
     assert code == 2
     assert "'(document)': not valid YAML" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_output_directory_serves_when_out_is_absent(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.yaml").write_text(STATIC_ZERO + "output: {directory: results}\n")
+    assert main(["simulate", "--config", "scenario.yaml"]) == 0
+    assert (tmp_path / "results" / "front.csv").is_file() and not (tmp_path / "out").exists()
+
+
+def test_verify_replay_of_a_control_starting_after_zero_exits_3_naming_it(tmp_path, capsys):
+    late = tmp_path / "late.csv"
+    late.write_text("t,u,uprime\n0.5,0,0\n6,0,0\n")
+    assert run(tmp_path, EXPANSION, "verify", "--control-csv", str(late))[0] == 3
+    assert capsys.readouterr().err == "error: control defined from 0.5 but the solve starts at 0\n"
 
 
 # -- verify --control-csv on files it cannot read ------------------------------------

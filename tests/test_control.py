@@ -93,16 +93,21 @@ def test_speed_profile_falls_back_to_ramp_and_plateau(h):
         _speed_profile(0.0, 1.0, 0.0, 0.0, 0.9999999999, h)
 
 
+def positive(t):
+    return 1.0
+
+
 def test_fprime_static_segment_zero_requirements():
     seg = static_front(1.0, 1.0, 3.0)
-    s, v = fprime_for_prescribed_front(seg, Toughness(1.0), 1.0, left_value=0.0, right_value=0.0)
+    s, v = fprime_for_prescribed_front(seg, Toughness(1.0), positive, left_value=0.0,
+                                       right_value=0.0)
     assert np.max(np.abs(v)) == 0.0
 
 
 def test_fprime_constant_speed_magnitude():
     ts = np.linspace(0.0, 3.0, 31)
     seg = FrontCurve(ts, 1.0 + ts / 3.0, np.full(31, 1.0 / 3.0))
-    _, v = fprime_for_prescribed_front(seg, Toughness(3.0), 1.0)
+    _, v = fprime_for_prescribed_front(seg, Toughness(3.0), positive, 0.0, 0.0)
     assert np.max(np.abs(v - math.sqrt(3.0))) <= 1e-12
 
 
@@ -110,7 +115,7 @@ def test_fprime_sign_change_through_plateau():
     seg = static_front(1.0, 1.0, 3.0)
     thr = math.sqrt(0.5)
     s, v = fprime_for_prescribed_front(
-        seg, Toughness(1.0), 1.0, left_value=thr, right_value=-thr
+        seg, Toughness(1.0), positive, left_value=thr, right_value=-thr
     )
     assert v[0] == pytest.approx(thr)
     assert v[-1] == pytest.approx(-thr)
@@ -140,12 +145,6 @@ def _prescribed_front_by_node(front, kappa, sign_at, left_value, right_value):
             j += 1
         sa, va = (s_nodes[i - 1], vals[i - 1]) if i > 0 else (s_nodes[i], left_value)
         sb, vb = (s_nodes[j + 1], vals[j + 1]) if j + 1 < n else (s_nodes[j], right_value)
-        if va is None and vb is None:
-            va = vb = 0.0
-        elif va is None:
-            va = vb
-        elif vb is None:
-            vb = va
         for k in range(i, j + 1):
             w = min(max((s_nodes[k] - sa) / (sb - sa), 0.0), 1.0) if sb > sa else 0.0
             band = math.sqrt(0.5 * kappa(Ls[k]))
@@ -154,7 +153,7 @@ def _prescribed_front_by_node(front, kappa, sign_at, left_value, right_value):
     return np.array(s_nodes), np.array(vals)
 
 
-@pytest.mark.parametrize("ends", [(0.3, -0.2), (None, 0.4), (0.1, None), (None, None)])
+@pytest.mark.parametrize("ends", [(0.3, -0.2)])
 def test_fprime_prescribed_front_matches_node_by_node(ends):
     rng = np.random.default_rng(17)
     ts = np.linspace(1.0, 4.0, 601)
@@ -456,13 +455,30 @@ def test_static_shortcut_is_the_general_path_on_a_static_branch(regularity):
 
 # -- C1 synthesis ------------------------------------------------------------------------
 
+@pytest.mark.parametrize("branch_T, shift, message", [
+    (5.0, 0.0, r"branch does not end at \(T, ellbar0\)"),
+    (6.0, 0.1, "branch start does not close the characteristic triangle"),
+])
+def test_synthesis_refuses_a_branch_off_the_target_or_the_triangle(branch_T, shift, message):
+    initial, target, kappa = zero_initial(), zero_target(2.0), Toughness(1.0)
+    branch = static_branch(target, kappa, branch_T)
+    branch = dataclasses.replace(branch, t_bar_star=branch.t_bar_star + shift)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        synthesize_c01(initial, target, kappa, 6.0, branch, SolverConfig(h=1e-2, T=6.0))
+
+
+def max_uprime_jump(control):
+    """Largest difference of u' between consecutive sample nodes."""
+    return float(np.max(np.abs(np.diff(control.uprime.vs))))
+
+
 def test_zero_to_zero_c1():
     initial = zero_initial(regularity="C1")
     target = zero_target(1.0, regularity="C1")
     kappa = Toughness(1.0)
     cfg = SolverConfig(h=H, T=3.0)
     rep = synthesize_c1(initial, target, kappa, 3.0, static_branch(target, kappa, 3.0), cfg)
-    assert rep.control.max_uprime_jump() <= 1e-8
+    assert max_uprime_jump(rep.control) <= 1e-8
     res = verify_synthesis(rep, initial, target, kappa, cfg)
     assert res.front_error <= 1e-10
     assert res.displacement_error <= 1e-10
@@ -494,7 +510,7 @@ def test_case_d_c1_roundtrip():
                     rep.branch.t_bar_star - 1e-6):
         assert seg.ell_prime(t_probe) <= 1e-9
     jump_tol = 1e-6 + 10 * H
-    assert rep.control.max_uprime_jump() <= jump_tol
+    assert max_uprime_jump(rep.control) <= jump_tol
     assert np.max(np.abs(np.diff(rep.front.speeds))) <= jump_tol
     # Stage-3 junction identity, both one-sided limits vs -(1 + alpha) ybar0'(L)/2
     left, right, ref = rep.stage3_junction

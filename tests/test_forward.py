@@ -12,7 +12,6 @@ from debond import (
     Toughness,
     constant,
     griffith_speed,
-    from_callable,
     solve_front,
     solve_initial_branch,
 )
@@ -142,6 +141,23 @@ def test_control_shorter_than_horizon_rejected():
         solve_front(st, ControlSignal.zero(2.0), Toughness(1.0), cfg)
 
 
+def test_control_starting_after_zero_rejected_naming_the_control():
+    # The solve reads u from t = 0; a control from t = 0.5 is refused as such.
+    xs = np.array([0.5, 6.0])
+    ctrl = ControlSignal(SampledFunction(xs, [0.0, 0.0]), SampledFunction(xs, [0.0, 0.0]))
+    with pytest.raises(DomainError, match=r"^control defined from 0.5 but the solve starts at 0$"):
+        solve_front(zero_state(), ctrl, Toughness(1.0), SolverConfig(h=1e-2, T=6.0))
+
+
+@pytest.mark.parametrize("up_xs", [[0.0, 1.0], [0.5, 4.0], [0.0, 4.5]])
+def test_control_rate_must_share_the_interval_of_u(up_xs):
+    # u = 2t on [0, 4]: a rate of 2 given only on [0, 1] would be held to t = 4 by the
+    # solve, which gave ell(4) = 2.363636 under zero data and kappa = 3, and no error.
+    u = SampledFunction([0.0, 4.0], [0.0, 8.0])
+    with pytest.raises(ValueError, match=r"^control u on \[0, 4\] and u' on .* must share one "):
+        ControlSignal(u, SampledFunction(up_xs, [2.0, 2.0]))
+
+
 # -- initial branch ---------------------------------------------------------------
 
 def test_initial_branch_static_exact():
@@ -247,9 +263,14 @@ def test_seed_trace_rejects_mismatched_endpoint():
 
 
 def test_control_consistency_residual():
+    # u(t) - u(0) equals the exact integral of u' at every node of u.
     rng = np.random.default_rng(21)
     ctrl = stepwise_control(4.0, rng)
-    assert ctrl.consistency_residual() <= 1e-12
+    t = ctrl.u.xs
+    gap = (ctrl.u.vs - ctrl.u.vs[0]) - (
+        ctrl.uprime.antiderivative_at(t) - ctrl.uprime.antiderivative_at(t[0])
+    )
+    assert float(np.max(np.abs(gap))) <= 1e-12
 
 
 def test_characteristic_identity_finite_differences():
@@ -698,6 +719,14 @@ def test_no_slot_is_read_before_it_is_written(monkeypatch, kappa, scheme):
         assert _same_bits(got, want)
 
 
+@pytest.mark.parametrize("t", [-1e-6, 3.0 + 1e-6])
+def test_reconstruct_outside_the_horizon_raises(t):
+    sol = solve_front(zero_state(), ControlSignal.zero(3.0), Toughness(1.0),
+                      SolverConfig(h=1e-2, T=3.0))
+    with pytest.raises(DomainError, match=r"^time \S+ outside \[0, 3\]$"):
+        sol.reconstruct(t, [0.0])
+
+
 def test_reconstruct_on_an_empty_grid_gives_empty_arrays():
     sol = solve_front(zero_state(), ControlSignal.zero(3.0), Toughness(1.0),
                       SolverConfig(h=1e-2, T=3.0))
@@ -761,3 +790,30 @@ def test_nan_slope_in_a_block_below_the_threshold_raises_as_before():
         fp[20] = np.nan
         with pytest.raises(DomainError, match=r"^evaluation at nan outside domain \[0, 8\]$"):
             core._march(np.linspace(0.01, 0.5, 50), fp, 0.0, 1.0, 0.0)
+
+
+# -- the record reads the core store at its own nodes --------------------------------
+
+@pytest.mark.parametrize("case", ["constant", "sampled", "stepwise"])
+def test_record_reads_the_slopes_of_its_own_nodes_from_the_store(case):
+    # trace_slope at every core node is the stored slope, and every front foot
+    # t - ell but the last (at t = T) is a stored node, bit for bit; so
+    # trace_function and griffith_residuals read the store there.
+    st, ctrl, kappa = make_state(1.0, lambda x: 0.0, lambda x: 2.0), ControlSignal.zero(5.0), None
+    if case == "constant":
+        kappa = Toughness(0.5)
+    elif case == "sampled":
+        kappa = _sampled_kappa(lambda x: 0.5 + 0.05 * np.sin(1.3 * x + 0.4))
+    else:
+        st, kappa = zero_state(), Toughness(1.0)
+        ctrl = stepwise_control(5.0, np.random.default_rng(11))
+    sol = solve_front(st, ctrl, kappa, SolverConfig(h=1e-2, T=5.0))
+    core, f = sol._core, sol.front
+    assert sol.trace_slope(core.s).tobytes() == core.fp.tobytes()
+    trace = sol.trace_function()
+    assert trace.xs.tobytes() == core.s.tobytes() and trace.vs.tobytes() == core.fp.tobytes()
+    feet = f.times - f.positions
+    assert feet[:-1].tobytes() == core.s[: feet.size - 1].tobytes()
+    kap = kappa.kappa if kappa.is_constant else kappa(f.positions)
+    want = np.abs(f.speeds - griffith_speed(sol.trace_slope(feet), kap))
+    assert sol.griffith_residuals().tobytes() == want.tobytes()

@@ -12,9 +12,18 @@ from debond import (
     constant,
     definite_integral,
     derivative,
-    from_callable,
 )
 from debond.func1d import cumulative_trapezoid, merged_eval, sides, union
+
+
+def sample(f, lo, hi, n):
+    """``f`` sampled on ``n`` uniform intervals of [lo, hi]."""
+    xs = np.linspace(lo, hi, n + 1)
+    return SampledFunction(xs, np.array([float(f(x)) for x in xs]))
+
+
+def monotone(xs, vs):
+    return MonotoneMap(SampledFunction(xs, vs))
 
 
 def test_evaluate_constant():
@@ -141,25 +150,25 @@ def test_definite_integral_partial_segments():
 
 
 def test_invert_identity():
-    m = MonotoneMap.from_samples([0.0, 1.0], [0.0, 1.0])
+    m = monotone([0.0, 1.0], [0.0, 1.0])
     assert m.invert(0.7) == pytest.approx(0.7, abs=1e-15)
 
 
 def test_invert_unit_shift():
     # tau_plus for a static unit front: t -> t + 1
-    m = MonotoneMap.from_samples([0.0, 5.0], [1.0, 6.0])
+    m = monotone([0.0, 5.0], [1.0, 6.0])
     assert m.invert(3.0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_invert_moving_front_tau_minus():
     # tau_minus for ell(t) = 1 + 0.6 t: t -> 0.4 t - 1; hand-solve 0.4 t - 1 = 0
     t = np.linspace(0.0, 5.0, 11)
-    m = MonotoneMap.from_samples(t, 0.4 * t - 1.0)
+    m = monotone(t, 0.4 * t - 1.0)
     assert m.invert(0.0) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_invert_rejects_out_of_range():
-    m = MonotoneMap.from_samples([0.0, 1.0], [0.0, 1.0])
+    m = monotone([0.0, 1.0], [0.0, 1.0])
     with pytest.raises(RangeError):
         m.invert(2.0)
 
@@ -167,7 +176,7 @@ def test_invert_rejects_out_of_range():
 def test_monotone_map_rejects_nonincreasing_values():
     for vs in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [1.0, 0.0]):
         with pytest.raises(ValueError, match="^values must be strictly increasing$"):
-            MonotoneMap.from_samples(np.linspace(0.0, 1.0, len(vs)), vs)
+            monotone(np.linspace(0.0, 1.0, len(vs)), vs)
 
 
 def test_derivative_constant_is_zero():
@@ -183,7 +192,7 @@ def test_derivative_single_segment():
 
 
 def test_derivative_of_square_against_analytic():
-    fn = from_callable(lambda x: x * x, 0.0, 1.0, 1000)
+    fn = sample(lambda x: x * x, 0.0, 1.0, 1000)
     d = derivative(fn)
     assert d(0.5) == pytest.approx(1.0, abs=1e-3)
 
@@ -197,7 +206,7 @@ def test_roundtrip_inversion_property():
         if xs.size < 2:
             continue
         vs = np.cumsum(rng.uniform(0.1, 2.0, xs.size))
-        m = MonotoneMap.from_samples(xs, vs)
+        m = monotone(xs, vs)
         t = rng.uniform(xs[0], xs[-1], 1000)
         span = xs[-1] - xs[0]
         back = m.invert(m(t))
@@ -207,7 +216,7 @@ def test_roundtrip_inversion_property():
 def test_integral_of_derivative_recovers_increments():
     rng = np.random.default_rng(3)
     h = 1e-3
-    fn = from_callable(np.sin, 0.0, 3.0, int(3.0 / h))
+    fn = sample(np.sin, 0.0, 3.0, int(3.0 / h))
     d = derivative(fn)
     for _ in range(50):
         a, b = np.sort(rng.uniform(0.0, 3.0, 2))

@@ -21,11 +21,10 @@ PUBLIC = [
     "SpeedOutOfRange", "SynthesisReport", "TargetState", "Toughness", "VerificationResult",
     "branch", "branch_speed_options", "check_damping_bound", "check_initial_compatibility",
     "classify_final_state", "constant", "control", "definite_integral", "derivative",
-    "energy_release_rate", "errors", "forward", "fprime_for_prescribed_front", "from_callable",
-    "func1d", "griffith_speed", "model", "solve_final_branch", "solve_front",
-    "solve_initial_branch", "speed_to_fprime_magnitude", "static_branch", "synthesize_c01",
-    "synthesize_c1", "synthesize_static_c01", "synthesize_static_c1", "uprime_from_fprime",
-    "verify_control", "verify_synthesis",
+    "errors", "forward", "fprime_for_prescribed_front", "func1d", "griffith_speed", "model",
+    "solve_final_branch", "solve_front", "solve_initial_branch", "speed_to_fprime_magnitude",
+    "static_branch", "synthesize_c01", "synthesize_c1", "synthesize_static_c01",
+    "synthesize_static_c1", "uprime_from_fprime", "verify_control", "verify_synthesis",
 ]
 SUBMODULES = {"errors", "func1d", "model", "forward", "branch", "control"}
 SOLVERS = {"debond.forward", "debond.branch", "debond.control"}

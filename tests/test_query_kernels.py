@@ -207,7 +207,7 @@ def test_sampled_function_queries_overflow_like_the_clipped_ones():
 def test_monotone_map_invert_matches_the_clipped_one():
     rng = np.random.default_rng(13)
     for xs, vs in _tables(3):
-        mono = MonotoneMap.from_samples(xs, np.cumsum(np.abs(vs) + 0.1) - 0.1 * xs.size)
+        mono = MonotoneMap(SampledFunction(xs, np.cumsum(np.abs(vs) + 0.1) - 0.1 * xs.size))
         q = _queries(mono.fn.vs, rng)
         rng.shuffle(q)
         for form in _forms(np.concatenate([q, FAR, q])):
