@@ -32,7 +32,6 @@ import numpy as np
 from .errors import C1SwitchViolation, DeadEnd, NoTermination
 from .func1d import scan, union
 from .model import (
-    SPEED_CAP,
     BranchResult,
     FrontCurve,
     TargetState,
@@ -134,12 +133,10 @@ def _terminal(policy, root, alpha):
 
 
 def _package(T, xs, Ls, vs, alts, alpha) -> BranchResult:
-    """BranchResult from nodes ordered by x = t + L - T, starting at x = 0."""
-    Ls = np.asarray(Ls, dtype=float)
-    vs = np.asarray(vs, dtype=float)
+    """BranchResult from node arrays ordered by x = t + L - T, starting at x = 0."""
     ts = T - (Ls - xs)  # exact T where L = x = ellbar0
     return BranchResult(
-        front_segment=FrontCurve(ts, Ls, np.minimum(vs, SPEED_CAP)),
+        front_segment=FrontCurve(ts, Ls, vs),
         t_bar_star=float(ts[0]),
         ell_bar_star=float(Ls[0]),
         ell_bar_star_prime=float(vs[0]),

@@ -6,7 +6,7 @@ synthesize, verify.  Exit codes are the scripting contract:
     0  success (verify: all tolerances met)
     1  verify ran but at least one error exceeds its tolerance
     2  configuration problem (message names the offending field)
-    3  solver failure (incompatible data, step trouble, horizon, memory, ...)
+    3  solver failure (incompatible data, a front speed rounding to 1, memory, ...)
     4  control-time infeasibility
     5  no admissible branch / size constraint violated
     6  continuity assertion failed while assembling a C1 control

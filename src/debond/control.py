@@ -41,7 +41,6 @@ from .errors import (
 from .forward import SolverConfig, solve_front, solve_initial_branch
 from .func1d import SampledFunction, cumulative_trapezoid, pair_width, sides, union
 from .model import (
-    SPEED_CAP,
     BranchResult,
     ControlSignal,
     FrontCurve,
@@ -126,7 +125,7 @@ def fprime_for_prescribed_front(
 
     vals = np.empty(n)
     moving = vs > _SPEED_TOL
-    mags = speed_to_fprime_magnitude(np.minimum(vs[moving], SPEED_CAP), kappa(Ls[moving]))
+    mags = speed_to_fprime_magnitude(vs[moving], kappa(Ls[moving]))
     vals[moving] = np.copysign(mags, sign_policy(ts[moving]))
 
     # Static runs [i, j]: edges of the runs of non-moving nodes.
@@ -190,7 +189,7 @@ def _speed_profile(p, q, va, vb, gain, h):
     tau = ts - p
     sigma = va + 2.0 * c2 * tau + 3.0 * c3 * tau * tau
     if np.all(sigma >= -1e-12) and np.all(sigma <= 1.0 - _SPEED_MARGIN):
-        return ts, np.clip(sigma, 0.0, 1.0 - _SPEED_MARGIN)
+        return ts, np.maximum(sigma, 0.0)  # Hermite rounding may dip to -1e-12
     w = 0.25 * L
     while True:
         m = (gain - 0.5 * w * (va + vb)) / (L - w)
@@ -381,7 +380,7 @@ def _synthesize(initial, target, kappa, T, branch, cfg, c1_mode):
         t_star, ell_star, v_star, t_bar, ell_end, v_bar, v_lin, cfg.h
     )
     case = _stage1_case(equal_len, v_star > _SLOPE_TOL, v_bar > _SLOPE_TOL)
-    stage1_front = FrontCurve(ts1, ells1, np.minimum(sig1, SPEED_CAP))
+    stage1_front = FrontCurve(ts1, ells1, sig1)
 
     # Composite prescribed front on [0, T], its jumps paired like the designed trace's
     eps = pair_width(T, initial.ell0)

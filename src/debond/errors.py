@@ -18,7 +18,7 @@ class InvalidToughness(DebondError):
 
 
 class SpeedOutOfRange(DebondError):
-    """Front speed outside the admissible interval."""
+    """A forward front speed that rounds to 1, or a prescribed speed outside (0, 1)."""
 
 
 class IncompatibleTarget(DebondError):

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HorizonExceeded, IncompatibleData
+from .errors import DomainError, HorizonExceeded, IncompatibleData, SpeedOutOfRange
 from .func1d import SampledFunction, definite_integral, pair_width, scan, sides
 from .model import (
-    SPEED_CAP,
     ControlSignal,
     FrontCurve,
     InitialBranchResult,
@@ -39,9 +38,6 @@ from .model import (
 )
 
 _SCHEMES = ("euler", "heun")
-
-# g = ell' / (1 - ell') at the stored speed cap.
-_G_CAP = SPEED_CAP / (1.0 - SPEED_CAP)
 
 # Consecutive u' abscissae closer than this times max(T, 1), with different
 # values, are a jump of the control rate.
@@ -178,7 +174,7 @@ class _Core:
         self.tracked[n:end] = tracked
         kappa, T = self.kappa, self.cfg.T
         if kappa.is_constant:
-            np.minimum(np.maximum(fp * fp / kappa.kappa - 0.5, 0.0), _G_CAP, out=g)
+            np.maximum(fp * fp / kappa.kappa - 0.5, 0.0, out=g)
             ell[0] = q[0] - s0
             np.subtract(q[1:], q[:-1], out=ell[1:])
             if self.cfg.scheme == "heun":
@@ -204,7 +200,7 @@ class _Core:
                                                  self.up_xs, self.up_vs)
             fp = self.fp[n:end]
         kap = kappa.kappa if kappa.is_constant else kappa(np.minimum(ell, T - q))
-        np.minimum(griffith_speed(fp, kap), SPEED_CAP, out=self.v[n:end])
+        self.v[n:end] = griffith_speed(fp, kap)
         self.n = end
 
     def _march(self, q, fp, s0, l0, g0):
@@ -223,7 +219,7 @@ class _Core:
         buf = np.empty(q.size + 1)
 
         def rate(x, f2):  # g at nodes of squared slope f2, kappa read at x held to its samples
-            return np.minimum(np.maximum(f2 / kappa.held(x) - 0.5, 0.0), _G_CAP)
+            return np.maximum(f2 / kappa.held(x) - 0.5, 0.0)
 
         def step(lo, hi, ell, g):
             top_, f2_, stop = top[lo:hi], f2[lo:hi], ~(ell < reach[lo:hi])
@@ -268,20 +264,31 @@ class SolutionRecord:
         self.config = cfg = core.cfg
         self._core = core  # its trace runs up to s = T, which reconstruction at T reads
         self._u0 = control.u(0.0)
-        # The front ends with one partial step of the scheme, in t, to t = T.
+        # The front ends with one partial step of the scheme, in t, to t = T.  From a tracked
+        # node k with T more than a step at k's rate away, the step crosses the jump of g to
+        # node k + 1, past T, and leaves at that right-side speed.
         T = cfg.T
         k = max(int(core.t.searchsorted(T - core.eps)) - 1, 0)
-        t_k, ell_k, v_k = float(core.t[k]), float(core.ell[k]), float(core.v[k])
-        ell_T = ell_k + (T - t_k) * v_k
+        j = k + 1 if core.tracked[k] and T - core.t[k] > cfg.h * (1.0 + core.g[k]) else k
+        t_k, ell_k, v_j = float(core.t[k]), float(core.ell[k]), float(core.v[j])
+        ell_T = ell_k + (T - t_k) * v_j
         if cfg.scheme == "heun":
-            ell_T = ell_k + 0.5 * (T - t_k) * (v_k + self._speed(T - ell_T, ell_T))
+            ell_T = ell_k + 0.5 * (T - t_k) * (v_j + self._speed(T - ell_T, ell_T))
         nodes = np.empty((3, k + 2))  # times, positions and speeds, each a contiguous row
         nodes[:, : k + 1] = core.t[: k + 1], core.ell[: k + 1], core.v[: k + 1]
         nodes[:, k + 1] = T, ell_T, self._speed(T - ell_T, ell_T)
+        if not max(nodes[2].max(), v_j) < 1.0:  # a speed rounds to 1: name the first in time
+            bad = np.flatnonzero(~(core.v[: k + 1] < 1.0))
+            i = bad[0] if bad.size else j  # node j's speed leaves t_k; kappa read as the core did
+            t, fp, x = core.t[min(i, k)], core.fp[i], min(core.ell[i], T - core.s[i])
+            if core.v[i] < 1.0:  # only the speed at T
+                t, fp, x = T, self.trace_slope(T - ell_T), ell_T
+            raise SpeedOutOfRange(f"front speed rounds to 1 at t = {t:.6g}: trace slope "
+                                  f"{fp:.6g}, toughness {self.toughness(x):.6g}")
         self.front = FrontCurve(*nodes)
 
     def _speed(self, s, ell):
-        return min(griffith_speed(self.trace_slope(s), self.toughness(ell)), SPEED_CAP)
+        return griffith_speed(self.trace_slope(s), self.toughness(ell))
 
     # -- trace queries ------------------------------------------------------
 

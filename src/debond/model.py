@@ -28,10 +28,6 @@ from .func1d import MonotoneMap, SampledFunction, constant, derivative, merged_e
 
 VALID_REGULARITY = ("C01", "C1")
 
-# Largest front speed a front curve stores: FrontCurve needs speeds below 1,
-# and the forward core's g = ell' / (1 - ell') stays finite.
-SPEED_CAP = 1.0 - 1e-9
-
 # How far from zero a state's displacement at its front, and a target's terminal
 # compatibility residual, may lie.
 FRONT_TOL = 1e-8
@@ -42,7 +38,7 @@ FRONT_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 def griffith_speed(fprime_at_trace, kappa_at_front):
-    """Front speed selected by the energy criterion; always in [0, 1).
+    """Front speed selected by the energy criterion: in [0, 1), or 1.0 by rounding.
 
     Scalars give a float, arrays an array.  A non-finite argument raises
     ``FloatingPointError`` naming it.  A float (a constant toughness) takes scalar tests.

@@ -20,7 +20,7 @@ from debond.branch import (
     solve_final_branch,
     static_branch,
 )
-from debond.model import SPEED_CAP, classify_final_state
+from debond.model import classify_final_state
 
 
 def make_target(ellbar0, y0_fn, y1_fn, regularity="C01", n=400):
@@ -335,7 +335,7 @@ def _assert_matches_reference(target, kappa, T, policy):
     L, v, alt = _reference_branch(target, kappa, T, policy)
     f = res.front_segment
     assert np.array_equal(f.positions, L)
-    assert np.array_equal(f.speeds, np.minimum(v, SPEED_CAP))
+    assert np.array_equal(f.speeds, v)
     assert np.array_equal(res.alternative_admissible, alt.astype(bool))
     assert res.ell_bar_star_prime == v[0]
     return res

@@ -264,6 +264,18 @@ def test_incompatible_data_exits_3(tmp_path):
     assert code == 3
 
 
+def test_front_speed_rounding_to_one_exits_3_naming_its_cause(tmp_path, capsys):
+    doc = STATIC_ZERO.replace("value: 1.0}", "value: 1.0e-18}", 1).replace(
+        "u: {preset: constant, value: 0.0}", "u: {preset: linear, intercept: 0.0, slope: 1.0}")
+    code, _ = run(tmp_path, doc, "simulate")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: front speed rounds to 1 at t = ")
+    assert "trace slope 1, toughness 1e-18" in err
+    assert 0.0 <= float(err.split("at t = ")[1].split(":")[0]) <= 3.0
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_initial_branch_command(tmp_path):
     code, out = run(tmp_path, CONSTANT_SPEED, "initial-branch")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from debond import (
     HorizonExceeded,
     SampledFunction,
     SolverConfig,
+    SpeedOutOfRange,
     Toughness,
     constant,
     griffith_speed,
@@ -464,17 +466,17 @@ def test_step_longer_than_a_tenth_of_ell0():
 
 def _reference_march(core, q, fp, s0, ell, g):
     """The node-by-node loop over the new nodes that the core's scan reproduces."""
-    kappa, heun, cap = core.kappa.kappa, core.cfg.scheme == "heun", forward._G_CAP
+    kappa, heun = core.kappa.kappa, core.cfg.scheme == "heun"
     ells, gs = [], []
     steps = zip(np.diff(q, prepend=s0).tolist(), (fp * fp).tolist(), (core.cfg.T - q).tolist())
     for d, f2, top in steps:
         if ell < top + d:  # the previous node lies before the horizon
             ell_next = ell + d * g
             if heun:
-                g_pred = min(max(f2 / kappa(min(ell_next, top)) - 0.5, 0.0), cap)
+                g_pred = max(f2 / kappa(min(ell_next, top)) - 0.5, 0.0)
                 ell_next = ell + 0.5 * d * (g + g_pred)
             ell = ell_next
-            g = min(max(f2 / kappa(min(ell, top)) - 0.5, 0.0), cap)
+            g = max(f2 / kappa(min(ell, top)) - 0.5, 0.0)
         else:
             g = 0.0
         ells.append(ell)
@@ -578,7 +580,7 @@ def _block_in_temporaries(core, q, fp, tracked, reflected, s0, l0, g0):
     """One block's fields as they were built in temporaries and concatenated."""
     kappa, T, seed = core.kappa, core.cfg.T, core.initial.seed_trace
     if kappa.is_constant:
-        g = np.minimum(np.maximum(fp * fp / kappa.kappa - 0.5, 0.0), forward._G_CAP)
+        g = np.maximum(fp * fp / kappa.kappa - 0.5, 0.0)
         x, g_all = np.concatenate(([s0], q)), np.concatenate(([g0], g))
         if core.cfg.scheme == "heun":
             ell = l0 + func1d.cumulative_trapezoid(x, g_all)[1:]
@@ -594,7 +596,7 @@ def _block_in_temporaries(core, q, fp, tracked, reflected, s0, l0, g0):
         up = np.interp(s, core.up_xs, core.up_vs)
         fp = np.where(s <= 0.0, np.interp(s, seed.minus_xs, seed.minus_vs),
                       up - np.interp(s, seed.plus_xs, seed.plus_vs))
-    v = np.minimum(griffith_speed(fp, kap), forward.SPEED_CAP)
+    v = griffith_speed(fp, kap)
     return {"s": s, "t": t, "ell": ell, "g": g, "v": v, "fp": fp,
             "tracked": np.broadcast_to(tracked, q.shape)}
 
@@ -817,3 +819,54 @@ def test_record_reads_the_slopes_of_its_own_nodes_from_the_store(case):
     kap = kappa.kappa if kappa.is_constant else kappa(f.positions)
     want = np.abs(f.speeds - griffith_speed(sol.trace_slope(feet), kap))
     assert sol.griffith_residuals().tobytes() == want.tobytes()
+
+
+# -- near-sonic fronts: the closing step crosses the seed kink, or the solve refuses -------
+
+def _near_sonic(kappa, sampled, scheme):
+    # Zero data, u = t: the front rests until t = 1, then runs at (2 - kappa) / (2 + kappa).
+    tough = Toughness(SampledFunction([0.0, 10.0], [kappa, kappa]) if sampled else kappa)
+    return solve_front(zero_state(), linear_control(3.0, 1.0), tough,
+                       SolverConfig(h=1e-3, T=3.0, scheme=scheme))
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("kappa", [1e-10, 1e-12, 1e-14])
+def test_near_sonic_front_matches_the_closed_form(kappa, sampled, scheme):
+    ell_T = _near_sonic(kappa, sampled, scheme).front.ell(3.0)
+    assert abs(ell_T - (1.0 + 2.0 * (2.0 - kappa) / (2.0 + kappa))) <= 1e-11
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+@pytest.mark.parametrize("sampled", [False, True])
+def test_a_front_speed_that_rounds_to_one_is_refused_naming_its_cause(sampled, scheme):
+    with pytest.raises(SpeedOutOfRange, match="trace slope 1, toughness 1e-18") as err:
+        _near_sonic(1e-18, sampled, scheme)
+    assert 0.0 <= float(re.search(r"at t = (\S+):", str(err.value)).group(1)) <= 3.0
+
+
+@pytest.mark.parametrize("scheme, case, message", [
+    ("heun", "seed", "at t = 0: trace slope 1, toughness 1e-18"),
+    ("euler", "seed", "at t = 0: trace slope 1, toughness 1e-18"),
+    # Heun's right node of the u' jump lies past T: only the speed at T rounds to 1.
+    ("heun", "late jump", "at t = 3: trace slope 1e+09, toughness 1"),
+    ("euler", "late jump", "at t = 2.9999: trace slope 1e+09, toughness 1"),
+    # A u' spike 1e-6 wide: only the closing step's right-side speed rounds to 1.
+    ("heun", "spike", "at t = 2.5: trace slope 1e+09, toughness 1"),
+    ("euler", "spike", "at t = 2.5: trace slope 1e+09, toughness 1"),
+])
+def test_the_refusal_names_the_first_front_speed_that_rounds_to_one(scheme, case, message):
+    state, kappa = zero_state(), 1.0
+    if case == "seed":  # the data's slope 1 drives the front from t = 0
+        state, kappa = make_state(1.0, lambda x: 0.0, lambda x: 2.0, n=4), 1e-18
+        xs, rates = [0.0, 3.0], [0.0, 0.0]
+    elif case == "late jump":  # at rest until u' jumps to 1e9 at t = 3 - 1e-4
+        xs, rates = [0.0, 2.0 - 1e-4, 2.0 - 1e-4 + 1e-9, 3.0], [0.0, 0.0, 1e9, 1e9]
+    else:  # at rest but for u' = 1e9 on (1.5, 1.5 + 1e-6), which reaches the front at t = 2.5
+        xs = [0.0, 1.5, 1.5 + 1e-9, 1.5 + 1e-6, 1.5 + 1e-6 + 1e-9, 3.0]
+        rates = [0.0, 0.0, 1e9, 1e9, 0.0, 0.0]
+    up = SampledFunction(xs, rates)
+    control = ControlSignal(SampledFunction(xs, func1d.cumulative_trapezoid(up.xs, up.vs)), up)
+    with pytest.raises(SpeedOutOfRange, match=f"^front speed rounds to 1 {re.escape(message)}$"):
+        solve_front(state, control, Toughness(kappa), SolverConfig(h=1e-3, T=3.0, scheme=scheme))

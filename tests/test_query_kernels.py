@@ -329,3 +329,13 @@ def test_griffith_speed_matches_the_seed_on_scalars_and_arrays():
 def test_griffith_speed_messages(fp, kappa, error, message):
     assert _outcome(griffith_speed, fp, kappa) == (error, message)
     assert _outcome(_seed_griffith_speed, fp, kappa) == (error, message)
+
+
+def test_np_interp_reads_the_right_side_at_a_repeated_abscissa():
+    # numpy does not document its read at a repeated abscissa, and a jump stored as two
+    # nodes at one abscissa relies on it: the right value there, the left segment's value
+    # an ulp below.
+    xp, fp = np.array([0.0, 1.0, 1.0, 2.0]), np.array([0.0, 1.0, 5.0, 5.0])
+    below = np.nextafter(1.0, 0.0)
+    assert np.interp(1.0, xp, fp) == 5.0 and np.interp(below, xp, fp) == below
+    assert np.interp(np.array([below, 1.0]), xp, fp).tolist() == [below, 5.0]
