@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonExceeded, IncompatibleData, SpeedOutOfRange
-from .func1d import SampledFunction, definite_integral, pair_width, scan, sides
+from .func1d import SampledFunction, _first_outside, definite_integral, pair_width, scan, sides
 from .model import (
     ControlSignal,
     FrontCurve,
@@ -122,24 +122,33 @@ class _Core:
             self._block(a, b, images[images <= b], reflect=True)
 
     def _block(self, a, b, jumps, reflect):
-        """Solve on (a, b]: the uniform grid plus the u' jumps and the tracked ``jumps``.
-        The first block of an empty store starts at its start node s = a."""
+        """Solve on (a, b]: the uniform grid, the u' jumps and the tracked ``jumps`` as a stable
+        sort of (jumps, grid) orders them; a node within eps / 2 of the one before it (or of a)
+        merges into it, tracked if either was.  An empty store's first block starts at s = a."""
         m = max(math.ceil((b - a) / self.cfg.h - 1e-9), 1)
         head = 1 if self.n else 0
-        q = np.arange(head, m + 1.0) * ((b - a) / m) + a  # np.linspace(a, b, m + 1)[head:]
-        q[-1] = b
-        tracked = False
+        # np.linspace(a, b, m + 1)[head:], between the node before it (none: -inf) and +inf
+        grid = np.arange(head - 1, m + 2.0) * ((b - a) / m) + a
+        grid[0], grid[-2], grid[-1] = a if head else -math.inf, b, math.inf
+        q, tracked, half = grid[1:-1], False, 0.5 * self.eps
         lo, hi = self.up_jumps.searchsorted((a, b), side="right")
-        if jumps.size or hi > lo:
-            jumps = np.concatenate((jumps, self.up_jumps[lo:hi]))
-            q = np.concatenate((jumps, q))
-            order = q.argsort(kind="stable")
-            q, tracked = q[order], order < jumps.size
-            # Nodes closer than eps / 2 merge into the first; a merged jump stays tracked.
-            prior = a if head else -math.inf  # the start node stays
-            keep = q - np.concatenate(([prior], q[:-1])) > 0.5 * self.eps
-            if not keep.all():
-                first = np.flatnonzero(keep)
+        if jumps.size or hi > lo:  # the jumps go in by searchsorted: the block is not sorted
+            jumps = np.sort(np.concatenate((jumps, self.up_jumps[lo:hi])), kind="stable")
+            jumps = jumps[np.concatenate(([True], jumps[1:] != jumps[:-1]))]  # repeats merge
+            at = q.searchsorted(jumps)  # each goes before the grid nodes at or after it
+            on = q.take(at, mode="clip") == jumps
+            hit, off = at[on], ~on
+            q[hit] = jumps[on]  # a jump at a grid node is that node, with the jump's sign of zero
+            x, p = jumps[off], at[off]
+            spots = p + np.arange(x.size)
+            q, tracked = np.empty(q.size + x.size), np.zeros(q.size + x.size, dtype=bool)
+            q[spots], tracked[spots] = x, True
+            q[~tracked] = grid[1:-1]
+            tracked[hit + p.searchsorted(hit, side="right")] = True
+            # Grid nodes lie a step apart: only an inserted jump can lie near a neighbour.
+            if not ((b - a) / m > self.eps and (x[1:] - x[:-1]).min(initial=math.inf) > half
+                    and np.minimum(x - grid[p], grid[p + 1] - x).min(initial=math.inf) > half):
+                first = np.flatnonzero(q - np.concatenate((grid[:1], q[:-1])) > half)
                 q, tracked = q[first], np.logical_or.reduceat(tracked, first)
         fp = (self._reflect(q, a) if reflect
               else _seed_slope(self.initial.seed_trace, q, self.up_xs, self.up_vs))
@@ -282,29 +291,38 @@ class SolutionRecord:
             i = bad[0] if bad.size else j  # node j's speed leaves t_k; kappa read as the core did
             t, fp, x = core.t[min(i, k)], core.fp[i], min(core.ell[i], T - core.s[i])
             if core.v[i] < 1.0:  # only the speed at T
-                t, fp, x = T, self.trace_slope(T - ell_T), ell_T
+                t, fp, x = T, self._slope(T - ell_T), ell_T
             raise SpeedOutOfRange(f"front speed rounds to 1 at t = {t:.6g}: trace slope "
                                   f"{fp:.6g}, toughness {self.toughness(x):.6g}")
         self.front = FrontCurve(*nodes)
 
     def _speed(self, s, ell):
-        return griffith_speed(self.trace_slope(s), self.toughness(ell))
+        return griffith_speed(self._slope(s), self.toughness(ell))
 
     # -- trace queries ------------------------------------------------------
 
-    def trace_slope(self, s):
-        """f'(s): exact data formulas below ell0, the solver's nodes above.
+    def _query(self, s):
+        """s as a float array; a DomainError names its first point outside [-ell0, T].  Past
+        this check, and in reconstruction, every table read lies in its domain by construction."""
+        s, lo, hi = np.asarray(s, dtype=float), -self.initial.ell0, self.config.T
+        if (bad := _first_outside(s, lo, hi)) is not None:
+            raise DomainError(f"trace query at {bad:.17g} outside [{lo:.17g}, {hi:.17g}]")
+        return s
 
-        A float gives a float, an array an array of the same shape.
-        """
-        s, core = np.asarray(s, dtype=float), self._core  # NaN reads the nodes
+    def trace_slope(self, s):
+        """f'(s) on [-ell0, T]: exact data formulas below ell0, the solver's nodes above.
+        A float gives a float, an array an array of the same shape."""
+        return self._slope(self._query(s))
+
+    def _slope(self, s):
+        s, core = np.asarray(s, dtype=float), self._core
         out = sides(s <= self.initial.ell0,
                     lambda i: _seed_slope(self.initial.seed_trace, s[i], core.up_xs, core.up_vs),
                     lambda i: np.interp(s[i], core.s, core.fp))
         return float(out) if out.ndim == 0 else out
 
     def trace_value(self, s):
-        """f(s), anchored at f(0) = 0, via the trace relation f(s) = u(s) + f(echo(s)).
+        """f(s) on [-ell0, T], with f(0) = 0, by the trace relation f(s) = u(s) + f(echo(s)).
 
         A float gives a float, an array an array of the same shape.  Each
         point walks its echo chain down to [-ell0, ell0] once, adding u into a
@@ -312,25 +330,28 @@ class SolutionRecord:
         bits of u + f(echo)), then the data formula at the end of the chain:
         neither the recursion limit nor memory depends on the depth.
         """
-        q = np.array(s, dtype=float).ravel()
-        init, u = self.initial, self.control.u
+        f = self._value(np.array(self._query(s)).ravel()).reshape(np.shape(s))
+        return float(f) if f.ndim == 0 else f
+
+    def _value(self, q):
+        """``trace_value`` on a 1-D array q, which the walk overwrites."""
+        init, u, front = self.initial, self.control.u, self.front
         f = np.full(q.shape, -0.0)
         active = np.flatnonzero(q > init.ell0)
-        while active.size:
+        while active.size:  # echo(s) = s - 2 ell(tau_plus^-1(s))
             walk = q[active]
-            f[active] += u(walk)
-            q[active] = walk = self.front.echo(walk)
+            f[active] += np.interp(walk, u.xs, u.vs)
+            foot = np.interp(walk, front.tau_plus.fn.vs, front.times)
+            q[active] = walk = walk - 2.0 * np.interp(foot, front.times, front.positions)
             active = active[walk > init.ell0]
         # The data's polylines start at 0 (up to the domain slack): an antiderivative is
         # the integral from 0.  f(s <= 0) = -integral_0^{-s} of the seed slope (y1 - y0')/2.
         def data(i):
             mid = q[i]
-            half = 0.5 * (init.y0_prime.antiderivative_at(mid) + init.y1.antiderivative_at(mid))
-            return u(mid) - self._u0 - half
+            half = 0.5 * (init.y0_prime._integral(mid) + init.y1._integral(mid))
+            return np.interp(mid, u.xs, u.vs) - self._u0 - half
 
-        f += sides(q <= 0.0, lambda i: -init.seed_trace.incoming.antiderivative_at(-q[i]), data)
-        f = f.reshape(np.shape(s))
-        return float(f) if f.ndim == 0 else f
+        return f + sides(q <= 0.0, lambda i: -init.seed_trace.incoming._integral(-q[i]), data)
 
     def trace_function(self) -> SampledFunction:
         """The trace slope on [-ell0, T] as one sampled function on the solver's nodes,
@@ -351,10 +372,11 @@ class SolutionRecord:
             raise DomainError(f"time {t:g} outside [0, {self.config.T:g}]")
         ell_t = self.front.ell(t)
         x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-        if x_grid.size and (x_grid.min() < -1e-12 or x_grid.max() > ell_t * (1 + 1e-12) + 1e-12):
+        if x_grid.size and not (x_grid.min() >= -1e-12  # NaN fails
+                                and x_grid.max() <= ell_t * (1 + 1e-12) + 1e-12):
             raise DomainError(f"reconstruction point beyond the front ell({t:g}) = {ell_t:g}")
         x = np.minimum(x_grid, ell_t)
-        fp_back = self.trace_slope(t - x)
+        fp_back = self._slope(t - x)
         # y, and the slope a of the wave along t + x: y_t = f'(t - x) + a, y_x = -f'(t - x) + a
         outside = t + x >= self.initial.ell0 * (1.0 - 1e-14)
         if outside.all():  # the common case: no boolean gathers or scatters
@@ -367,9 +389,12 @@ class SolutionRecord:
 
     def _beyond_cone(self, t, x):
         """y and a outside the data cone, from the trace and the characteristic maps."""
-        echo, factor = self.front.reflect(t + x)
-        f = self.trace_value(np.concatenate((t - x, echo)))  # one walk for both feet
-        return f[: x.size] - f[x.size :], -self.trace_slope(echo) * factor
+        front, s = self.front, t + x  # in tau_plus's range: its inverse reads the table
+        foot = np.interp(s, front.tau_plus.fn.vs, front.times)
+        v = np.interp(foot, front.times, front.speeds)
+        echo = s - 2.0 * np.interp(foot, front.times, front.positions)
+        f = self._value(np.concatenate((t - x, echo)))  # one walk for both feet
+        return f[: x.size] - f[x.size :], -self._slope(echo) * ((1.0 - v) / (1.0 + v))
 
     def _in_cone(self, t, x):
         """y and a inside the data cone: d'Alembert from the initial data, plus the
@@ -389,7 +414,7 @@ class SolutionRecord:
         Each front node but the last is a core node, whose foot t - ell is its stored
         s, so its slope is read from the store; the last, at t = T, is queried."""
         f, kappa, k = self.front, self.toughness, self.front.times.size - 1
-        fp = np.append(self._core.fp[:k], self.trace_slope(f.times[k] - f.positions[k]))
+        fp = np.append(self._core.fp[:k], self._slope(f.times[k] - f.positions[k]))
         kap = kappa.kappa if kappa.is_constant else kappa(f.positions)  # a float: np.full's bits
         return np.abs(f.speeds - griffith_speed(fp, kap))
 
@@ -404,9 +429,7 @@ def solve_front(
     if control.u.lo > cfg.T * 1e-12:
         raise DomainError(f"control defined from {control.u.lo:g} but the solve starts at 0")
     if control.t_end < cfg.T * (1 - 1e-12):
-        raise DomainError(
-            f"control defined up to {control.t_end:g} but horizon is {cfg.T:g}"
-        )
+        raise DomainError(f"control defined up to {control.t_end:g} but horizon is {cfg.T:g}")
     if abs(initial.y0(0.0) - control.u(0.0)) > 1e-6:
         raise IncompatibleData(f"control endpoint u(0) = {control.u(0.0):g} does not match "
                                f"y0(0) = {initial.y0(0.0):g}")

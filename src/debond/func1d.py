@@ -87,27 +87,28 @@ class SampledFunction:
 
     @functools.cached_property
     def _segments(self):
-        """Per segment, cached: left node, its value, exact trapezoid integral to it, slope."""
+        """Per segment, cached: left node, its value, exact trapezoid integral to it, slope / 2."""
         xs, vs = self.xs, self.vs
         table = np.stack((xs[:-1], vs[:-1], cumulative_trapezoid(xs, vs)[:-1],
-                          (vs[1:] - vs[:-1]) / (xs[1:] - xs[:-1])))
+                          0.5 * ((vs[1:] - vs[:-1]) / (xs[1:] - xs[:-1]))))
         table.setflags(write=False)
         return table
 
     def antiderivative_at(self, x):
         """Exact integral of the interpolant from ``lo`` to ``x``."""
-        x = self._check(x)
-        if x.size == 0:
-            return x
-        x = np.minimum(np.maximum(x, self.xs[0]), self.xs[-1])
-        # The last node at or below x (the one before it at x = hi): an interior search.
-        idx = self.xs[1:-1].searchsorted(x, side="right")
-        x0, v0, cum, slope = self._segments.take(idx, axis=1)
-        d = x - x0
-        out = cum + v0 * d + 0.5 * slope * d * d
+        out = self._integral(self._check(x))
         if not np.isfinite(out).all():
             raise OverflowError(f"integral of the interpolant from {self.lo:.17g} overflows")
         return float(out) if out.ndim == 0 else out
+
+    def _integral(self, x):
+        """``antiderivative_at`` unchecked, for a float array x in the domain up to the slack."""
+        x = np.minimum(np.maximum(x, self.xs[0]), self.xs[-1])
+        # The last node at or below x (the one before it at x = hi): an interior search.
+        idx = self.xs[1:-1].searchsorted(x, side="right")
+        x0, v0, cum, half_slope = self._segments.take(idx, axis=1)
+        d = x - x0
+        return cum + v0 * d + half_slope * d * d
 
 
 def pair_width(T, ell0):

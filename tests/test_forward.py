@@ -670,6 +670,107 @@ def test_block_grids_equal_linspace_bit_for_bit(monkeypatch, h, T, ell0):
         assert _same_bits(q, np.linspace(a, b, m + 1)[0 if first else 1:])
 
 
+def _sorted_block_grid(core, a, b, jumps):
+    """A block's nodes and tracked mask as they were built by sorting: the grid and the
+    jumps concatenated, a stable argsort, then the keep mask and ``reduceat`` of the merge.
+    Also the number of nodes merged into a neighbour of a different value."""
+    m = max(math.ceil((b - a) / core.cfg.h - 1e-9), 1)
+    head = 1 if core.n else 0
+    q = np.arange(head, m + 1.0) * ((b - a) / m) + a
+    q[-1] = b
+    tracked, near = False, 0
+    lo, hi = core.up_jumps.searchsorted((a, b), side="right")
+    if jumps.size or hi > lo:
+        jumps = np.concatenate((jumps, core.up_jumps[lo:hi]))
+        q = np.concatenate((jumps, q))
+        order = q.argsort(kind="stable")
+        q, tracked = q[order], order < jumps.size
+        before = np.concatenate(([a if head else -math.inf], q[:-1]))
+        keep = q - before > 0.5 * core.eps
+        near = np.count_nonzero(~keep & (q != before))
+        if not keep.all():
+            first = np.flatnonzero(keep)
+            q, tracked = q[first], np.logical_or.reduceat(tracked, first)
+    return q, np.broadcast_to(tracked, q.shape), near
+
+
+def _assert_same_grid(got, want):
+    (q, tracked), (q_ref, tracked_ref) = got, want[:2]
+    assert _same_bits(q, q_ref)
+    assert np.array_equal(np.broadcast_to(tracked, q.shape), tracked_ref)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+def test_block_grids_equal_the_sorted_construction_on_stepwise_solves(monkeypatch, scheme):
+    # Forward-suite-like solves: u' jumps on grid nodes, 1e-9 pairs, their images (some
+    # repeated, some within eps / 2 of a grid node or of each other), and velocity data.
+    block, add, wants, gots = forward._Core._block, forward._Core._add, [], []
+
+    def recording_block(core, a, b, jumps, reflect):
+        wants.append(_sorted_block_grid(core, a, b, jumps))
+        block(core, a, b, jumps, reflect)
+
+    def recording_add(core, q, fp, tracked, reflected):
+        gots.append((q.copy(), np.broadcast_to(tracked, q.shape).copy()))
+        add(core, q, fp, tracked, reflected)
+
+    monkeypatch.setattr(forward._Core, "_block", recording_block)
+    monkeypatch.setattr(forward._Core, "_add", recording_add)
+    rng = np.random.default_rng(22)  # its eight controls merge 13-14 unequal nodes
+    for ctrl in [stepwise_control(5.0, rng) for _ in range(8)]:
+        solve_front(zero_state(), ctrl, Toughness(float(rng.uniform(0.3, 3.0))),
+                    SolverConfig(h=1e-3, T=5.0, scheme=scheme))
+    solve_front(make_state(1.0, lambda x: 0.0, lambda x: 1.5), ctrl, Toughness(0.7),
+                SolverConfig(h=1e-3, T=5.0, scheme=scheme))
+    assert len(gots) == len(wants) > 20
+    for got, want in zip(gots, wants):
+        _assert_same_grid(got, want)
+    merged = [w for w, g in zip(wants, gots) if w[1].any()]
+    assert len(merged) > 10 and sum(w[2] for w in wants) > 0  # some merges of unequal nodes
+
+
+def _block_grid(monkeypatch, a, b, jumps, stored, up_jumps=()):
+    """``_block``'s nodes and tracked mask on (a, b] with ``stored`` nodes in the store (the
+    store itself is left as it is), beside the sorted construction's, on a zero solve with
+    T = 5, ell0 = 1 and h = 1e-3 (eps = 1.2e-11)."""
+    core = solve_front(zero_state(), ControlSignal.zero(5.0), Toughness(1.0),
+                       SolverConfig(h=1e-3, T=5.0))._core
+    core.n, core.up_jumps, got = stored, np.array(up_jumps, dtype=float), []
+    jumps = np.array(jumps, dtype=float)
+    want = _sorted_block_grid(core, a, b, jumps)
+    monkeypatch.setattr(forward._Core, "_add", lambda core, q, fp, tracked, reflected:
+                        got.append((q, tracked)))
+    core._block(a, b, jumps, reflect=False)
+    return got[0], want
+
+
+G = 700 * (2.0 / 2000) + 1.0  # a grid node of the block (1, 3] at h = 1e-3
+X = 1.2345678901  # between grid nodes
+
+
+@pytest.mark.parametrize("a, b, jumps, stored, up_jumps", [
+    (1.0, 3.0, [G, X, G, X], 9, ()),  # at a grid node, and repeated
+    (1.0, 3.0, [G + 3e-12], 9, ()),  # within eps / 2 after a grid node
+    (1.0, 3.0, [G - 3e-12], 9, ()),  # within eps / 2 before a grid node
+    (1.0, 3.0, [X + 3e-12, X], 9, ()),  # within eps / 2 after another jump
+    (1.0, 3.0, [G + 4e-12, G + 8e-12, X], 9, ()),  # a chain merging into a grid node
+    (1.0, 3.0, [3.0], 9, ()),  # at b
+    (1.0, 3.0, [], 9, (0.5, 3.0, 4.0)),  # a u' jump at b
+    (1.0, 3.0, [1.0 + 1e-5, 3.0 + 1e-3], 9, ()),  # before the first grid node; past b
+    (1.0, 3.0, [1.0 + 3e-12, X], 9, ()),  # within eps / 2 after the start node a
+    (1.0, 3.0, [1.0, X], 9, ()),  # at the start node a
+    (-1.0, 0.0, [-1.0], 0, ()),  # a first block whose start node is a jump
+    (-1.0, 0.0, [-1.0 + 3e-12, -0.5], 0, ()),  # ... and one within eps / 2 of it
+    (-1.0, 0.0, [-0.0], 0, ()),  # at the grid node 0.0: the jump's sign of zero
+    (-1.0, 0.0, [], 0, (-0.0, 1e-9)),  # ... as a u' jump
+    (2.0, 2.0 + 4e-12, [2.0 + 2e-12], 9, ()),  # a one-node block shorter than eps / 2
+    (2.0, 2.0 + 1e-11, [2.0 + 8e-12], 9, ()),  # a one-node block shorter than eps
+])
+def test_block_grids_equal_the_sorted_construction(monkeypatch, a, b, jumps, stored, up_jumps):
+    got, want = _block_grid(monkeypatch, a, b, jumps, stored, up_jumps)
+    _assert_same_grid(got, want)
+
+
 @pytest.mark.parametrize("scheme", ["euler", "heun"])
 def test_store_blocks_equal_the_formulas_on_curved_data(monkeypatch, scheme):
     # Curved data: the seed formula differs between a grid node and its stored s = t - ell.
@@ -727,6 +828,44 @@ def test_reconstruct_outside_the_horizon_raises(t):
                       SolverConfig(h=1e-2, T=3.0))
     with pytest.raises(DomainError, match=r"^time \S+ outside \[0, 3\]$"):
         sol.reconstruct(t, [0.0])
+
+
+def _stepwise_solve():
+    """Zero data, a stepwise u' and a constant kappa up to T = 5: trace queries on [-1, 5]."""
+    return solve_front(zero_state(), _stepwise_draws()[0], Toughness(1.3),
+                       SolverConfig(h=1e-3, T=5.0))
+
+
+@pytest.mark.parametrize("query", ["trace_slope", "trace_value"])
+@pytest.mark.parametrize("s, named", [
+    (7.0, 7.0), (100.0, 100.0), (-3.0, -3.0), (math.nan, math.nan), (math.inf, math.inf),
+    (5.0 + 1e-8, 5.0 + 1e-8), (-1.0 - 1e-8, -1.0 - 1e-8),  # past the slack, 6e-9
+    (np.array([0.5, 6.0, -2.0]), 6.0), (np.array([[0.5], [math.nan]]), math.nan),
+])
+def test_trace_queries_refuse_points_outside_the_trace(query, s, named):
+    # Once past T a slope read the last stored slope, below -ell0 the first seed slope, and
+    # NaN gave NaN; trace_value(-3) named the negated point, outside the data's [0, 1].
+    with pytest.raises(DomainError) as err:
+        getattr(_stepwise_solve(), query)(s)
+    assert str(err.value) == f"trace query at {named:.17g} outside [-1, 5]"
+
+
+@pytest.mark.parametrize("query", ["trace_slope", "trace_value"])
+def test_trace_queries_take_points_within_the_slack_at_the_ends(query):
+    sol = _stepwise_solve()
+    read = getattr(sol, query)
+    assert _same_bits(read(-1.0 - 5e-9), read(-1.0))
+    assert _same_bits(read(np.array([-1.0 - 5e-9, 2.0])), [read(-1.0), read(2.0)])
+    assert math.isfinite(read(5.0 + 5e-9))
+    if query == "trace_slope":  # the last stored slope
+        assert _same_bits(read(5.0 + 5e-9), read(5.0))
+
+
+@pytest.mark.parametrize("t, x", [(5.0, [math.nan]), (5.0, [0.5, math.nan]),
+                                  (5.0, [math.nan, 0.5]), (0.2, [math.nan])])
+def test_reconstruct_refuses_a_nan_point(t, x):
+    with pytest.raises(DomainError):
+        _stepwise_solve().reconstruct(t, x)
 
 
 def test_reconstruct_on_an_empty_grid_gives_empty_arrays():

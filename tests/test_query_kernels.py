@@ -5,9 +5,10 @@ The ``_seed_*`` functions below are the earlier implementations of
 ``MonotoneMap.invert`` and ``griffith_speed``, kept as reference oracles;
 ``_interp_fprime`` reads ``_seed_slope``'s three polylines through plain
 ``np.interp``, and ``_masked_*`` are the general paths of ``_seed_slope``
-and ``SolutionRecord.trace_slope``, with both masks always applied.  Every
-result must have the oracle's type, shape and bits (so -0.0 differs from 0.0
-and NaN equals itself), and every error the oracle's type and message.
+and ``SolutionRecord.trace_slope`` (its read past the entry check, ``_slope``),
+with both masks always applied.  Every result must have the oracle's type,
+shape and bits (so -0.0 differs from 0.0 and NaN equals itself), and every
+error the oracle's type and message.
 """
 
 import math
@@ -279,12 +280,18 @@ def test_one_sided_trace_slope_matches_the_masked_path():
     sol = solve_front(initial, control, Toughness(0.6), SolverConfig(h=1e-2, T=3.0))
     s = np.concatenate([sol._core.s[::7], rng.uniform(-1.0, 3.0, 60),
                         [-1.0, 0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), 3.0]])
-    # Wholly above ell0, wholly at or below it (or 0), both, and both with NaN.
+    # Wholly above ell0, wholly at or below it (or 0), both, and both with NaN: the public
+    # query refuses NaN, the unchecked read behind it takes the masked path's bits.
     for part in (s[s > 1.0], s[s <= 1.0], s[s <= 0.0], s[(s > 0.0) & (s <= 1.0)], s,
                  np.append(s, np.nan)):
         for form in _forms(part):
             with np.errstate(invalid="ignore"):
-                _assert_same(sol.trace_slope(form), _masked_trace_slope(sol, form))
+                _assert_same(sol._slope(form), _masked_trace_slope(sol, form))
+                if not np.isnan(form).any():
+                    _assert_same(sol.trace_slope(form), _masked_trace_slope(sol, form))
+                else:
+                    with pytest.raises(DomainError, match=r"^trace query at nan outside"):
+                        sol.trace_slope(form)
 
 
 # -- model ------------------------------------------------------------------------
