@@ -16,10 +16,10 @@ starts at r = T + ellbar0 and its stopping line t + L = T is r = T, so the
 last node is the branch start and every abscissa of w is a node.
 
 Each node depends only on the one before it: its L, its speed and, under the
-C1 rules, whether the branch is moving.  So the march is one ``func1d.scan``,
-the policy one array rule, and only the C1 terminal node, pinned to alpha,
-is decided on its own.  The first midpoint or node, in marching order, that
-leaves kappa's samples or fails the size constraint raises.
+C1 rules, whether the branch is moving.  So the march is one ``func1d.march``
+whose rate applies the policy as one array rule, and only the C1 terminal
+node, pinned to alpha, is decided on its own.  The first midpoint or node, in
+marching order, that leaves kappa's samples or fails the size constraint raises.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import C1SwitchViolation, DeadEnd, NoTermination
-from .func1d import scan, union
+from .func1d import march, union
 from .model import (
     BranchResult,
     FrontCurve,
@@ -173,33 +173,20 @@ def solve_final_branch(
     opts = branch_speed_options(Y[0], 2.0 * kappa(target.ellbar0))
     if alpha is None:
         moving = _choose(policy, c1, opts[-1], len(opts) == 2, False)
-        start = (opts[-1] if moving else 0.0), moving
+        v0 = opts[-1] if moving else 0.0
     else:
-        start = _terminal(policy, opts[-1], alpha)
-    neg_half = -0.5 * dx
-    # Per pass, L at the node before the window, then the decrements: one in-place
-    # cumsum rounds like L -= inc node by node.
-    buf = np.empty(dx.size + 1)
+        v0, moving = _terminal(policy, opts[-1], alpha)
 
-    def speed(L, Y, moving):  # speed and moving flag at nodes of data Y after ``moving``
-        root, has_moving = _roots(Y, 2.0 * kappa.held(L))
+    def rate(lo, hi, L, _, moving):  # dL/dx, speed and moving flag after nodes on ``moving``
+        root, has_moving = _roots(Y[lo + 1 : hi + 1], 2.0 * kappa.held(L))
         moving = _choose(policy, c1, root, has_moving, moving)
         root[~moving] = 0.0
-        return root, moving
+        return root / (1.0 + root), root, moving
 
-    def step(lo, hi, L, v, moving):
-        Y_, g = Y[lo + 1 : hi + 1], v / (1.0 + v)
-        v_mid, moving = speed(L - dx[lo:hi] * g, Y_, moving)
-        g += v_mid / (1.0 + v_mid)
-        np.multiply(neg_half[lo:hi], g, out=buf[lo + 1 : hi + 1])
-        buf[lo] = L[0]
-        L = np.cumsum(buf[lo : hi + 1], out=buf[lo : hi + 1])[1:]
-        return (L, *speed(L, Y_, moving))
-
-    L, v, _ = scan(step, (target.ellbar0, *start), dx.size)
+    L, g, v, _ = march(-dx, rate, (target.ellbar0, v0 / (1.0 + v0), v0, moving), heun=True)
     # kappa's arguments in the order of the node-by-node march: the first one that
     # leaves kappa's domain or violates the size constraint raises
-    args = np.column_stack((L[:-1] - dx * (v[:-1] / (1.0 + v[:-1])), L[1:])).ravel()
+    args = np.column_stack((L[:-1] - dx * g[:-1], L[1:])).ravel()
     Ys, Ks = np.repeat(Y[1:], 2), np.broadcast_to(2.0 * kappa.held(args), args.shape)
     violated = np.flatnonzero(_violated(Ys, Ks))
     kappa.check(args[: violated[0] + 1 if violated.size else args.size])

@@ -2,8 +2,7 @@
 
 Functions are declared either as inline sample tables or as named presets
 (constant, linear, sine) sampled at a declared resolution.  All numbers are
-decimal.  ``emit_config(parse_config(text))`` reproduces the scenario exactly
-(same sampled functions), which the CLI round-trip test relies on.
+decimal.
 """
 
 from __future__ import annotations
@@ -295,11 +294,3 @@ def load_config(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
 
-
-def emit_config(cfg: ScenarioConfig) -> str:
-    doc = {"T": cfg.T, "solver": cfg.solver, "toughness": cfg.toughness}
-    for name in ("initial", "target", "control", "branch", "verify", "output"):
-        value = getattr(cfg, name)
-        if value:
-            doc[name] = value
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)

@@ -10,13 +10,12 @@ reflection of the trace slope f' (given by the data and the control on
 As sigma <= a on the echo block (a, a + 2 ell~(a)], a block is one vectorized
 pass: interpolate earlier nodes in sigma + 2 ell~(sigma), then integrate g
 (heun: trapezoid rule, euler: left-point rule; under a non-constant toughness g
-depends on ell~, and the predictor-corrector recurrence is one ``scan``, equal
-bit for bit to the loop over the nodes).  Its nodes are a grid of spacing at
-most h and the tracked jumps of f', each a pair of nodes with one-sided
-values: the seed kink at s = 0 and the switch to reflection at s = ell0 (when
-their sides differ), u' abscissae closer than 1e-6 max(T, 1) with different
-values, and the images of tracked pairs.  No step straddles a jump, and t
-increases with s whatever h is.
+depends on ell~, and the block is one ``func1d.march``, the kernel the backward
+branch steps with too).  Its nodes are a grid of spacing at most h and the
+tracked jumps of f', each a pair of nodes with one-sided values: the seed kink
+at s = 0 and the switch to reflection at s = ell0 (when their sides differ), u'
+abscissae closer than 1e-6 max(T, 1) with different values, and the images of
+tracked pairs.  No step straddles a jump, and t increases with s whatever h is.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonExceeded, IncompatibleData, SpeedOutOfRange
-from .func1d import SampledFunction, _first_outside, definite_integral, pair_width, scan, sides
+from .func1d import SampledFunction, _first_outside, definite_integral, march, pair_width, sides
 from .model import (
     ControlSignal,
     FrontCurve,
@@ -69,6 +68,13 @@ def _seed_slope(seed, q, up_xs, up_vs):
                  - np.interp(q[i], seed.plus_xs, seed.plus_vs))
 
 
+def _overflow_at(fp, ell, g):
+    """Index of a block's first g where f'^2 / kappa overflows (f' not NaN), or the block's size:
+    ell~ is inf or NaN once any g is, so only the last node is read when none does."""
+    i = g.size if ell[-1] < math.inf and g[-1] < math.inf else int(np.argmax(~(g < math.inf)))
+    return g.size if i < g.size and math.isnan(fp[i]) else i
+
+
 _FIELDS = ("s", "t", "ell", "g", "v", "fp", "tracked")
 
 
@@ -93,7 +99,8 @@ class _Core:
         for name in _FIELDS:
             setattr(self, name, np.empty(size, dtype=bool if name == "tracked" else float))
         self.n = 0
-        self._solve(s_end)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing g is refused in _add
+            self._solve(s_end)
         for name in _FIELDS:
             setattr(self, name, getattr(self, name)[: self.n])
 
@@ -196,6 +203,11 @@ class _Core:
             np.add(np.cumsum(t, out=ell), l0, out=ell)
         else:
             ell[:], g[:] = self._march(q, fp, s0, l0, g0)
+        if (i := _overflow_at(fp, ell, g)) < m:  # the speed rounds to 1
+            x = ell[i - 1] if i else l0
+            raise SpeedOutOfRange(
+                f"front speed rounds to 1 at t = {min(q[i] + x, T):.6g}: trace slope "
+                f"{fp[i]:.6g}, toughness {kappa.held(min(x, T - q[i])):.6g}")
         np.add(q, ell, out=t)
         np.subtract(t, ell, out=s)
         np.copyto(s, q, where=~(t < T))
@@ -208,39 +220,23 @@ class _Core:
                 self.fp[n + moved] = _seed_slope(self.initial.seed_trace, s[moved],
                                                  self.up_xs, self.up_vs)
             fp = self.fp[n:end]
-        kap = kappa.kappa if kappa.is_constant else kappa(np.minimum(ell, T - q))
+        # a sampled kappa's arguments are the ones _march has checked
+        kap = kappa.kappa if kappa.is_constant else kappa.held(np.minimum(ell, T - q))
         self.v[n:end] = griffith_speed(fp, kap)
         self.n = end
 
     def _march(self, q, fp, s0, l0, g0):
-        """ell~ and g when g depends on ell~ through kappa: Euler, or an Euler predictor
-        for kappa's argument and the trapezoid rule, solved by ``scan``.  After the first
-        node with t >= T the front is held, as no such node is a reflection source for
-        s <= T; kappa is read at min(ell, T - s), which keeps that first node inside
-        [0, ell(T)].  Guesses read kappa held to its samples; a DomainError names the
-        first argument of the solution, in node order, outside them.
+        """ell~ and g when g depends on ell~ through kappa, by ``func1d.march``.  kappa is
+        read at min(ell, T - s), which past the first node with t >= T (no reflection
+        source for s <= T) keeps its arguments inside [0, ell(T)].  Guesses read kappa
+        held to its samples; a DomainError names the first argument of the solution, in
+        node order, outside them.
         """
         kappa, heun = self.kappa, self.cfg.scheme == "heun"
         d, f2, top = q - np.concatenate(([s0], q[:-1])), fp * fp, self.cfg.T - q
-        reach, half = top + d, 0.5 * d
-        # Per pass, ell at the node before the window, then the increments: one
-        # in-place cumsum rounds like ell = ell + inc node by node.
-        buf = np.empty(q.size + 1)
 
-        def rate(x, f2):  # g at nodes of squared slope f2, kappa read at x held to its samples
-            return np.maximum(f2 / kappa.held(x) - 0.5, 0.0)
-
-        def step(lo, hi, ell, g):
-            top_, f2_, stop = top[lo:hi], f2[lo:hi], ~(ell < reach[lo:hi])
-            inc = np.multiply(d[lo:hi], g, out=buf[lo + 1 : hi + 1])
-            if heun:
-                np.multiply(half[lo:hi], g + rate(np.minimum(ell + inc, top_), f2_), out=inc)
-            inc[stop] = 0.0  # the previous node lies at or past the horizon: hold
-            buf[lo] = ell[0]
-            ell = np.cumsum(buf[lo : hi + 1], out=buf[lo : hi + 1])[1:]
-            g = rate(np.minimum(ell, top_), f2_)
-            g[stop] = 0.0
-            return ell, g
+        def rate(lo, hi, ell):
+            return (np.maximum(f2[lo:hi] / kappa.held(np.minimum(ell, top[lo:hi])) - 0.5, 0.0),)
 
         # Below the threshold at every node the front rests whatever ell~ is: g = +0.0.
         # np.interp may read kappa a few ulps of its largest sample below the least one,
@@ -249,12 +245,11 @@ class _Core:
         if g0 == 0.0 and (f2 <= 0.5 * (kvs.min() - 1e-15 * kvs.max())).all():
             ell, g = np.full(q.size + 1, l0), np.zeros(q.size + 1)
         else:
-            ell, g = scan(step, (l0, g0), q.size)
-        # kappa's arguments in the order of the node-by-node march
-        run = ell[:-1] < reach
-        args = [np.minimum(ell[:-1] + d * g[:-1], top)] if heun else []
-        args.append(np.minimum(ell[1:], top))
-        kappa.check(*(a[run] for a in args))
+            ell, g = march(d, rate, (l0, g0), heun)
+        # kappa's arguments in the order of the node-by-node march, up to a g that overflows
+        k = _overflow_at(fp, ell[1:], g[1:])
+        args = [np.minimum(ell[:k] + d[:k] * g[:k], top[:k])] if heun else []
+        kappa.check(*args, np.minimum(ell[1 : k + 1], top[:k]))
         return ell[1:], g[1:]
 
 
@@ -372,9 +367,11 @@ class SolutionRecord:
             raise DomainError(f"time {t:g} outside [0, {self.config.T:g}]")
         ell_t = self.front.ell(t)
         x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-        if x_grid.size and not (x_grid.min() >= -1e-12  # NaN fails
-                                and x_grid.max() <= ell_t * (1 + 1e-12) + 1e-12):
-            raise DomainError(f"reconstruction point beyond the front ell({t:g}) = {ell_t:g}")
+        lo, hi = -1e-12, ell_t * (1 + 1e-12) + 1e-12
+        if x_grid.size and not (x_grid.min() >= lo and x_grid.max() <= hi):  # NaN fails
+            bad = x_grid[~((x_grid >= lo) & (x_grid <= hi))].flat[0]
+            raise DomainError(f"reconstruction point {bad:.17g} outside [0, ell({t:.17g})] = "
+                              f"[0, {ell_t:.17g}]")
         x = np.minimum(x_grid, ell_t)
         fp_back = self._slope(t - x)
         # y, and the slope a of the wave along t + x: y_t = f'(t - x) + a, y_x = -f'(t - x) + a

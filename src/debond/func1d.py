@@ -5,7 +5,8 @@ with these two types.  Interpolation is piecewise-linear everywhere because the
 lowest regularity class handled by the solver (Lipschitz) is represented
 exactly by polylines; derivatives are piecewise-constant midpoint slopes,
 consistent with functions whose derivative exists only almost everywhere.
-``scan`` solves a first-order recurrence over node arrays in vectorized passes.
+``scan`` solves a first-order recurrence over node arrays in vectorized passes,
+and ``march`` steps an ODE by Heun or Euler as one ``scan``.
 """
 
 from __future__ import annotations
@@ -158,6 +159,26 @@ def scan(step, start, m):
         first = int(changed.argmax())
         done = done + 1 + first if changed[first] else hi
     return states
+
+
+def march(d, rate, start, heun):
+    """Nodes 0..m of x' = r over the steps ``d`` as one ``scan``, equal bit for bit to the node
+    loop x_pred = x + d r, then x += d/2 (r + rate(x_pred)) (heun) or d r (euler), r = rate(x).
+    ``start`` holds x, r and any further state at node 0; ``rate(lo, hi, x, *more)`` gives r and
+    the further state at nodes lo+1..hi from x there and ``more`` at the nodes before (for the
+    corrector, the predictor's).  Returns one array per component."""
+    buf = np.empty(d.size + 1)  # per pass: x at the node before the window, then the increments
+
+    def step(lo, hi, x, r, *more):
+        inc = np.multiply(d[lo:hi], r, out=buf[lo + 1 : hi + 1])
+        if heun:
+            r_mid, *more = rate(lo, hi, x + inc, *more)
+            np.multiply(0.5 * d[lo:hi], r + r_mid, out=inc)
+        buf[lo] = x[0]  # one in-place cumsum rounds like x = x + inc node by node
+        x = np.cumsum(buf[lo : hi + 1], out=buf[lo : hi + 1])[1:]
+        return (x, *rate(lo, hi, x, *more))
+
+    return scan(step, start, d.size)
 
 
 def union(*grids):

@@ -59,6 +59,22 @@ def test_options_coincidence_at_equality():
     assert branch_speed_options(2.0, 2.0) == (0.0,)
 
 
+@pytest.mark.parametrize("K", [0.0, -1.0])
+def test_options_refuse_a_threshold_that_is_not_positive(K):
+    with pytest.raises(DeadEnd, match="toughness threshold must be positive"):
+        branch_speed_options(0.0, K)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"mode": "prefer_fast"}, r"mode must be one of \('prefer_static', 'prefer_moving'\)"),
+    ({"h": 0.0}, "backward step must be positive"),
+    ({"h": -1e-3}, "backward step must be positive"),
+])
+def test_policy_refuses_an_unknown_mode_or_a_step_that_is_not_positive(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        BranchPolicy(**kwargs)
+
+
 # -- backward integration --------------------------------------------------------
 
 def test_static_branch_preferred():

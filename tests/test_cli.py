@@ -10,7 +10,7 @@ import yaml
 
 from debond import ContinuityFailure, cli, config, control
 from debond.cli import main
-from debond.config import emit_config, load_config, parse_config
+from debond.config import load_config, parse_config
 
 STATIC_ZERO = """\
 T: 3.0
@@ -188,6 +188,31 @@ def test_invalid_input_exits_2_naming_field(tmp_path, capsys, old, new, field):
     assert code == 2
     assert field in capsys.readouterr().err
     assert not (out / "front.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, command, field", [
+    ("  y0: {preset: constant, value: 0.0}", "  y0: {preset: linear, intercept: 1.0, slope: -0.5}",
+     "simulate", "'initial': y0 must vanish at the front: y0(1) = 0.5"),
+    ("  ybar0: {preset: constant, value: 0.0}", "  ybar0: {preset: constant, value: 0.5}",
+     "synthesize", "'target': ybar0 must vanish at the front: ybar0(1) = 0.5"),
+])
+def test_state_that_does_not_vanish_at_the_front_exits_2_naming_it(tmp_path, capsys, old, new,
+                                                                   command, field):
+    code, _ = run(tmp_path, STATIC_ZERO.replace(old, new, 1), command)
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("toughness", ["{preset: constant, value: 1.0e-310}",
+                                       "{samples: [[0.0, 1.0e-310], [4.0, 1.0e-310]]}"])
+def test_overflowing_griffith_rate_exits_3_with_one_line(tmp_path, capsys, toughness):
+    doc = (STATIC_ZERO.replace("{preset: constant, value: 1.0}", toughness, 1)
+           .replace("u: {preset: constant, value: 0.0}",
+                    "u: {preset: linear, intercept: 0.0, slope: 1.0}", 1))
+    code, _ = run(tmp_path, doc, "simulate")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: front speed rounds to 1 at t = 1: trace slope 1, toughness 1e-310\n")
 
 
 @pytest.mark.parametrize("old, new, field, hint", [
@@ -455,19 +480,6 @@ def test_verify_corrupted_replay_exits_1(tmp_path):
     assert code == 1
     rows = (tmp_path / "out2" / "verify.csv").read_text().splitlines()
     assert any("false" in r for r in rows[1:])
-
-
-def test_config_roundtrip(tmp_path):
-    cfg = parse_config(EXPANSION)
-    text = emit_config(cfg)
-    cfg2 = parse_config(text)
-    assert emit_config(cfg2) == text
-    a = cfg.build_target()
-    b = cfg2.build_target()
-    grid = np.linspace(0.0, 2.0, 101)
-    assert np.max(np.abs(a.ybar0(grid) - b.ybar0(grid))) <= 1e-15
-    assert np.max(np.abs(a.ybar1(grid) - b.ybar1(grid))) <= 1e-15
-    assert cfg2.solver == cfg.solver and cfg2.T == cfg.T
 
 
 def test_byte_identical_outputs(tmp_path):

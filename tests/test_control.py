@@ -9,6 +9,7 @@ import pytest
 from debond import (
     ConstraintViolated,
     ContinuityFailure,
+    DomainError,
     FrontCurve,
     IncompatibleData,
     IncompatibleTarget,
@@ -190,6 +191,12 @@ def test_uprime_zero_trace():
     st = zero_initial()
     seg = static_front(1.0, 0.0, 4.0)
     assert uprime_from_fprime(lambda s: 0.0, seg, st, 3.0) == 0.0
+
+
+def test_uprime_refuses_an_echo_before_minus_ell0():
+    # A front at 2 over data on [0, 1]: s = 2.5 reflects to 2.5 - 4 = -1.5 < -ell0.
+    with pytest.raises(DomainError, match="echo point -1.5 precedes -ell0"):
+        uprime_from_fprime(lambda s: 0.0, static_front(2.0, 0.0, 4.0), zero_initial(), 2.5)
 
 
 def _uprime_by_where(fprime, front, initial, s):

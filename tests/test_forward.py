@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -462,6 +463,34 @@ def test_step_longer_than_a_tenth_of_ell0():
     assert abs(f.ell(6.0) - 4.0) <= 1e-9
 
 
+def test_solver_config_refuses_an_unknown_scheme():
+    with pytest.raises(ValueError, match=r"scheme must be one of \('euler', 'heun'\)"):
+        SolverConfig(h=1e-3, T=1.0, scheme="rk4")
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+@pytest.mark.parametrize("sampled", [False, True], ids=["constant", "sampled"])
+@pytest.mark.parametrize("y1, t, slope", [(0.0, 1, 1), (1.0, 0, 0.5)],
+                         ids=["control-block", "first-block"])
+def test_an_overflowing_griffith_rate_is_refused_as_a_speed_that_rounds_to_1(scheme, sampled,
+                                                                            y1, t, slope):
+    # kappa = 1e-310: f'^2 / kappa overflows from the first moving slope, on the data's first
+    # block (slope y1 / 2 from t = 0) or the control's (slope 1 from t = 1).  It gave NaN,
+    # RuntimeWarnings and a FloatingPointError or a DomainError at NaN.
+    kappa = Toughness(SampledFunction([0.0, 8.0], [1e-310, 1e-310]) if sampled else 1e-310)
+    st = make_state(1.0, lambda x: 0.0, lambda x: y1)
+    cfg = SolverConfig(h=1e-3, T=3.0, scheme=scheme)
+    message = f"front speed rounds to 1 at t = {t}: trace slope {slope}, toughness 1e-310"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpeedOutOfRange) as err:
+            solve_front(st, linear_control(3.0, 1.0), kappa, cfg)
+        assert str(err.value) == message
+        if y1:
+            with pytest.raises(SpeedOutOfRange, match=re.escape(message)):
+                solve_initial_branch(st, kappa, cfg)
+
+
 # -- sampled toughness: the scan against the node-by-node march ----------------------
 
 def _reference_march(core, q, fp, s0, ell, g):
@@ -470,15 +499,12 @@ def _reference_march(core, q, fp, s0, ell, g):
     ells, gs = [], []
     steps = zip(np.diff(q, prepend=s0).tolist(), (fp * fp).tolist(), (core.cfg.T - q).tolist())
     for d, f2, top in steps:
-        if ell < top + d:  # the previous node lies before the horizon
-            ell_next = ell + d * g
-            if heun:
-                g_pred = max(f2 / kappa(min(ell_next, top)) - 0.5, 0.0)
-                ell_next = ell + 0.5 * d * (g + g_pred)
-            ell = ell_next
-            g = max(f2 / kappa(min(ell, top)) - 0.5, 0.0)
-        else:
-            g = 0.0
+        ell_next = ell + d * g
+        if heun:
+            g_pred = max(f2 / kappa(min(ell_next, top)) - 0.5, 0.0)
+            ell_next = ell + 0.5 * d * (g + g_pred)
+        ell = ell_next
+        g = max(f2 / kappa(min(ell, top)) - 0.5, 0.0)
         ells.append(ell)
         gs.append(g)
     return np.array(ells), np.array(gs)
@@ -522,11 +548,6 @@ def test_sampled_kappa_scan_matches_the_node_by_node_march(monkeypatch, scheme):
         sol, ref = _solve_with_both(monkeypatch, st, ctrl, kappa,
                                     SolverConfig(h=1e-3, T=5.0, scheme=scheme))
         _assert_same_core(sol, ref)
-        # the last block runs past t = T: every node after one beyond it is held
-        core = sol._core
-        past = core.t[:-1] > 5.0 + 1e-9
-        assert np.count_nonzero(past) > 100
-        assert np.all(core.g[1:][past] == 0.0) and np.all(np.diff(core.ell)[past] == 0.0)
 
 
 def test_stiff_kappa_scan_takes_many_passes_and_still_matches(monkeypatch):
@@ -534,7 +555,7 @@ def test_stiff_kappa_scan_takes_many_passes_and_still_matches(monkeypatch):
     # commits only a short run of nodes, yet it ends on the loop's output.
     kappa = _sampled_kappa(lambda x: 0.3 + 0.25 * np.sin(300.0 * x), n=8000)
     passes = []
-    monkeypatch.setattr(forward, "scan", _counting_scan(passes))
+    monkeypatch.setattr(func1d, "scan", _counting_scan(passes))
     st = make_state(1.0, lambda x: 0.0, lambda x: 2.0)
     sol, ref = _solve_with_both(monkeypatch, st, ControlSignal.zero(3.0), kappa,
                                 SolverConfig(h=2e-3, T=3.0))
@@ -868,6 +889,16 @@ def test_reconstruct_refuses_a_nan_point(t, x):
         _stepwise_solve().reconstruct(t, x)
 
 
+@pytest.mark.parametrize("x, named", [([math.nan], math.nan), ([-1.0], -1.0), ([10.0], 10.0),
+                                      ([0.5, -1.0, math.nan], -1.0)])
+def test_reconstruct_names_the_first_point_outside_and_the_interval(x, named):
+    sol = _stepwise_solve()
+    with pytest.raises(DomainError) as err:
+        sol.reconstruct(5.0, x)
+    assert str(err.value) == (f"reconstruction point {named:.17g} outside [0, ell(5)] = "
+                              f"[0, {sol.front.ell(5.0):.17g}]")
+
+
 def test_reconstruct_on_an_empty_grid_gives_empty_arrays():
     sol = solve_front(zero_state(), ControlSignal.zero(3.0), Toughness(1.0),
                       SolverConfig(h=1e-2, T=3.0))
@@ -875,7 +906,7 @@ def test_reconstruct_on_an_empty_grid_gives_empty_arrays():
         for out in sol.reconstruct(t, []):
             assert type(out) is np.ndarray and out.shape == (0,) and out.dtype == np.float64
     for bad in ([0.5, -1e-9], [sol.front.ell(3.0) * (1.0 + 1e-9)]):
-        with pytest.raises(DomainError, match="beyond the front"):
+        with pytest.raises(DomainError, match=r"outside \[0, ell\(3\)\] = \[0, "):
             sol.reconstruct(3.0, bad)
 
 
@@ -887,7 +918,7 @@ def test_blocks_at_rest_run_no_scan_pass_and_match_the_loop(monkeypatch, scheme)
     # store equals the node-by-node loop's bit for bit.
     kappa = _sampled_kappa(lambda x: 1.0 + 0.1 * np.sin(1.3 * x + 0.4))
     passes = []
-    monkeypatch.setattr(forward, "scan", _counting_scan(passes))
+    monkeypatch.setattr(func1d, "scan", _counting_scan(passes))
     sol, ref = _solve_with_both(monkeypatch, zero_state(), ControlSignal.zero(4.0), kappa,
                                 SolverConfig(h=1e-3, T=4.0, scheme=scheme))
     assert passes == []

@@ -13,6 +13,7 @@ from debond import (
     definite_integral,
     derivative,
 )
+from debond import func1d
 from debond.func1d import cumulative_trapezoid, merged_eval, sides, union
 
 
@@ -403,3 +404,30 @@ def test_sides_equals_where(x):
     # a side that takes every point sees x's own shape, 0-d included; else True goes first
     assert seen == ([x.shape] if one_side else [(np.count_nonzero(x > 0.0),),
                                                 (np.count_nonzero(~(x > 0.0)),)])
+
+
+@pytest.mark.parametrize("heun", [False, True], ids=["euler", "heun"])
+@pytest.mark.parametrize("window", [1, 5, 1024])
+def test_march_equals_the_node_loop(monkeypatch, heun, window):
+    # x' = a x / (1 + x^2) + k with a counter k the rate carries, one more per call: the
+    # corrector reads the predictor's, so a heun node adds 2 and an euler node 1.
+    monkeypatch.setattr(func1d, "_SCAN_WINDOW", window)
+    rng = np.random.default_rng(5)
+    d, a = rng.uniform(0.0, 0.1, 40), rng.uniform(-3.0, 3.0, 40)
+
+    def rate(lo, hi, x, k):
+        return a[lo:hi] * x / (1.0 + x * x) + k, k + 1.0
+
+    x, r, k = 0.5, 0.25, 0.0
+    want = [(x, r, k)]
+    for i in range(d.size):
+        x_pred = x + d[i] * r
+        if heun:
+            r_mid, k = a[i] * x_pred / (1.0 + x_pred * x_pred) + k, k + 1.0
+            x = x + 0.5 * d[i] * (r + r_mid)
+        else:
+            x = x_pred
+        r, k = a[i] * x / (1.0 + x * x) + k, k + 1.0
+        want.append((x, r, k))
+    got = func1d.march(d, rate, (0.5, 0.25, 0.0), heun)
+    assert _bits(np.stack(got, axis=1)) == _bits(np.array(want))

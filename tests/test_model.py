@@ -107,6 +107,12 @@ def test_speed_to_fprime_rejects_out_of_range():
         speed_to_fprime_magnitude(1.0, 1.0)
 
 
+@pytest.mark.parametrize("kappa", [0.0, -1.0, np.array([1.0, 0.0])])
+def test_speed_to_fprime_rejects_a_toughness_that_is_not_positive(kappa):
+    with pytest.raises(InvalidToughness, match="toughness must be positive"):
+        speed_to_fprime_magnitude(0.5, kappa)
+
+
 def test_speed_roundtrip_property():
     rng = np.random.default_rng(1)
     v = rng.uniform(1e-9, 1.0 - 1e-6, 2000)
@@ -306,6 +312,22 @@ def test_state_invariants_enforced():
         make_state(1.0, lambda x: 1.0, lambda x: 0.0)  # y0 does not vanish
     with pytest.raises(ValueError):
         make_target(1.0, lambda x: x, lambda x: 0.0)  # ybar0(ellbar0) != 0
+
+
+@pytest.mark.parametrize("state", [InitialState, TargetState])
+def test_state_refuses_a_length_regularity_or_domain_that_does_not_fit(state):
+    zero = constant(0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        state(0.0, zero, zero, "C01")
+    with pytest.raises(ValueError, match=r"regularity must be one of \('C01', 'C1'\)"):
+        state(1.0, zero, zero, "C2")
+    with pytest.raises(ValueError, match=r"must be sampled on \[0, 1\], got \[0, 0.5\]"):
+        state(1.0, zero, constant(0.0, 0.0, 0.5), "C01")
+
+
+def test_front_curve_refuses_arrays_of_unequal_length():
+    with pytest.raises(ValueError, match="equal-length 1-D arrays"):
+        FrontCurve([0.0, 1.0, 2.0], [1.0, 1.0], [0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("s", [2.0, np.linspace(1.0, 7.2, 401)], ids=["float", "array"])
