@@ -95,55 +95,78 @@ def _csv_tables():
 
 
 def _two_product(a, b):
-    """hi + lo equal to a * b exactly: Dekker's product with Veltkamp's split."""
+    """hi + lo equal to a * b exactly: Dekker's product with Veltkamp's split.  Six
+    buffers, updated in place; lo sums ((ah bh - hi) + ah bl + al bh) + al bl."""
     hi = a * b
-    c = 134217729.0 * a
-    ah = c - (c - a)
-    c = 134217729.0 * b
-    bh = c - (c - b)
-    al, bl = a - ah, b - bh
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    ah = 134217729.0 * a
+    al = ah - a
+    np.subtract(ah, al, out=ah)
+    np.subtract(a, ah, out=al)
+    bh = 134217729.0 * b
+    bl = bh - b
+    np.subtract(bh, bl, out=bh)
+    np.subtract(b, bh, out=bl)
+    lo = ah * bh
+    lo -= hi
+    lo += np.multiply(ah, bl, out=ah)
+    lo += np.multiply(al, bh, out=bh)
+    lo += np.multiply(al, bl, out=bl)
+    return hi, lo
 
 
 def _csv_text(block):
     """The rows of a 2-D float array as CSV bytes, each cell exactly as "%.17g" prints it."""
     lead, groups, tails, group_last, masks = _csv_tables()
     x = block.ravel()
-    ax = np.abs(x)
-    zero = ax == 0
-    fast = zero | ((ax >= 1e-6) & (ax < 1e16))
-    a = np.where(fast & ~zero, ax, 1.0)
+    a = np.abs(x)
+    zero = a == 0
+    fast = a >= 1e-6
+    mask = a < 1e16  # a scratch mask from here on
+    fast &= mask
+    np.copyto(a, 1.0, where=np.logical_not(fast, out=mask))  # zero is not fast yet
+    fast |= zero
     # log10 may miss the decimal exponent E by one beside a power of ten; the
     # unrounded product |x| 10^(16 - E), in [1e16, 1e17), decides it.
-    e = np.clip(np.floor(np.log10(a)), -6, 15).astype(np.int8)
-    hi, lo = _two_product(a, _POW10[16 - e])
-    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    e = np.log10(a)
+    e = np.clip(np.floor(e, out=e), -6, 15, out=e).astype(np.int8)
+    hi, lo = _two_product(a, _POW10.take(16 - e))
+    above = hi > 1e17
+    above |= np.equal(hi, 1e17, out=mask) & (lo >= 0)
+    below = hi < 1e16
+    below |= np.equal(hi, 1e16, out=mask) & (lo < 0)
     e += above
     e -= below
-    fast &= e >= -6  # the double 1e-6 lies below 10^-6
-    e[~fast | zero] = 0
-    moved = np.flatnonzero(above | below)
-    hi[moved], lo[moved] = _two_product(a[moved], _POW10[16 - e[moved]])
+    fast &= np.greater_equal(e, -6, out=mask)  # the double 1e-6 lies below 10^-6
+    np.copyto(e, 0, where=np.logical_not(fast, out=mask))  # zero has e = 0 already
+    moved = np.flatnonzero(np.logical_or(above, below, out=mask))
+    if moved.size:
+        hi[moved], lo[moved] = _two_product(a.take(moved), _POW10.take(16 - e.take(moved)))
     # hi >= 2^53 is an even integer, so this rounds the 17 digits half to even.
     # They never round up to 10^17: below each power of ten 10^m, -5 <= m <= 16,
     # the nearest double is over 4e-17 of it away, not within 5e-18.
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    d[zero] = 0
+    d = hi.astype(np.int64)
+    d += np.rint(lo, out=lo).astype(np.int64)
+    np.copyto(d, 0, where=zero)
     words = np.empty((x.size, 6), np.uint64)
     last = np.zeros(x.size, np.int8)
+    q, qd = np.empty_like(d), np.empty_like(d)
     for k in range(4, 0, -1):  # digits 4k - 3 to 4k
-        q = d // 10000
-        d -= q * 10000
-        words[:, k] = np.take(groups, d)
-        np.maximum(last, np.take(group_last[k - 1], d), out=last)
-        d = q
-    words[:, 0] = np.take(lead, d)
-    e6 = (e + 6).astype(np.intp)
-    sep = 2 * e6
-    sep.reshape(block.shape)[:, -1] += 1  # "\n" ends a row
-    words[:, 5] = np.take(tails, sep)
-    words &= np.take(masks, (e6 * 17 + last) * 2 + np.signbit(x), axis=0)
+        np.floor_divide(d, 10000, out=q)
+        d -= np.multiply(q, 10000, out=qd)
+        words[:, k] = groups.take(d)
+        np.maximum(last, group_last[k - 1].take(d), out=last)
+        d, q = q, d
+    words[:, 0] = lead.take(d)
+    e += 6
+    e6 = e.astype(np.intp)
+    index = e6 * 2
+    index.reshape(block.shape)[:, -1] += 1  # "\n" ends a row
+    words[:, 5] = tails.take(index)
+    np.multiply(e6, 17, out=index)
+    index += last
+    index *= 2
+    index += np.signbit(x)
+    words &= masks.take(index, axis=0)
     slow = np.flatnonzero(~fast)
     if slow.size:  # non-finite, subnormal, below 10^-6 (the double 1e-6 too) or from 1e16
         # Written after the mask into words 0-4; word 5 keeps the separator.
@@ -177,8 +200,15 @@ def _outdir(cfg, args):
 
 
 def _control_csv(path, control):
-    grid = union(control.u.xs, control.uprime.xs)
-    _write_csv(path, ["t", "u", "uprime"], [grid, control.u(grid), control.uprime(grid)])
+    """u and u' on the union of their grids.  On one grid that is their samples, since
+    ``np.interp`` returns ``vs[j]`` bit for bit at ``xs[j]``."""
+    u, uprime = control.u, control.uprime
+    if np.array_equal(u.xs, uprime.xs):
+        columns = [u.xs, u.vs, uprime.vs]
+    else:
+        grid = union(u.xs, uprime.xs)
+        columns = [grid, u(grid), uprime(grid)]
+    _write_csv(path, ["t", "u", "uprime"], columns)
 
 
 _BRANCH_HEADER = ("t", "scriptL", "scriptLprime")

@@ -15,7 +15,7 @@ import numpy as np
 import yaml
 
 from .errors import InvalidToughness
-from .func1d import SampledFunction, derivative
+from .func1d import _DOMAIN_SLACK, SampledFunction, derivative
 from .model import ControlSignal, InitialState, TargetState, Toughness
 
 # Each preset: its parameters with their defaults (None where required), then its
@@ -161,7 +161,13 @@ class ScenarioConfig:
         return self._build_state("initial", InitialState)
 
     def build_target(self, strict=True) -> TargetState:
-        return self._build_state("target", TargetState, tol=1e-8 if strict else math.inf)
+        target = self._build_state("target", TargetState, tol=1e-8 if strict else math.inf)
+        x_max = self.toughness.get("x_max")
+        if (x_max is not None and self.toughness.get("preset") != "constant"
+                and target.ellbar0 > x_max + _DOMAIN_SLACK * max(x_max, 1.0)):
+            raise ConfigError("toughness.x_max", f"the toughness is sampled on [0, {x_max:.17g}], "
+                              f"which ends before target.ellbar0 = {target.ellbar0:.17g}")
+        return target
 
     def build_toughness(self) -> Toughness:
         spec = dict(self.toughness)

@@ -11,6 +11,8 @@ import yaml
 from debond import ContinuityFailure, cli, config, control
 from debond.cli import main
 from debond.config import load_config, parse_config
+from debond.func1d import SampledFunction, union
+from debond.model import ControlSignal
 
 STATIC_ZERO = """\
 T: 3.0
@@ -991,3 +993,68 @@ def test_cli_csv_cells_reread_as_percent_g(tmp_path, doc):
                     expected = ",".join([cells[0], expected, cells[3]])
                 assert line == expected, (path, line)
     assert written == set(CSV_HEADERS)
+
+
+# -- control.csv: a one-grid control is written from its samples --------------------
+
+def _union_control_csv(path, control):
+    grid = union(control.u.xs, control.uprime.xs)
+    cli._write_csv(path, ["t", "u", "uprime"], [grid, control.u(grid), control.uprime(grid)])
+
+
+def _synthesized_control():
+    return cli._synthesize(parse_config(EXPANSION))[0].control
+
+
+def _one_grid_control():
+    # -0.0 in t, in u inside and at the last node, in u' across a jump pair 1e-9 apart
+    t = np.array([-0.0, 0.5, 0.5 + 1e-9, 1.0, 2.0])
+    u = SampledFunction(t, np.array([0.25, -0.0, 0.5, 1.0, -0.0]))
+    uprime = SampledFunction(t, np.array([-0.5, 1.0, -0.0, -0.0, -1.0]))
+    return ControlSignal(u, uprime)
+
+
+@pytest.mark.parametrize("make, one_grid", [
+    (_synthesized_control, True),
+    (lambda: parse_config(EXPANSION_SINE).build_control(), True),
+    (_one_grid_control, True),
+    # u' of a sample table lives on the segment midpoints: the grids differ
+    (lambda: parse_config(EXPANSION + "control:\n  u: {samples: [[0.0, 0.0], [1.5, 0.25], "
+                          "[4.0, -0.5], [6.0, 1.0]]}\n").build_control(), False),
+], ids=["synthesized", "sine-preset", "signed-zeros-and-jump", "samples"])
+def test_control_csv_bytes_equal_the_union_and_interp_path(tmp_path, monkeypatch, make,
+                                                           one_grid):
+    signal = make()
+    assert np.array_equal(signal.u.xs, signal.uprime.xs) == one_grid
+    _union_control_csv(tmp_path / "union.csv", signal)
+    unions = []
+    monkeypatch.setattr(cli, "union", lambda *grids: unions.append(grids) or union(*grids))
+    cli._control_csv(tmp_path / "control.csv", signal)
+    assert len(unions) == (0 if one_grid else 1)
+    assert (tmp_path / "control.csv").read_bytes() == (tmp_path / "union.csv").read_bytes()
+
+
+# -- a sampled toughness must reach the target front ---------------------------------
+
+SHORT_KAPPA = EXPANSION.replace("toughness: {preset: constant, value: 1.0}",
+                                "toughness: {samples: [[0.0, 1.0], [1.5, 1.2]], x_max: 1.5}")
+
+
+@pytest.mark.parametrize("command", ["check-admissible", "final-branch", "synthesize", "verify"])
+def test_toughness_ending_before_the_target_front_exits_2(tmp_path, capsys, command):
+    code, out = run(tmp_path, SHORT_KAPPA, command)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: config field 'toughness.x_max': the toughness is sampled on [0, 1.5], "
+        "which ends before target.ellbar0 = 2\n")
+
+
+@pytest.mark.parametrize("toughness, code", [
+    ("{samples: [[0.0, 1.0], [2.0, 1.2]], x_max: 2.0}", 0),  # reaches ellbar0 exactly
+    ("{samples: [[0.0, 1.0], [1.9999999999, 1.2]], x_max: 1.9999999999}", 0),  # in the slack
+    ("{preset: linear, intercept: 1.0, slope: 0.1, x_max: 1.99}", 2),  # a preset is sampled too
+    ("{preset: constant, value: 1.0, x_max: 1.0}", 0),  # a constant has no domain
+])
+def test_toughness_reach_of_the_target_front(tmp_path, toughness, code):
+    doc = EXPANSION.replace("{preset: constant, value: 1.0}", toughness)
+    assert run(tmp_path, doc, "final-branch")[0] == code

@@ -384,6 +384,25 @@ def test_union_keeps_the_first_of_two_signed_zeros():
     assert _bits(union(np.array([-0.0, 1.0]), np.array([0.0]))) == _bits([-0.0, 1.0])
 
 
+def test_interp_returns_its_samples_bit_for_bit_at_its_nodes():
+    # numpy does not document this; control.csv of a one-grid control relies on it.
+    rng = np.random.default_rng(29)
+    xp = np.concatenate(([-0.0], np.cumsum(rng.uniform(1e-9, 1.0, 200))))
+    xp[100:102] = xp[99] + np.array([1.0, 1.0 + 1e-9])  # a jump pair
+    fp = rng.normal(size=xp.size) * 10.0 ** rng.integers(-300, 300, xp.size)
+    fp[[3, 50, 101, -1]] = -0.0  # inside, across the pair and at the last node
+    fp[100] = 1e300
+    assert _bits(np.interp(xp, xp, fp)) == _bits(fp)
+    assert _bits(np.interp(np.abs(xp), xp, fp)) == _bits(fp)  # 0.0 reads node -0.0
+    assert _bits(SampledFunction(xp, fp)(xp)) == _bits(fp)
+
+
+def test_interp_reads_a_repeated_abscissa_as_a_right_continuous_jump():
+    xp, fp = np.array([0.0, 1.0, 1.0, 2.0]), np.array([0.0, 1.0, 5.0, 5.0])
+    assert _bits(np.interp([0.5, 1.0, np.nextafter(1.0, 0.0), 1.5], xp, fp)) == \
+        _bits([0.5, 5.0, np.nextafter(1.0, 0.0), 5.0])
+
+
 @pytest.mark.parametrize("x", [-1.0, 2.0, np.array(-1.0), np.array([-1.0, -2.0]),
                                np.array([1.0, 2.0]), np.array([1.0, -2.0, np.nan, 3.0]),
                                np.empty(0)])
