@@ -63,9 +63,9 @@ class SolverConfig:
 def _seed_slope(seed, q, up_xs, up_vs):
     """Trace slope on an array q <= ell0: the ``SeedTrace``, and the control u' on (0, ell0]."""
     q = np.asarray(q, dtype=float)  # NaN reads the control side
-    return sides(q <= 0.0, lambda i: np.interp(q[i], seed.minus_xs, seed.minus_vs),
+    return sides(q <= 0.0, lambda i: np.interp(q[i], seed._minus_xs, seed._minus_vs),
                  lambda i: np.interp(q[i], up_xs, up_vs)
-                 - np.interp(q[i], seed.plus_xs, seed.plus_vs))
+                 - np.interp(q[i], seed._plus_xs, seed._plus_vs))
 
 
 def _overflow_at(fp, ell, g):
@@ -110,7 +110,8 @@ class _Core:
         if s_end <= 0.0:
             return
         # The seed kink at s = 0: data on the left, data and control on the right.
-        right = np.interp(0.0, self.up_xs, self.up_vs) - np.interp(0.0, seed.plus_xs, seed.plus_vs)
+        right = (np.interp(0.0, self.up_xs, self.up_vs)
+                 - np.interp(0.0, seed._plus_xs, seed._plus_vs))
         self.tracked[self.n - 1] = kink = right != self.fp[self.n - 1]
         self._block(0.0, min(ell0, s_end), np.array([eps] if kink else []), reflect=False)
 
@@ -235,8 +236,10 @@ class _Core:
         kappa, heun = self.kappa, self.cfg.scheme == "heun"
         d, f2, top = q - np.concatenate(([s0], q[:-1])), fp * fp, self.cfg.T - q
 
-        def rate(lo, hi, ell):
-            return (np.maximum(f2[lo:hi] / kappa.held(np.minimum(ell, top[lo:hi])) - 0.5, 0.0),)
+        def rate(lo, hi, ell):  # g computed in held's fresh output
+            g = kappa.held(np.minimum(ell, top[lo:hi]))
+            np.subtract(np.divide(f2[lo:hi], g, out=g), 0.5, out=g)
+            return (np.maximum(g, 0.0, out=g),)
 
         # Below the threshold at every node the front rests whatever ell~ is: g = +0.0.
         # np.interp may read kappa a few ulps of its largest sample below the least one,
@@ -335,16 +338,16 @@ class SolutionRecord:
         active = np.flatnonzero(q > init.ell0)
         while active.size:  # echo(s) = s - 2 ell(tau_plus^-1(s))
             walk = q[active]
-            f[active] += np.interp(walk, u.xs, u.vs)
-            foot = np.interp(walk, front.tau_plus.fn.vs, front.times)
-            q[active] = walk = walk - 2.0 * np.interp(foot, front.times, front.positions)
+            f[active] += np.interp(walk, u._xs, u._vs)
+            foot = np.interp(walk, front.tau_plus.fn._vs, front._times)
+            q[active] = walk = walk - 2.0 * np.interp(foot, front._times, front._positions)
             active = active[walk > init.ell0]
         # The data's polylines start at 0 (up to the domain slack): an antiderivative is
         # the integral from 0.  f(s <= 0) = -integral_0^{-s} of the seed slope (y1 - y0')/2.
         def data(i):
             mid = q[i]
             half = 0.5 * (init.y0_prime._integral(mid) + init.y1._integral(mid))
-            return np.interp(mid, u.xs, u.vs) - self._u0 - half
+            return np.interp(mid, u._xs, u._vs) - self._u0 - half
 
         return f + sides(q <= 0.0, lambda i: -init.seed_trace.incoming._integral(-q[i]), data)
 
@@ -387,9 +390,9 @@ class SolutionRecord:
     def _beyond_cone(self, t, x):
         """y and a outside the data cone, from the trace and the characteristic maps."""
         front, s = self.front, t + x  # in tau_plus's range: its inverse reads the table
-        foot = np.interp(s, front.tau_plus.fn.vs, front.times)
-        v = np.interp(foot, front.times, front.speeds)
-        echo = s - 2.0 * np.interp(foot, front.times, front.positions)
+        foot = np.interp(s, front.tau_plus.fn._vs, front._times)
+        v = np.interp(foot, front._times, front._speeds)
+        echo = s - 2.0 * np.interp(foot, front._times, front._positions)
         f = self._value(np.concatenate((t - x, echo)))  # one walk for both feet
         return f[: x.size] - f[x.size :], -self._slope(echo) * ((1.0 - v) / (1.0 + v))
 
@@ -430,7 +433,7 @@ def solve_front(
     if abs(initial.y0(0.0) - control.u(0.0)) > 1e-6:
         raise IncompatibleData(f"control endpoint u(0) = {control.u(0.0):g} does not match "
                                f"y0(0) = {initial.y0(0.0):g}")
-    core = _Core(initial, kappa, cfg, control.uprime.xs, control.uprime.vs, cfg.T)
+    core = _Core(initial, kappa, cfg, control.uprime._xs, control.uprime._vs, cfg.T)
     return SolutionRecord(core, control)
 
 

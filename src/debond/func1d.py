@@ -60,9 +60,7 @@ class SampledFunction:
         span = xs[-1] - xs[0]
         if not (span > 0.0 and (xs[1:] - xs[:-1]).min() >= _MIN_SPACING * span):
             raise ValueError("abscissae must increase with spacing >= 1e-12 * span")
-        for name, arr in (("xs", xs), ("vs", vs)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, xs=xs, vs=vs)
 
     @property
     def lo(self) -> float:
@@ -83,7 +81,7 @@ class SampledFunction:
         return x
 
     def __call__(self, x):
-        out = np.interp(self._check(x), self.xs, self.vs)
+        out = np.interp(self._check(x), self._xs, self._vs)
         return float(out) if out.ndim == 0 else out
 
     @functools.cached_property
@@ -110,6 +108,17 @@ class SampledFunction:
         x0, v0, cum, half_slope = self._segments.take(idx, axis=1)
         d = x - x0
         return cum + v0 * d + half_slope * d * d
+
+
+def freeze(owner, **arrays):
+    """Set each array on ``owner`` as a read-only view under its name, and itself under
+    ``_name``: ``np.interp`` copies a read-only table on every call, so the kernels read the
+    ``_name`` aliases.  Nothing writes to an array once it is handed to ``freeze``."""
+    for name, arr in arrays.items():
+        public = arr.view()
+        public.setflags(write=False)
+        object.__setattr__(owner, name, public)
+        object.__setattr__(owner, "_" + name, arr)
 
 
 def pair_width(T, ell0):
@@ -142,22 +151,27 @@ def scan(step, start, m):
     ``start`` holds the state components at node 0, floats or bools (an int is
     taken as a float).  ``step(lo, hi, *prev)`` maps the components at nodes
     lo..hi-1 (``prev``; the first is exact) to those at lo+1..hi, and must not
-    raise on a guess.  Each pass steps a window of guesses at once; the nodes
-    up to the first one that changed have the exact predecessors, so they are
-    committed and the next window starts there.  Returns one array per
-    component.
+    raise on a guess.  Each pass steps a window of guesses at once (a node no
+    pass has stepped yet holds the last stepped node's value); the nodes up to
+    the first one that changed have the exact predecessors, so they are
+    committed and the next window starts there.  Returns one array per component.
     """
     states = [np.full(m + 1, value, bool if isinstance(value, (bool, np.bool_)) else float)
               for value in start]
-    done = 0
+    changed = np.empty(min(m, _SCAN_WINDOW) + 1, dtype=bool)  # one mask for every pass
+    done = stepped = 0  # nodes up to done are exact, nodes up to stepped hold a step's value
     while done < m:
         hi = min(done + _SCAN_WINDOW, m)
-        changed = np.zeros(hi - done, dtype=bool)
+        for state in states:
+            state[stepped + 1 : hi + 1] = state[stepped]
+        stepped, first = max(stepped, hi), hi - done  # first: the window's first changed node
         for state, new in zip(states, step(done, hi, *(x[done:hi] for x in states))):
-            changed |= state[done + 1 : hi + 1] != new
-            state[done + 1 : hi + 1] = new
-        first = int(changed.argmax())
-        done = done + 1 + first if changed[first] else hi
+            old = state[done + 1 : hi + 1]
+            np.not_equal(old[:first], new[:first], out=changed[:first])
+            changed[first] = True  # a sentinel: first stays where no node before it changed
+            first = int(changed[: first + 1].argmax())
+            old[...] = new
+        done = min(done + 1 + first, hi)
     return states
 
 
@@ -166,16 +180,19 @@ def march(d, rate, start, heun):
     loop x_pred = x + d r, then x += d/2 (r + rate(x_pred)) (heun) or d r (euler), r = rate(x).
     ``start`` holds x, r and any further state at node 0; ``rate(lo, hi, x, *more)`` gives r and
     the further state at nodes lo+1..hi from x there and ``more`` at the nodes before (for the
-    corrector, the predictor's).  Returns one array per component."""
+    corrector, the predictor's).  ``rate`` returns fresh arrays, which the kernel may overwrite,
+    and keeps none of its arguments, which lie in buffers every pass reuses.  Returns one array
+    per component."""
     buf = np.empty(d.size + 1)  # per pass: x at the node before the window, then the increments
+    half, pred = 0.5 * d, np.empty(d.size)  # d/2 and x_pred, for heun
 
     def step(lo, hi, x, r, *more):
         inc = np.multiply(d[lo:hi], r, out=buf[lo + 1 : hi + 1])
         if heun:
-            r_mid, *more = rate(lo, hi, x + inc, *more)
-            np.multiply(0.5 * d[lo:hi], r + r_mid, out=inc)
-        buf[lo] = x[0]  # one in-place cumsum rounds like x = x + inc node by node
-        x = np.cumsum(buf[lo : hi + 1], out=buf[lo : hi + 1])[1:]
+            r_mid, *more = rate(lo, hi, np.add(x, inc, out=pred[lo:hi]), *more)
+            np.multiply(half[lo:hi], np.add(r, r_mid, out=r_mid), out=inc)
+        buf[lo] = x[0]  # one in-place cumulative sum rounds like x = x + inc node by node
+        x = np.add.accumulate(buf[lo : hi + 1], out=buf[lo : hi + 1])[1:]
         return (x, *rate(lo, hi, x, *more))
 
     return scan(step, start, d.size)
@@ -261,7 +278,7 @@ class MonotoneMap:
         return self.fn(t)
 
     def invert(self, s):
-        vs, xs = self.fn.vs, self.fn.xs
+        vs, xs = self.fn._vs, self.fn._xs
         s = np.asarray(s, dtype=float)
         if _first_outside(s, vs[0], vs[-1]) is not None:
             raise RangeError(f"inversion target outside range [{vs[0]:.17g}, {vs[-1]:.17g}]")

@@ -20,11 +20,12 @@ import numpy as np
 
 from .errors import (
     AmbiguityNote,
+    DomainError,
     IncompatibleTarget,
     InvalidToughness,
     SpeedOutOfRange,
 )
-from .func1d import MonotoneMap, SampledFunction, constant, derivative, merged_eval
+from .func1d import MonotoneMap, SampledFunction, constant, derivative, freeze, merged_eval
 
 VALID_REGULARITY = ("C01", "C1")
 
@@ -108,17 +109,26 @@ class Toughness:
             if np.ndim(x) == 0:
                 return self.kappa
             return np.full(np.shape(x), self.kappa)
-        return self.kappa(x)
+        return self._named(self.kappa, x)
 
     def held(self, x):
         """kappa at x held to its samples (``np.interp``, no domain check), or the constant."""
-        return self.kappa if self.is_constant else np.interp(x, self.kappa.xs, self.kappa.vs)
+        return self.kappa if self.is_constant else np.interp(x, self.kappa._xs, self.kappa._vs)
 
     def check(self, *arrays):
         """Raise the DomainError that ``self(np.column_stack(arrays).ravel())`` raises, naming
         the first point in that order outside the samples; nothing when all are inside."""
         if not self.is_constant:
-            self.kappa._check(np.column_stack(arrays).ravel())
+            self._named(self.kappa._check, np.column_stack(arrays).ravel())
+
+    @staticmethod
+    def _named(read, x):
+        """``read(x)``, whose DomainError is raised naming the toughness and its config fields."""
+        try:
+            return read(x)
+        except DomainError as err:
+            raise DomainError(f"toughness: {err}, the interval it is sampled on "
+                              "(toughness.x_max or toughness.samples)") from err
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +167,9 @@ class SeedTrace:
     plus_xs: np.ndarray
     plus_vs: np.ndarray
 
+    def __post_init__(self):
+        freeze(self, **vars(self))
+
     @functools.cached_property
     def incoming(self) -> SampledFunction:
         """(y1 - y0')/2 on [0, ell0], built on first use: f(s <= 0) = -(its integral to -s)."""
@@ -182,11 +195,8 @@ class InitialState:
     def seed_trace(self) -> SeedTrace:
         """The trace slope the data seed, on merged grids, built once."""
         grid, diff = merged_eval(self.y1, self.y0_prime, lambda a, b: 0.5 * (a - b))
-        arrays = (-grid[::-1], np.ascontiguousarray(diff[::-1]),
-                  *merged_eval(self.y0_prime, self.y1, lambda a, b: 0.5 * (a + b)))
-        for arr in arrays:
-            arr.setflags(write=False)
-        return SeedTrace(*arrays)
+        return SeedTrace(-grid[::-1], np.ascontiguousarray(diff[::-1]),
+                         *merged_eval(self.y0_prime, self.y1, lambda a, b: 0.5 * (a + b)))
 
 
 @dataclass(frozen=True)
@@ -250,25 +260,25 @@ class FrontCurve:
         if not (dt - dp).min() > 0.0:
             raise ValueError("front advanced a full time step; tau_minus not invertible")
         tau_plus = MonotoneMap(SampledFunction(t, t + p))
-        for name, arr in (("times", t), ("positions", p), ("speeds", v)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, positions=p, speeds=v)
+        object.__setattr__(self, "times", tau_plus.fn.xs)  # one table, and one alias
+        object.__setattr__(self, "_times", tau_plus.fn._xs)
         object.__setattr__(self, "tau_plus", tau_plus)
 
     @functools.cached_property
     def tau_minus(self) -> MonotoneMap:
-        return MonotoneMap(SampledFunction(self.times, self.times - self.positions))
+        return MonotoneMap(SampledFunction(self._times, self._times - self._positions))
 
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
 
     def ell(self, t):
-        out = np.interp(t, self.times, self.positions)
+        out = np.interp(t, self._times, self._positions)
         return float(out) if np.ndim(out) == 0 else out
 
     def ell_prime(self, t):
-        out = np.interp(t, self.times, self.speeds)
+        out = np.interp(t, self._times, self._speeds)
         return float(out) if np.ndim(out) == 0 else out
 
     def echo(self, s):

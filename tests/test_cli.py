@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 import yaml
 
-from debond import ContinuityFailure, cli, config, control
+from debond import ContinuityFailure, cli, config, control, func1d, model
 from debond.cli import main
 from debond.config import load_config, parse_config
 from debond.func1d import SampledFunction, union
-from debond.model import ControlSignal
+from debond.model import ControlSignal, FrontCurve
 
 STATIC_ZERO = """\
 T: 3.0
@@ -731,8 +731,8 @@ control:
      "a speed jump at t = T away from a coincidence point (terminal speed 0, moving root "
      "0.777778)"),
     # the front leaves ell0 = 1 at speed 0.6 and kappa's samples on [0, 1.5] soon after
-    (PAST_KAPPA_DOMAIN, "simulate", 3, "evaluation at 1.5001094960718018 outside domain "
-     "[0, 1.5]"),
+    (PAST_KAPPA_DOMAIN, "simulate", 3, "toughness: evaluation at 1.5001094960718018 outside "
+     "domain [0, 1.5], the interval it is sampled on (toughness.x_max or toughness.samples)"),
     # verify leaves out max(4h, 1e-3 hi) at each end of [0, hi]: at h = 0.5 all of [0, 2]
     (EXPANSION.replace("h: 1.0e-3", "h: 0.5"), "verify", 3, "step h = 0.5 too coarse to "
      "verify: a margin of 2 at each end leaves no velocity check point in [0, 2]"),
@@ -993,6 +993,39 @@ def test_cli_csv_cells_reread_as_percent_g(tmp_path, doc):
                     expected = ",".join([cells[0], expected, cells[3]])
                 assert line == expected, (path, line)
     assert written == set(CSV_HEADERS)
+
+
+# -- tables: read in place, never written ------------------------------------------
+
+@pytest.mark.parametrize("doc", [EXPANSION_SINE, SAMPLED_C1], ids=["expansion", "sampled-c1"])
+def test_no_table_reaches_interp_read_only_and_none_is_written(tmp_path, monkeypatch, doc):
+    # np.interp copies a read-only xp or fp on every call; the kernels read writable
+    # aliases of the read-only public arrays, and never write through them.
+    tables, reads = [], []
+    freeze, interp = func1d.freeze, np.interp
+
+    def recording_freeze(owner, **arrays):
+        freeze(owner, **arrays)
+        tables.extend((owner, name, getattr(owner, name).tobytes()) for name in arrays)
+
+    def recording_interp(x, xp, fp, *args, **kwargs):
+        reads.append(all(not isinstance(a, np.ndarray) or a.flags.writeable for a in (xp, fp)))
+        return interp(x, xp, fp, *args, **kwargs)
+
+    for module in (func1d, model):
+        monkeypatch.setattr(module, "freeze", recording_freeze)
+    monkeypatch.setattr(np, "interp", recording_interp)
+    for command in ("simulate", "synthesize", "verify"):
+        assert run(tmp_path, doc, command)[0] == 0
+    assert reads and all(reads)
+    assert {type(owner).__name__ for owner, _, _ in tables} >= {
+        "SampledFunction", "FrontCurve", "SeedTrace"}
+    for owner, name, data in tables:
+        public, alias = getattr(owner, name), getattr(owner, "_" + name)
+        assert not public.flags.writeable and alias.flags.writeable
+        assert np.shares_memory(public, alias) and public.tobytes() == data
+        if isinstance(owner, FrontCurve):
+            assert owner.times is owner.tau_plus.fn.xs and owner._times is owner.tau_plus.fn._xs
 
 
 # -- control.csv: a one-grid control is written from its samples --------------------

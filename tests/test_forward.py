@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -495,7 +496,7 @@ def test_an_overflowing_griffith_rate_is_refused_as_a_speed_that_rounds_to_1(sch
 
 def _reference_march(core, q, fp, s0, ell, g):
     """The node-by-node loop over the new nodes that the core's scan reproduces."""
-    kappa, heun = core.kappa.kappa, core.cfg.scheme == "heun"
+    kappa, heun = core.kappa, core.cfg.scheme == "heun"  # a DomainError names it
     ells, gs = [], []
     steps = zip(np.diff(q, prepend=s0).tolist(), (fp * fp).tolist(), (core.cfg.T - q).tolist())
     for d, f2, top in steps:
@@ -593,6 +594,25 @@ def test_sampled_kappa_solve_does_not_depend_on_the_scan_window(monkeypatch, sch
     for sol in sols[1:]:
         _assert_same_core(sol, sols[0])
         assert np.array_equal(sol.front.times, sols[0].front.times)
+
+
+def test_dense_stiff_kappa_solve_reads_its_table_in_place():
+    # kappa = 0.3 + 0.25 sin(300 ell) on 160 001 samples: np.interp copies a read-only
+    # table on every call, which took this solve about 2 s; read in place it takes 0.1 s.
+    t = np.linspace(0.0, 6.0, 6001)
+    control = ControlSignal(SampledFunction(t, 0.5 * np.sin(2.0 * t)),
+                            SampledFunction(t, np.cos(2.0 * t)))
+    xk = np.linspace(0.0, 8.0, 160_001)
+    kappa = Toughness(SampledFunction(xk, 0.3 + 0.25 * np.sin(300.0 * xk)))
+    args = (make_state(1.0, lambda x: 0.0, lambda x: 0.0), control, kappa,
+            SolverConfig(h=1e-3, T=6.0))
+    times = []
+    for _ in range(2):
+        start = time.perf_counter()
+        sol = solve_front(*args)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1.0
+    assert abs(sol.front.ell(6.0) - 3.751305) < 1e-6
 
 
 # -- the node store: each block computed in its slices ----------------------------
@@ -960,7 +980,8 @@ def test_nan_slope_in_a_block_below_the_threshold_raises_as_before():
                            SolverConfig(h=1e-2, T=3.0, scheme=scheme))._core
         fp = np.full(50, 0.1)
         fp[20] = np.nan
-        with pytest.raises(DomainError, match=r"^evaluation at nan outside domain \[0, 8\]$"):
+        with pytest.raises(DomainError, match=r"^toughness: evaluation at nan outside domain "
+                                              r"\[0, 8\], the interval it is sampled on "):
             core._march(np.linspace(0.01, 0.5, 50), fp, 0.0, 1.0, 0.0)
 
 

@@ -450,3 +450,27 @@ def test_march_equals_the_node_loop(monkeypatch, heun, window):
         want.append((x, r, k))
     got = func1d.march(d, rate, (0.5, 0.25, 0.0), heun)
     assert _bits(np.stack(got, axis=1)) == _bits(np.array(want))
+
+
+def test_scan_guesses_past_every_stepped_node_hold_the_last_stepped_value(monkeypatch):
+    # x_{k+1} = max(x_k, 1 + k // 10) and b_{k+1} = b_k or k % 10 == 0: a guess of the
+    # last stepped value is mostly exact, so passes commit whole windows, and the next
+    # window reaches nodes no pass has stepped.
+    monkeypatch.setattr(func1d, "_SCAN_WINDOW", 8)
+    calls = []
+
+    def step(lo, hi, x, b):
+        k = np.arange(lo, hi)
+        calls.append((lo, hi, x.copy(), b.copy(), np.maximum(x, 1.0 + k // 10), b | (k % 10 == 0)))
+        return calls[-1][4:]
+
+    x, b = func1d.scan(step, (0.0, False), 40)
+    nodes = np.arange(41)
+    assert x.tolist() == [0.0] + (1.0 + (nodes[1:] - 1) // 10).tolist()
+    assert b.tolist() == [False] + [True] * 40
+    fresh = 0
+    for (_, stepped, _, _, x_out, b_out), (lo, hi, x_in, b_in, _, _) in zip(calls, calls[1:]):
+        beyond = np.arange(lo, hi) > stepped  # nodes the pass before left unstepped
+        assert (x_in[beyond] == x_out[-1]).all() and (b_in[beyond] == b_out[-1]).all()
+        fresh += np.count_nonzero(beyond)
+    assert fresh > 0 and len(calls) < 40  # guesses past the last stepped node were made
